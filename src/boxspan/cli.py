@@ -16,11 +16,11 @@ import numpy as np
 from . import files
 from .generators import GenConfig, random_instance, slab_instance
 from .geodesic import GeodesicSolver, GridTooLargeError
-from .geometry import Environment, Point3, bounding_box, validate_environment
+from .geometry import Environment, validate_environment
 from .spanner import build_spanner
-from .verification import (NORM_RATIO, STRETCH_BOUND_L1, STRETCH_SLACK,
-                           VIA_DETOUR_FACTOR, norm_conversion_check,
-                           scaling_sweep, spanning_ratio)
+from .verification import (NORM_RATIO, STRETCH_BOUND_L1, VIA_DETOUR_FACTOR,
+                           check_via_detour, norm_conversion_check,
+                           scaling_sweep, spanning_ratio, via_triples)
 
 EXIT_OK = 0
 EXIT_BOUND = 1
@@ -52,6 +52,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def _load_valid_instance(path: str) -> Environment:
     env = files.load_instance(path)
+    if env.n == 0:
+        raise files.FormatError("instance has no points")
     violations = validate_environment(env)
     if violations:
         raise files.FormatError(
@@ -93,43 +95,9 @@ def cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sample_via_triples(env: Environment, count: int, seed: int,
-                        solver: GeodesicSolver) -> tuple[int, int, float]:
-    """Sample via-point triples and evaluate the detour inequality.
-
-    Returns (passes, total, max observed lhs / sigma(p,q)).
-    """
-    rng = np.random.default_rng(seed)
-    n = env.n
-    passes = 0
-    worst = 0.0
-    for _ in range(count):
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
-        if j >= i:
-            j += 1
-        p, q = env.points[i], env.points[j]
-        box = bounding_box(p, q)
-        o = p
-        for _ in range(64):
-            u = rng.random(3)
-            cand = Point3(
-                min(max(p.x + u[0] * (q.x - p.x), box.lo.x), box.hi.x),
-                min(max(p.y + u[1] * (q.y - p.y), box.lo.y), box.hi.y),
-                min(max(p.z + u[2] * (q.z - p.z), box.lo.z), box.hi.z),
-            )
-            if not any(b.contains_interior(cand) for b in env.obstacles):
-                o = cand
-                break
-        lhs = solver.distance(p, o) + solver.distance(o, q)
-        sigma = solver.distance(p, q)
-        worst = max(worst, lhs / sigma)
-        if lhs <= VIA_DETOUR_FACTOR * sigma + 1e-9:
-            passes += 1
-    return passes, count, worst
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.detour_samples < 0:
+        return _fail("--detour-samples must be nonnegative")
     try:
         env = _load_valid_instance(args.instance)
         graph = files.load_graph(args.graph)
@@ -140,12 +108,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         solver = GeodesicSolver(env)
         report = spanning_ratio(env, graph, solver=solver)
-        passes, total, worst = _sample_via_triples(env, args.detour_samples,
-                                                   args.seed, solver)
+        triples = via_triples(env, args.detour_samples, np.random.default_rng(args.seed))
+        passes, worst = 0, 0.0
+        for p, q, o in triples:
+            lhs, rhs, holds = check_via_detour(env, p, q, o, solver)
+            worst = max(worst, VIA_DETOUR_FACTOR * lhs / rhs)
+            passes += holds
     except GridTooLargeError as exc:
         return _fail(f"instance too large for the grid approach: {exc}")
-    norm_ok = norm_conversion_check(graph, env)
+    norm_ok = norm_conversion_check(env)
     stretch_ok = report.within_bound()
+    total = len(triples)
     samples_ok = passes == total
     payload = {
         "n": env.n,
@@ -178,10 +151,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         sizes = [int(v) for v in args.sizes.split(",") if v.strip()]
     except ValueError:
         return _fail(f"could not parse sizes {args.sizes!r}")
-    if not sizes:
-        return _fail("sizes must be a nonempty comma-separated list")
     try:
         rows = scaling_sweep(sizes, trials=args.trials, seed=args.seed, m=args.m)
+    except (ValueError, GridTooLargeError) as exc:
+        return _fail(str(exc))
     except RuntimeError as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
         return EXIT_BOUND

@@ -1,10 +1,12 @@
-"""L1 geodesic distances and shortest rectilinear paths amid box obstacles.
+"""L1 geodesic distances amid box obstacles.
 
-Distances are realized on a track graph: the grid induced by all obstacle
-face coordinates plus the coordinates of the query terminals.  Some shortest
-obstacle-avoiding rectilinear path is always confined to this grid (segments
-of any path can be slid onto face planes or terminal planes without growing
-its length), which the independent fine-grid lattice oracle cross-checks.
+Each query is answered on a small grid of its own: the grid induced by the
+face coordinates of some obstacles plus the coordinates of the two query
+points.  Some shortest obstacle-avoiding rectilinear path is always confined
+to such a grid once it carries the faces of every obstacle that path touches
+(segments of any path can be slid onto face planes or terminal planes without
+growing its length); :class:`GeodesicSolver` picks those obstacles
+conservatively, and the independent fine-grid lattice oracle cross-checks it.
 
 Obstacles block only their open interiors: paths may run along faces and
 edges of obstacles.
@@ -12,31 +14,20 @@ edges of obstacles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .geometry import AxisBox, Environment, Point3, l1_distance
+from .geometry import Environment, Point3, points_array
 
 DEFAULT_NODE_CAP = 20_000_000
 
 
 class GridTooLargeError(RuntimeError):
     """Raised when a grid would exceed the configured node-count cap."""
-
-
-def _obstacle_arrays(obstacles: Sequence[AxisBox]) -> tuple[np.ndarray, np.ndarray]:
-    m = len(obstacles)
-    lo = np.empty((m, 3), dtype=float)
-    hi = np.empty((m, 3), dtype=float)
-    for k, box in enumerate(obstacles):
-        lo[k] = box.lo.as_tuple()
-        hi[k] = box.hi.as_tuple()
-    return lo, hi
 
 
 def _grid_links(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -129,120 +120,6 @@ def _grid_csr(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
     return graph
 
 
-class TrackGraph:
-    """Grid over obstacle face planes and terminal coordinate planes.
-
-    Nodes are cut-coordinate triples outside all obstacle interiors; links
-    join consecutive grid neighbors whose open segment avoids every obstacle
-    interior, weighted by L1 length.  Registered terminals map to node ids.
-    """
-
-    def __init__(self, env: Environment, terminals: Sequence[Point3],
-                 node_cap: int = DEFAULT_NODE_CAP):
-        self.env = env
-        obs_lo, obs_hi = _obstacle_arrays(env.obstacles)
-        cuts = []
-        for axis in range(3):
-            vals = [p.coord(axis) for p in terminals]
-            if len(env.obstacles) > 0:
-                vals = np.concatenate([vals, obs_lo[:, axis], obs_hi[:, axis]])
-            cuts.append(np.unique(np.asarray(vals, dtype=float)))
-        self.cuts: tuple[np.ndarray, np.ndarray, np.ndarray] = tuple(cuts)
-        self.valid, self.links = _grid_links(self.cuts, obs_lo, obs_hi, node_cap)
-        self._graph = _grid_csr(self.cuts, self.links)
-        self.terminals: dict[Point3, int] = {}
-        for p in terminals:
-            self.terminals[p] = self._locate(p)
-
-    @property
-    def node_count(self) -> int:
-        return self.valid.size
-
-    def _locate(self, p: Point3) -> int:
-        idx = []
-        for axis in range(3):
-            i = int(np.searchsorted(self.cuts[axis], p.coord(axis)))
-            if i >= len(self.cuts[axis]) or self.cuts[axis][i] != p.coord(axis):
-                raise KeyError(f"{p} is not on the grid")
-            idx.append(i)
-        ny, nz = len(self.cuts[1]), len(self.cuts[2])
-        return (idx[0] * ny + idx[1]) * nz + idx[2]
-
-    def node_point(self, node: int) -> Point3:
-        ny, nz = len(self.cuts[1]), len(self.cuts[2])
-        i, rem = divmod(node, ny * nz)
-        j, k = divmod(rem, nz)
-        return Point3(float(self.cuts[0][i]), float(self.cuts[1][j]), float(self.cuts[2][k]))
-
-    def shortest_from(self, node: int, with_predecessors: bool = False):
-        return dijkstra(self._graph, directed=False, indices=node,
-                        return_predecessors=with_predecessors)
-
-
-def build_track_graph(env: Environment, extra_terminals: Iterable[Point3] = (),
-                      node_cap: int = DEFAULT_NODE_CAP) -> TrackGraph:
-    """Track graph over env with all of P plus extra_terminals registered."""
-    extras = tuple(extra_terminals)
-    for p in extras:
-        for box in env.obstacles:
-            if box.contains_interior(p):
-                raise ValueError(f"terminal {p} lies strictly inside an obstacle")
-    return TrackGraph(env, tuple(env.points) + extras, node_cap=node_cap)
-
-
-@dataclass
-class GeodesicResult:
-    """Single-source distances (and optional path polylines) to all terminals."""
-
-    source: Point3
-    distances: dict[Point3, float]
-    paths: dict[Point3, tuple[Point3, ...]] | None = None
-
-
-def _walk_path(track: TrackGraph, predecessors: np.ndarray, target: int) -> tuple[Point3, ...]:
-    nodes = [target]
-    while predecessors[nodes[-1]] >= 0:
-        nodes.append(int(predecessors[nodes[-1]]))
-    pts = [track.node_point(v) for v in reversed(nodes)]
-    out = [pts[0]]
-    for p in pts[1:]:
-        if len(out) >= 2:
-            a, b = out[-2], out[-1]
-            same_axis = sum(1 for ax in range(3)
-                            if a.coord(ax) == b.coord(ax) == p.coord(ax))
-            if same_axis == 2:
-                out[-1] = p
-                continue
-        out.append(p)
-    return tuple(out)
-
-
-def single_source_geodesic(track: TrackGraph, source: Point3,
-                           with_paths: bool = False) -> GeodesicResult:
-    """Shortest obstacle-avoiding rectilinear distances from a registered terminal."""
-    if source not in track.terminals:
-        raise KeyError(f"source {source} is not a registered terminal")
-    src = track.terminals[source]
-    if with_paths:
-        dist, pred = track.shortest_from(src, with_predecessors=True)
-    else:
-        dist = track.shortest_from(src)
-        pred = None
-    distances: dict[Point3, float] = {}
-    paths: dict[Point3, tuple[Point3, ...]] = {}
-    for p, node in track.terminals.items():
-        d = float(dist[node])
-        if not np.isfinite(d):
-            raise RuntimeError(f"terminal {p} unreachable from {source}: "
-                               "disjoint bounded obstacles cannot disconnect free space")
-        # Dijkstra sums may round a hair below the exact L1 lower bound.
-        distances[p] = max(d, l1_distance(source, p))
-        if pred is not None:
-            paths[p] = _walk_path(track, pred, node)
-    return GeodesicResult(source=source, distances=distances,
-                          paths=paths if with_paths else None)
-
-
 class GeodesicSolver:
     """Pairwise and one-to-many L1 geodesic queries over one environment.
 
@@ -263,7 +140,8 @@ class GeodesicSolver:
     def __init__(self, env: Environment, node_cap: int = DEFAULT_NODE_CAP):
         self.env = env
         self.node_cap = node_cap
-        self.obs_lo, self.obs_hi = _obstacle_arrays(env.obstacles)
+        self.obs_lo = points_array([box.lo for box in env.obstacles])
+        self.obs_hi = points_array([box.hi for box in env.obstacles])
         self._point_ids = {p: i for i, p in enumerate(env.points)}
         self._cache: dict[tuple, float] = {}
 
@@ -291,9 +169,7 @@ class GeodesicSolver:
         """Geodesic distances from one source to many targets."""
         m = len(self.obs_lo)
         s = np.array(source.as_tuple())
-        pts = np.empty((len(targets), 3), dtype=float)
-        for i, t in enumerate(targets):
-            pts[i] = t.as_tuple()
+        pts = points_array(targets)
         out = np.abs(pts - s).sum(axis=1)
         if m == 0 or len(targets) == 0:
             return out

@@ -32,8 +32,6 @@ class StretchReport:
     max_ratio: float
     argmax: tuple[int, int] | None
     edge_count: int
-    metric: str = "L1-geodesic"
-    pair_size_sum: int | None = None
     ratios: dict[tuple[int, int], float] | None = None
 
     @property
@@ -70,10 +68,8 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
         raise ValueError("graph and environment disagree on the number of points")
     if solver is None:
         solver = _solver_for(env)
-    pair_size_sum = sum(g.stats.get("size_sums", {}).values()) or None
     if g.n < 2:
-        return StretchReport(max_ratio=1.0, argmax=None, edge_count=g.edge_count,
-                             pair_size_sum=pair_size_sum)
+        return StretchReport(max_ratio=1.0, argmax=None, edge_count=g.edge_count)
     dist_graph = dijkstra(_graph_csr(g), directed=False)
     best = 0.0
     arg: tuple[int, int] | None = None
@@ -90,12 +86,45 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
             best = float(ratios[j_rel])
             arg = (i, i + 1 + j_rel)
     return StretchReport(max_ratio=best, argmax=arg, edge_count=g.edge_count,
-                         pair_size_sum=pair_size_sum,
                          ratios=table if include_table else None)
 
 
-def check_via_detour(env: Environment, p: Point3, q: Point3,
-                     o: Point3) -> tuple[float, float, bool]:
+def via_triples(env: Environment, count: int,
+                rng: np.random.Generator) -> list[tuple[Point3, Point3, Point3]]:
+    """Draw count via-point triples (p, q, o) with p != q from the point set.
+
+    o is uniform in the box of p and q, redrawn up to 64 times while it falls
+    in an obstacle interior, and p itself if every draw does.  Draws nothing
+    when there are fewer than two points.
+    """
+    n = env.n
+    if n < 2:
+        return []
+    triples = []
+    for _ in range(count):
+        i = int(rng.integers(n))
+        j = int(rng.integers(n - 1))
+        if j >= i:
+            j += 1
+        p, q = env.points[i], env.points[j]
+        box = bounding_box(p, q)
+        o = p
+        for _ in range(64):
+            u = rng.random(3)
+            cand = Point3(
+                min(max(p.x + u[0] * (q.x - p.x), box.lo.x), box.hi.x),
+                min(max(p.y + u[1] * (q.y - p.y), box.lo.y), box.hi.y),
+                min(max(p.z + u[2] * (q.z - p.z), box.lo.z), box.hi.z),
+            )
+            if not any(b.contains_interior(cand) for b in env.obstacles):
+                o = cand
+                break
+        triples.append((p, q, o))
+    return triples
+
+
+def check_via_detour(env: Environment, p: Point3, q: Point3, o: Point3,
+                     solver: GeodesicSolver | None = None) -> tuple[float, float, bool]:
     """Check sigma(p,o) + sigma(o,q) <= 4 * sigma(p,q) for o in the box of p and q.
 
     Returns (lhs, rhs, holds).  The via point must lie in the closed box
@@ -107,13 +136,14 @@ def check_via_detour(env: Environment, p: Point3, q: Point3,
         for box in env.obstacles:
             if box.contains_interior(pt):
                 raise ValueError("query points must lie outside obstacle interiors")
-    solver = _solver_for(env)
+    if solver is None:
+        solver = _solver_for(env)
     lhs = solver.distance(p, o) + solver.distance(o, q)
     rhs = VIA_DETOUR_FACTOR * solver.distance(p, q)
     return lhs, rhs, lhs <= rhs + EPS_GEOM
 
 
-def norm_conversion_check(g: SpannerGraph, env: Environment) -> bool:
+def norm_conversion_check(env: Environment) -> bool:
     """Verify the norm sandwich l1/sqrt(3) <= l2 <= l1 on all point pairs.
 
     This is the computational content behind quoting the measured L1 stretch
@@ -153,6 +183,8 @@ def scaling_sweep(sizes: list[int], trials: int, seed: int, m: int = 8) -> list[
 
     if not sizes:
         raise ValueError("sizes must be nonempty")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rows: list[SweepRow] = []
     for n in sizes:
         runs = []

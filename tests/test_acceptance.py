@@ -14,11 +14,10 @@ import pytest
 from boxspan.cspd import CONES, build_cspd, certify_cspd
 from boxspan.geodesic import GeodesicSolver, oracle_fine_grid_distance
 from boxspan.generators import GenConfig, random_instance, slab_instance
-from boxspan.geometry import (Environment, Point3, bounding_box, l1_distance,
-                              l2_distance)
+from boxspan.geometry import Environment, Point3, l1_distance, l2_distance
 from boxspan.spanner import SpannerGraph, build_spanner
 from boxspan.verification import (STRETCH_BOUND_L1, STRETCH_SLACK, VIA_DETOUR_FACTOR,
-                                  graph_distances, spanning_ratio)
+                                  graph_distances, spanning_ratio, via_triples)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -91,23 +90,7 @@ def test_criterion_3_via_detour_inequality(stretch_runs):
     worst = 0.0
     for run in runs:
         env, solver = run["env"], run["solver"]
-        for _ in range(per_env):
-            i = int(rng.integers(env.n))
-            j = int(rng.integers(env.n - 1))
-            if j >= i:
-                j += 1
-            p, q = env.points[i], env.points[j]
-            box = bounding_box(p, q)
-            o = p
-            for _ in range(64):
-                u = rng.random(3)
-                cand = Point3(
-                    min(max(p.x + u[0] * (q.x - p.x), box.lo.x), box.hi.x),
-                    min(max(p.y + u[1] * (q.y - p.y), box.lo.y), box.hi.y),
-                    min(max(p.z + u[2] * (q.z - p.z), box.lo.z), box.hi.z))
-                if not any(b.contains_interior(cand) for b in env.obstacles):
-                    o = cand
-                    break
+        for p, q, o in via_triples(env, per_env, rng):
             lhs = solver.distance(p, o) + solver.distance(o, q)
             sigma = solver.distance(p, q)
             worst = max(worst, lhs / sigma)

@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from boxspan import files
+from boxspan import cli, files
 from boxspan.cli import main
+from boxspan.geodesic import GridTooLargeError
 from boxspan.generators import GenConfig, random_instance
 from boxspan.geometry import AxisBox, Environment, Point3
 from boxspan.spanner import SpannerGraph, build_spanner
@@ -95,13 +96,33 @@ def test_cli_generate_slabs(tmp_path):
     assert len(payload["points"]) == 10
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, monkeypatch):
     # invalid generator parameters
     assert main(["generate", "--mode", "slabs", "--n", "10", "--delta", "-1",
                  "--out", str(tmp_path / "x.json")]) == 2
     # missing input file
     assert main(["build", "--in", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "g.json")]) == 2
+    # an instance without points
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"points": []}')
+    assert main(["build", "--in", str(empty), "--out", str(tmp_path / "g.json")]) == 2
+    # a negative via-point sample count
+    inst, graph = str(tmp_path / "inst.json"), str(tmp_path / "graph.json")
+    assert main(["generate", "--n", "3", "--seed", "1", "--out", inst]) == 0
+    files.save_graph(graph, SpannerGraph(n=3))
+    assert main(["verify", "--instance", inst, "--graph", graph,
+                 "--detour-samples", "-5"]) == 2
+    # bench parameters out of range
+    for flags in (["--trials", "0"], ["--sizes", "-3"], ["--m", "-1"]):
+        assert main(["bench", "--sizes", "8", "--trials", "1", *flags]) == 2, flags
+
+    # a grid over the node cap is not a bound violation
+    def too_large(*args, **kwargs):
+        raise GridTooLargeError("grid needs 36 nodes, cap is 10")
+
+    monkeypatch.setattr(cli, "scaling_sweep", too_large)
+    assert main(["bench", "--sizes", "8"]) == 2
     # unknown subcommand exits with the argparse usage code
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
@@ -122,6 +143,15 @@ def test_cli_verify_detects_mismatched_n(tmp_path):
     assert main(["generate", "--n", "5", "--seed", "1", "--out", inst]) == 0
     files.save_graph(graph, SpannerGraph(n=4))
     assert main(["verify", "--instance", inst, "--graph", graph]) == 2
+
+
+def test_cli_verify_single_point(tmp_path):
+    inst, graph, report = (str(tmp_path / name)
+                           for name in ("inst.json", "graph.json", "report.json"))
+    assert main(["generate", "--n", "1", "--seed", "1", "--out", inst]) == 0
+    assert main(["build", "--in", inst, "--out", graph]) == 0
+    assert main(["verify", "--instance", inst, "--graph", graph, "--report", report]) == 0
+    assert json.load(open(report))["detour_samples"] == 0
 
 
 def test_cli_verify_flags_bound_violation(tmp_path):

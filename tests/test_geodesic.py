@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxspan.geodesic import (GeodesicSolver, GridTooLargeError, build_track_graph,
-                              geodesic_distance, oracle_fine_grid_distance,
-                              single_source_geodesic)
+from boxspan.geodesic import (GeodesicSolver, GridTooLargeError, _grid_links,
+                              geodesic_distance, oracle_fine_grid_distance)
 from boxspan.geometry import (AxisBox, Environment, Point3, l1_distance,
                               validate_environment)
 
@@ -73,75 +72,26 @@ def brute_sigma(env, p, q):
     return dist[dst]
 
 
-# -- track graph --------------------------------------------------------------
+# -- solver grids -------------------------------------------------------------
 
 def test_track_graph_cuts_and_nodes_match_hand_enumeration():
-    env = Environment([UNIT_CUBE], [Point3(-1, 0.5, 0.5), Point3(2, 0.5, 0.5)])
-    tg = build_track_graph(env)
-    assert [list(c) for c in tg.cuts] == [[-1, 0, 1, 2], [0, 0.5, 1], [0, 0.5, 1]]
+    # the cuts of the grid for (-1, .5, .5) -> (2, .5, .5) around the unit cube
+    cuts = (np.array([-1, 0, 1, 2.0]), np.array([0, 0.5, 1]), np.array([0, 0.5, 1]))
+    valid, links = _grid_links(cuts, np.zeros((1, 3)), np.ones((1, 3)), node_cap=100)
     # no cut is strictly inside the cube on any axis, so every node is valid
-    assert tg.node_count == 36 and int(tg.valid.sum()) == 36
+    assert valid.size == 36 and int(valid.sum()) == 36
     # links crossing the open interior are absent; hand-check the x-row at
     # y = 0.5, z = 0.5 (indices 1, 1): segments -1..0 and 1..2 exist, 0..1 not
-    x_links = tg.links[0][:, 1, 1]
-    assert list(x_links) == [True, False, True]
+    assert list(links[0][:, 1, 1]) == [True, False, True]
     # the same row on the bottom face z = 0 is free to cross
-    assert list(tg.links[0][:, 1, 0]) == [True, True, True]
-
-
-def test_track_graph_deduplicates_terminals():
-    env = Environment([], [Point3(0, 0, 0), Point3(1, 1, 1)])
-    tg = build_track_graph(env, extra_terminals=[Point3(0, 0, 0), Point3(1, 1, 1)])
-    assert tg.node_count == 8
-    assert len(tg.terminals) == 2
-
-
-def test_track_graph_rejects_interior_terminal():
-    env = Environment([UNIT_CUBE], [Point3(2, 2, 2)])
-    with pytest.raises(ValueError):
-        build_track_graph(env, extra_terminals=[Point3(0.5, 0.5, 0.5)])
+    assert list(links[0][:, 1, 0]) == [True, True, True]
 
 
 def test_track_graph_node_cap():
-    env = Environment([], [Point3(float(i), float(i), float(i)) for i in range(10)])
-    with pytest.raises(GridTooLargeError):
-        build_track_graph(env, node_cap=100)
-
-
-def test_single_source_free_space_equals_l1():
-    pts = [Point3(0, 0, 0), Point3(1, 2, 3), Point3(-1, 0.5, 4), Point3(2, 2, 2)]
-    env = Environment([], pts)
-    res = single_source_geodesic(build_track_graph(env), pts[0])
-    for p in pts:
-        assert res.distances[p] == pytest.approx(l1_distance(pts[0], p), abs=1e-12)
-
-
-def test_single_source_detour_value():
-    # around the unit cube: direct L1 is 2, detour adds 1
+    # the pair's box meets the cube, so the query needs a 36-node Dijkstra grid
     env = Environment([UNIT_CUBE], [Point3(-0.5, 0.5, 0.5), Point3(1.5, 0.5, 0.5)])
-    res = single_source_geodesic(build_track_graph(env), env.points[0])
-    assert res.distances[env.points[1]] == pytest.approx(3.0, abs=1e-12)
-    assert res.distances[env.points[0]] == 0.0
-
-
-def test_single_source_requires_registered_terminal():
-    env = Environment([], [Point3(0, 0, 0)])
-    tg = build_track_graph(env)
-    with pytest.raises(KeyError):
-        single_source_geodesic(tg, Point3(9, 9, 9))
-
-
-def test_path_witness_length_and_clearance():
-    env = Environment([UNIT_CUBE],
-                      [Point3(-0.5, 0.5, 0.5), Point3(1.5, 0.5, 0.5), Point3(0, 0, 0)])
-    res = single_source_geodesic(build_track_graph(env), env.points[0], with_paths=True)
-    for target, path in res.paths.items():
-        total = sum(l1_distance(path[i], path[i + 1]) for i in range(len(path) - 1))
-        assert total == pytest.approx(res.distances[target], abs=1e-9)
-        for a, b in zip(path, path[1:]):
-            at, bt = a.as_tuple(), b.as_tuple()
-            assert sum(1 for i in range(3) if at[i] != bt[i]) == 1
-            assert not any(_segment_blocked(at, bt, box) for box in env.obstacles)
+    with pytest.raises(GridTooLargeError):
+        GeodesicSolver(env, node_cap=10).distance(*env.points)
 
 
 # -- pairwise distances -------------------------------------------------------

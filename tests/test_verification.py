@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from boxspan.geodesic import GeodesicSolver
-from boxspan.geometry import AxisBox, Environment, Point3, bounding_box
+from boxspan.geometry import AxisBox, Environment, Point3
 from boxspan.generators import GenConfig, random_instance, slab_instance
 from boxspan.spanner import SpannerGraph, build_spanner
 from boxspan.verification import (STRETCH_BOUND_L1, VIA_DETOUR_FACTOR, check_via_detour,
                                   graph_distances, norm_conversion_check, scaling_sweep,
-                                  spanning_ratio)
+                                  spanning_ratio, via_triples)
 
 
 def _graph(n, edges):
@@ -99,31 +99,23 @@ def test_via_detour_rejects_outside_box():
 
 
 def test_via_detour_holds_amid_obstacles():
-    rng = np.random.default_rng(77)
     env = random_instance(GenConfig(seed=77, n=14, m=6))
+    solver = GeodesicSolver(env)
+    triples = via_triples(env, 60, np.random.default_rng(77))
+    assert len(triples) == 60
     worst = 0.0
-    checked = 0
-    while checked < 60:
-        i, j = rng.choice(env.n, size=2, replace=False)
-        p, q = env.points[i], env.points[j]
-        box = bounding_box(p, q)
-        u = rng.random(3)
-        o = Point3(
-            min(max(p.x + u[0] * (q.x - p.x), box.lo.x), box.hi.x),
-            min(max(p.y + u[1] * (q.y - p.y), box.lo.y), box.hi.y),
-            min(max(p.z + u[2] * (q.z - p.z), box.lo.z), box.hi.z))
-        if any(b.contains_interior(o) for b in env.obstacles):
-            continue
-        lhs, rhs, holds = check_via_detour(env, p, q, o)
+    for p, q, o in triples:
+        assert p != q
+        # raises unless o is in the box of p and q and outside every obstacle
+        lhs, rhs, holds = check_via_detour(env, p, q, o, solver)
         assert holds
         worst = max(worst, VIA_DETOUR_FACTOR * lhs / rhs)
-        checked += 1
     assert worst <= VIA_DETOUR_FACTOR
 
 
 def test_norm_conversion_check():
     env = random_instance(GenConfig(seed=5, n=20, m=0))
-    assert norm_conversion_check(SpannerGraph(n=env.n), env)
+    assert norm_conversion_check(env)
 
 
 def test_missing_edge_on_slab_instance_doubles_the_trip():
