@@ -6,7 +6,7 @@ O(n log^3 n) edges, plus the machinery to verify those bounds empirically.
 """
 
 from .cspd import CONES, ConeId, Cspd, CspdPair, build_cspd, certify_cspd, classify
-from .generators import GenConfig, random_instance, slab_instance
+from .generators import CrowdedRegionError, GenConfig, random_instance, slab_instance
 from .geodesic import (GeodesicSolver, GridTooLargeError, geodesic_distance,
                        oracle_fine_grid_distance)
 from .geometry import (EPS_GEOM, AxisBox, Environment, Point3, bounding_box,
@@ -18,7 +18,8 @@ from .verification import (STRETCH_BOUND_L1, STRETCH_SLACK, VIA_DETOUR_FACTOR,
                            via_triples)
 
 __all__ = [
-    "AxisBox", "CONES", "ConeId", "Cspd", "CspdPair", "Environment", "EPS_GEOM",
+    "AxisBox", "CONES", "ConeId", "CrowdedRegionError", "Cspd", "CspdPair",
+    "Environment", "EPS_GEOM",
     "GenConfig", "GeodesicSolver", "GridTooLargeError",
     "Point3", "SpannerGraph", "STRETCH_BOUND_L1", "STRETCH_SLACK", "StretchReport",
     "VIA_DETOUR_FACTOR", "bounding_box", "build_cspd", "build_spanner",

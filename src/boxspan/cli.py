@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import files
-from .generators import GenConfig, random_instance, slab_instance
+from .generators import CrowdedRegionError, GenConfig, random_instance, slab_instance
 from .geodesic import GeodesicSolver, GridTooLargeError
 from .geometry import Environment, validate_environment
 from .spanner import build_spanner
@@ -153,7 +153,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return _fail(f"could not parse sizes {args.sizes!r}")
     try:
         rows = scaling_sweep(sizes, trials=args.trials, seed=args.seed, m=args.m)
-    except (ValueError, GridTooLargeError) as exc:
+    except (ValueError, CrowdedRegionError, GridTooLargeError) as exc:
         return _fail(str(exc))
     except RuntimeError as exc:
         print(f"bound violation: {exc}", file=sys.stderr)

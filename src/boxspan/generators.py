@@ -13,6 +13,10 @@ import numpy as np
 from .geometry import AxisBox, Environment, Point3, separation, validate_environment
 
 
+class CrowdedRegionError(RuntimeError):
+    """Raised when rejection sampling cannot place the requested obstacles or points."""
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Configuration for random instances (and defaults for the slab family)."""
@@ -55,7 +59,8 @@ def random_instance(cfg: GenConfig) -> Environment:
 
     Rejection sampling keeps obstacles at least ``gap`` apart and points
     outside all obstacle interiors; in "mixed" placement some points snap
-    onto obstacle faces.  Raises when the region is too crowded.
+    onto obstacle faces.  Raises :class:`CrowdedRegionError` when the region
+    is too crowded.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -66,7 +71,7 @@ def random_instance(cfg: GenConfig) -> Environment:
     max_tries = 300 * max(cfg.m, 1)
     while len(obstacles) < cfg.m:
         if tries > max_tries:
-            raise RuntimeError(
+            raise CrowdedRegionError(
                 f"could not place {cfg.m} obstacles with gap {cfg.gap}: region too crowded")
         tries += 1
         sides = rng.uniform(cfg.min_side * scale, cfg.max_side * scale, size=3)
@@ -81,7 +86,7 @@ def random_instance(cfg: GenConfig) -> Environment:
     max_tries = 500 * cfg.n
     while len(points) < cfg.n:
         if tries > max_tries:
-            raise RuntimeError("could not place points: region too crowded")
+            raise CrowdedRegionError("could not place points: region too crowded")
         tries += 1
         if cfg.placement == "mixed" and obstacles and rng.random() < 0.3:
             box = obstacles[int(rng.integers(len(obstacles)))]

@@ -15,6 +15,7 @@ edges of obstacles.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +25,20 @@ from scipy.sparse.csgraph import dijkstra
 from .geometry import Environment, Point3, points_array
 
 DEFAULT_NODE_CAP = 20_000_000
+
+# A three-leg staircase from s to t moves the axes one at a time.  After the
+# axes in a set S have moved it stands at the corner whose coordinate on axis
+# a is t's when bit a of the mask S is set and s's otherwise.  The twelve legs
+# S -> S | {a} are the edges of that cube of corners, and each of the 3!
+# axis orders is a path of three legs from corner 0 to corner 7.
+_CORNER_FROM_TARGET = np.array([[mask >> a & 1 for mask in range(8)] for a in range(3)],
+                               dtype=bool)
+_LEGS = [(mask ^ 1 << a, mask) for mask in range(8) for a in range(3) if mask >> a & 1]
+_LEG_START, _LEG_END = (np.array(ends) for ends in zip(*_LEGS))
+_ORDERS = np.array([[_LEGS.index((0, 1 << a)),
+                     _LEGS.index((1 << a, 1 << a | 1 << b)),
+                     _LEGS.index((1 << a | 1 << b, 7))]
+                    for a, b in permutations(range(3), 2)])
 
 
 class GridTooLargeError(RuntimeError):
@@ -126,8 +141,10 @@ class GeodesicSolver:
     Query strategy, cheapest first:
 
     1. no obstacle interior meets the closed box of the pair: distance is L1;
-    2. a monotone staircase through that box exists (grid DP): distance is L1;
-    3. Dijkstra on the grid cut by the box-overlapping obstacles, then, if the
+    2. one of the six three-leg staircases of the pair is free (one numpy
+       broadcast, see :meth:`_staircase_clear`): distance is L1;
+    3. a monotone staircase through that box exists (grid DP): distance is L1;
+    4. Dijkstra on the grid cut by the box-overlapping obstacles, then, if the
        resulting upper bound cannot rule out every other obstacle, a second
        run cut by all obstacles whose cheapest through-detour is within the
        bound.  The pruning is conservative: an optimal path touching an
@@ -166,7 +183,13 @@ class GeodesicSolver:
         return d
 
     def distances_from(self, source: Point3, targets: Sequence[Point3]) -> np.ndarray:
-        """Geodesic distances from one source to many targets."""
+        """Geodesic distances from one source to many targets.
+
+        Targets whose box meets an obstacle are first put to one
+        :meth:`_staircase_clear` broadcast; only those it cannot settle go
+        through :meth:`distance`.  Either way their answers are cached, as
+        :meth:`distance` caches them.
+        """
         m = len(self.obs_lo)
         s = np.array(source.as_tuple())
         pts = points_array(targets)
@@ -177,8 +200,15 @@ class GeodesicSolver:
         bhi = np.maximum(pts, s)
         overlap = ((self.obs_lo[:, None, :] < bhi[None, :, :])
                    & (self.obs_hi[:, None, :] > blo[None, :, :])).all(axis=2)
-        for i in np.nonzero(overlap.any(axis=0))[0]:
-            out[i] = self.distance(source, targets[i])
+        ask = np.nonzero(overlap.any(axis=0))[0]
+        if len(ask) == 0:
+            return out
+        clear = self._staircase_clear(s, pts[ask])
+        for i, settled in zip(ask.tolist(), clear.tolist()):
+            if settled:
+                self._cache[self._key(source, targets[i])] = float(out[i])
+            else:
+                out[i] = self.distance(source, targets[i])
         return out
 
     # -- internals ---------------------------------------------------------
@@ -195,7 +225,7 @@ class GeodesicSolver:
         over = self._overlapping(blo, bhi)
         if len(over) == 0:
             return l1
-        if self._monotone_clear(s, t, over):
+        if self._staircase_clear(s, t[None, :])[0] or self._monotone_clear(s, t, over):
             return l1
         d1 = self._grid_sigma(s, t, over)
         detours = self._min_detours(s, t)
@@ -214,6 +244,46 @@ class GeodesicSolver:
         v = np.maximum(s, t)
         pen = 2.0 * np.maximum(0.0, np.maximum(u - self.obs_hi, self.obs_lo - v))
         return (v - u).sum() + pen.sum(axis=1)
+
+    def _staircase_clear(self, s: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Per target, whether a three-leg staircase from s to it is free.
+
+        The six staircases move the axes one at a time, in each of the 3!
+        orders.  A leg is one axis-parallel segment; like a grid link, it is
+        blocked iff some obstacle's open interior meets it, that is, its
+        fixed coordinates lie strictly inside the obstacle and its moving
+        range overlaps the obstacle's open interval.  All twelve distinct
+        legs of all targets are tested against all obstacles in one
+        broadcast.
+
+        Exactness: a free staircase is a feasible path of length exactly L1,
+        and no path is shorter, so "clear" proves sigma = L1.  "Not clear"
+        proves nothing; callers fall back to the grid test.
+
+        One-box lemma, why the fallback is rare: between two free points, a
+        single open box blocks every monotone path iff it strictly spans the
+        pair's box on at least two axes; otherwise one of the six staircases
+        avoids it.  If it spans x and y, s and t lie outside it, so its z
+        range lies within the pair's and every monotone path crosses its
+        middle z level inside it.  Otherwise some axis i has s_i outside the
+        box's open interval and another axis j has t_j outside it: each of
+        two unspanned axes has an endpoint coordinate outside, and when both
+        belong to the same endpoint, the other endpoint is free, so it has
+        one outside on the third axis.  Moving j first and i last keeps s_i
+        fixed on the first two legs and t_j on the last two, so that
+        staircase misses the box.  So the grid runs only for pairs that are
+        blocked or whose box meets several obstacles.
+        """
+        # Axis first, so that both reductions run over leading axes:
+        # corners (3, 8, k), legs (3, 12, k), hits (3, obstacles, 12, k).
+        corners = np.where(_CORNER_FROM_TARGET[:, :, None], pts.T[:, None, :],
+                           s[:, None, None])
+        a, b = corners[:, _LEG_START], corners[:, _LEG_END]
+        lo = np.minimum(a, b)[:, None]
+        hi = np.maximum(a, b)[:, None]
+        hit = ((self.obs_lo.T[:, :, None, None] < hi)
+               & (self.obs_hi.T[:, :, None, None] > lo)).all(axis=0).any(axis=0)
+        return (~hit)[_ORDERS].all(axis=1).any(axis=0)
 
     def _monotone_clear(self, s: np.ndarray, t: np.ndarray, over: np.ndarray) -> bool:
         """Whether a monotone staircase from s to t avoids all obstacle interiors.

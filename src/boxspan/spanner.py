@@ -101,11 +101,10 @@ def build_spanner(env: Environment, solver: GeodesicSolver | None = None) -> Spa
                     continue
                 seen.add(cand.as_tuple())
                 center = select_center(pair, env, cand, solver)
-                p_center = env.points[center]
-                for q in members:
-                    if q == center:
-                        continue
-                    graph.stats["emissions"] += 1
-                    weight = solver.distance(p_center, env.points[q])
+                others = [q for q in members if q != center]
+                weights = solver.distances_from(env.points[center],
+                                                [env.points[q] for q in others])
+                graph.stats["emissions"] += len(others)
+                for q, weight in zip(others, weights.tolist()):
                     graph.add_edge(center, q, weight, (cone.code(), pair_id, cand_id))
     return graph

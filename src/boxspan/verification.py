@@ -16,7 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .geodesic import GeodesicSolver, _solver_for
-from .geometry import EPS_GEOM, Environment, Point3, bounding_box, l1_distance, l2_distance
+from .geometry import EPS_GEOM, Environment, Point3, bounding_box, points_array
 from .spanner import SpannerGraph, build_spanner
 
 STRETCH_BOUND_L1 = 8.0
@@ -150,13 +150,13 @@ def norm_conversion_check(env: Environment) -> bool:
     times sqrt(3) as the Euclidean stretch; the conversion itself is
     analytic, not measured.
     """
-    pts = env.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            l1 = l1_distance(pts[i], pts[j])
-            l2 = l2_distance(pts[i], pts[j])
-            if not (l1 / NORM_RATIO <= l2 + EPS_GEOM and l2 <= l1 + EPS_GEOM):
-                return False
+    pts = points_array(env.points)
+    for i in range(len(pts) - 1):
+        diff = np.abs(pts[i + 1:] - pts[i])
+        l1 = diff.sum(axis=1)
+        l2 = np.sqrt((diff * diff).sum(axis=1))
+        if not np.all((l1 / NORM_RATIO <= l2 + EPS_GEOM) & (l2 <= l1 + EPS_GEOM)):
+            return False
     return True
 
 
@@ -176,13 +176,18 @@ def scaling_sweep(sizes: list[int], trials: int, seed: int, m: int = 8) -> list[
     """Generate, build, and verify across sizes; assert the stretch bound.
 
     Each run checks the exact edge budget (edges <= 6 * total pair size) and
-    the stretch bound with slack; a violation raises.  Rows carry medians
-    over the trials plus the per-run data.
+    the stretch bound with slack; a violation raises RuntimeError.  Bad
+    sizes, trials or generator parameters raise ValueError, and a request
+    the generator cannot place raises its CrowdedRegionError.  Rows carry
+    medians over the trials plus the per-run data.
     """
     from .generators import GenConfig, random_instance
 
     if not sizes:
         raise ValueError("sizes must be nonempty")
+    for n in sizes:
+        if n < 1:
+            raise ValueError(f"sizes must be at least 1, got {n}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rows: list[SweepRow] = []

@@ -1,9 +1,11 @@
+import dataclasses
+import hashlib
 import json
 import os
 
 import pytest
 
-from boxspan import cli, files
+from boxspan import cli, files, generators
 from boxspan.cli import main
 from boxspan.geodesic import GridTooLargeError
 from boxspan.generators import GenConfig, random_instance
@@ -96,7 +98,7 @@ def test_cli_generate_slabs(tmp_path):
     assert len(payload["points"]) == 10
 
 
-def test_cli_usage_errors(tmp_path, monkeypatch):
+def test_cli_usage_errors(tmp_path, monkeypatch, capsys):
     # invalid generator parameters
     assert main(["generate", "--mode", "slabs", "--n", "10", "--delta", "-1",
                  "--out", str(tmp_path / "x.json")]) == 2
@@ -116,6 +118,16 @@ def test_cli_usage_errors(tmp_path, monkeypatch):
     # bench parameters out of range
     for flags in (["--trials", "0"], ["--sizes", "-3"], ["--m", "-1"]):
         assert main(["bench", "--sizes", "8", "--trials", "1", *flags]) == 2, flags
+    capsys.readouterr()
+    assert main(["bench", "--sizes", "8,-3", "--trials", "1"]) == 2
+    assert "sizes must be at least 1, got -3" in capsys.readouterr().err
+    # a request the generator cannot place is bad input, not a violated bound;
+    # two boxes 1.0 apart do not fit in the unit cube, and that fails fast
+    real = generators.random_instance
+    monkeypatch.setattr(generators, "random_instance",
+                        lambda cfg: real(dataclasses.replace(cfg, gap=1.0)))
+    assert main(["bench", "--sizes", "8", "--trials", "1", "--m", "2"]) == 2
+    assert "region too crowded" in capsys.readouterr().err
 
     # a grid over the node cap is not a bound violation
     def too_large(*args, **kwargs):
@@ -181,3 +193,25 @@ def test_cli_bench(tmp_path):
 
 def test_cli_bench_rejects_empty_sizes():
     assert main(["bench", "--sizes", " ", "--trials", "1"]) == 2
+
+
+def test_cli_outputs_stay_pinned(tmp_path):
+    """Edge set and verify report of ``generate --n 64 --m 8 --seed 11``.
+
+    The staircase certificate, batched edge weights and the via-point
+    sampler must leave these bit-identical.
+    """
+    inst, graph, report = (str(tmp_path / name) for name in
+                           ("inst.json", "graph.json", "report.json"))
+    files.save_instance(inst, random_instance(GenConfig(seed=11, n=64, m=8)))
+    assert main(["build", "--in", inst, "--out", graph]) == 0
+    with open(graph, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == "cf7151bbe6365413488d7c85f6b4254ac2c530dee64cea9961694146362354b0"
+    assert main(["verify", "--instance", inst, "--graph", graph, "--detour-samples", "1000",
+                 "--seed", "11", "--report", report]) == 0
+    with open(report) as fh:
+        got = json.load(fh)
+    assert got["max_stretch_l1"] == 1.3320154875474195
+    assert got["detour_max_ratio"] == 1.087927786771605
+    assert got["detour_passes"] == 1000

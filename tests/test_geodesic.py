@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from boxspan.geodesic import (GeodesicSolver, GridTooLargeError, _grid_links,
                               geodesic_distance, oracle_fine_grid_distance)
-from boxspan.geometry import (AxisBox, Environment, Point3, l1_distance,
+from boxspan.generators import GenConfig, random_instance
+from boxspan.geometry import (AxisBox, Environment, Point3, l1_distance, points_array,
                               validate_environment)
 
 UNIT_CUBE = AxisBox(Point3(0, 0, 0), Point3(1, 1, 1))
@@ -166,6 +167,64 @@ def test_distances_from_matches_pairwise():
     batch = solver.distances_from(source, list(env.points))
     for k, p in enumerate(env.points):
         assert batch[k] == pytest.approx(solver.distance(source, p), abs=1e-12)
+
+
+def _certificate_instances():
+    """Random boxes with points around them; seeded instances with a third
+    of the points snapped onto obstacle faces; and points of a lattice whose
+    planes cut the unit cube at its faces and inside, so that many pairs lie
+    on faces, edges and corners or are blocked by the cube alone."""
+    rng = np.random.default_rng(23)
+    for _ in range(8):
+        yield _random_env(rng, n=9, m=int(rng.integers(1, 5)))
+    for seed in range(4):
+        yield random_instance(GenConfig(seed=seed, n=16, m=8, placement="mixed"))
+    lattice = [Point3(*c) for c in itertools.product((-0.5, 0, 0.25, 0.75, 1, 1.5), repeat=3)
+               if not UNIT_CUBE.contains_interior(Point3(*c))]
+    pick = np.sort(np.random.default_rng(0).choice(len(lattice), size=70, replace=False))
+    yield Environment([UNIT_CUBE], [lattice[i] for i in pick])
+
+
+@pytest.fixture(scope="module")
+def staircase_vs_grid():
+    """(staircase says clear, grid-only test says clear, overlapping count)
+    for every pair whose box meets an obstacle."""
+    out = []
+    for env in _certificate_instances():
+        solver = GeodesicSolver(env)
+        pts = points_array(env.points)
+        for i in range(env.n - 1):
+            s, targets = pts[i], pts[i + 1:]
+            clear = solver._staircase_clear(s, targets)
+            for t, fast in zip(targets, clear):
+                over = solver._overlapping(np.minimum(s, t), np.maximum(s, t))
+                if len(over):
+                    out.append((bool(fast), solver._monotone_clear(s, t, over), len(over)))
+    return out
+
+
+def test_staircase_never_clears_a_pair_the_grid_blocks(staircase_vs_grid):
+    assert not [r for r in staircase_vs_grid if r[0] and not r[1]]
+    # both answers occur, so the comparison is not vacuous
+    assert {fast for fast, _, _ in staircase_vs_grid} == {True, False}
+    assert {grid for _, grid, _ in staircase_vs_grid} == {True, False}
+
+
+def test_staircase_is_exact_when_one_obstacle_meets_the_box(staircase_vs_grid):
+    """One-box lemma: a single box blocks every monotone path iff no
+    three-leg staircase avoids it, so both tests agree both ways."""
+    one = [(fast, grid) for fast, grid, k in staircase_vs_grid if k == 1]
+    assert all(fast == grid for fast, grid in one)
+    assert {grid for _, grid in one} == {True, False}
+
+
+def test_distances_from_is_bitwise_pairwise():
+    for env in _certificate_instances():
+        solver = GeodesicSolver(env)
+        for source in env.points[:3]:
+            fresh = GeodesicSolver(env)
+            expected = [fresh.distance(source, p) for p in env.points]
+            assert np.array_equal(solver.distances_from(source, env.points), expected)
 
 
 def test_lower_bound_and_triangle_inequality():

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from boxspan.geodesic import GeodesicSolver
-from boxspan.geometry import AxisBox, Environment, Point3
+from boxspan.geometry import AxisBox, Environment, Point3, l1_distance, l2_distance
 from boxspan.generators import GenConfig, random_instance, slab_instance
 from boxspan.spanner import SpannerGraph, build_spanner
 from boxspan.verification import (STRETCH_BOUND_L1, VIA_DETOUR_FACTOR, check_via_detour,
@@ -118,6 +119,30 @@ def test_norm_conversion_check():
     assert norm_conversion_check(env)
 
 
+def _norm_sandwich_loop(env):
+    """Plain-python reference: the pairwise loop over the scalar distances."""
+    for p, q in itertools.combinations(env.points, 2):
+        l1, l2 = l1_distance(p, q), l2_distance(p, q)
+        if not (l1 / math.sqrt(3.0) <= l2 + 1e-9 and l2 <= l1 + 1e-9):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("line", ["axis", "diagonal"])
+def test_norm_conversion_check_on_a_line(line):
+    # On an axis line l2 == l1 exactly (the upper bound is tight); on the
+    # main diagonal l2 == l1 / sqrt(3) up to rounding (the lower bound is).
+    ts = (-7.5, -1.0, 0.0, 0.125, 2.0, 3e3)
+    if line == "axis":
+        env = Environment([], [Point3(t, 0.25, -3.0) for t in ts])
+        assert all(l2_distance(p, q) == l1_distance(p, q)
+                   for p, q in itertools.combinations(env.points, 2))
+    else:
+        env = Environment([], [Point3(t, t, t) for t in ts])
+    assert _norm_sandwich_loop(env)
+    assert norm_conversion_check(env)
+
+
 def test_missing_edge_on_slab_instance_doubles_the_trip():
     """Dropping any edge of the complete graph forces a two-leg detour."""
     eps, s = 0.1, 2.1
@@ -151,3 +176,9 @@ def test_scaling_sweep_smoke():
 def test_scaling_sweep_rejects_empty_sizes():
     with pytest.raises(ValueError):
         scaling_sweep([], trials=1, seed=0)
+
+
+def test_scaling_sweep_rejects_a_size_below_one_by_value():
+    # checked before any seeding, so the message names the size, not numpy's
+    with pytest.raises(ValueError, match="sizes must be at least 1, got -3"):
+        scaling_sweep([8, -3], trials=1, seed=0)
