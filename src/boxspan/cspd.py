@@ -11,9 +11,12 @@ guarantee requires.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from .geometry import Point3
+import numpy as np
+
+from .geometry import Point3, points_array
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,11 +88,96 @@ class CspdPair:
     apex: Point3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cspd:
+    """The pairs of one cone's decomposition, stored as flat arrays.
+
+    Pair k has apex ``apex[k]``, side A ``members[o : o + len_a[k]]`` and
+    side B the ``len_b[k]`` members after it, where ``o = offsets[k]``; each
+    side lists its point indices in (z, y, x, index) order.  ``pairs`` builds
+    the :class:`CspdPair` objects on first access; :meth:`pair` builds one.
+    """
+
     cone: ConeId
-    pairs: tuple[CspdPair, ...]
-    size_sum: int
+    apex: np.ndarray
+    len_a: np.ndarray
+    len_b: np.ndarray
+    members: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.apex)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Cspd):
+            return NotImplemented
+        return self.cone == other.cone and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("apex", "len_a", "len_b", "members"))
+
+    @property
+    def size_sum(self) -> int:
+        return len(self.members)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Start of each pair's members, plus the total at the end."""
+        return np.concatenate([[0], np.cumsum(self.len_a + self.len_b)])
+
+    def pair(self, k: int) -> CspdPair:
+        start, split = int(self.offsets[k]), int(self.offsets[k] + self.len_a[k])
+        return CspdPair(self.cone,
+                        tuple(self.members[start:split].tolist()),
+                        tuple(self.members[split:self.offsets[k + 1]].tolist()),
+                        Point3(*self.apex[k].tolist()))
+
+    @cached_property
+    def pairs(self) -> tuple[CspdPair, ...]:
+        return tuple(self.pair(k) for k in range(len(self)))
+
+
+def _ranges(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenating the ranges [start[k], stop[k]): the k each element came
+    from, and the position it stands for."""
+    size = stop - start
+    owner = np.repeat(np.arange(len(start)), size)
+    return owner, np.arange(size.sum()) - np.repeat(np.cumsum(size) - size - start, size)
+
+
+def _segments(owner: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop of each owner's run in a sorted owner array."""
+    size = np.bincount(owner, minlength=count)
+    stop = np.cumsum(size)
+    return stop - size, stop
+
+
+def _median_trees(start: np.ndarray, stop: np.ndarray,
+                  far: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Nodes of the median-split trees over the ranges [start, stop), in preorder.
+
+    A node [lo, hi) splits at lo + (hi - lo) // 2.  Nodes with fewer than two
+    members are dropped.  When ``far`` is given (``far[i]``: how many of the
+    positions before i lie on the far side of the owning x split), nodes
+    lying wholly on one side are dropped too, with their subtrees, since no
+    pair crosses them.  Returns (root range index, lo, hi) per node.
+    Preorder is (lo ascending, hi descending): an ancestor starts no later
+    and ends later than its descendants, and disjoint nodes are ordered by
+    position.
+    """
+    root = np.arange(len(start))
+    levels = []
+    while len(root):
+        keep = stop - start >= 2
+        if far is not None:
+            count = far[stop] - far[start]
+            keep &= (count > 0) & (count < stop - start)
+        root, start, stop = root[keep], start[keep], stop[keep]
+        levels.append((root, start, stop))
+        mid = start + (stop - start) // 2
+        root = np.concatenate([root, root])
+        start, stop = np.concatenate([start, mid]), np.concatenate([mid, stop])
+    root, start, stop = (np.concatenate(v) for v in zip(*levels))
+    order = np.lexsort((-stop, start))
+    return root[order], start[order], stop[order]
 
 
 def build_cspd(points: Sequence[Point3], cone: ConeId) -> Cspd:
@@ -104,77 +192,72 @@ def build_cspd(points: Sequence[Point3], cone: ConeId) -> Cspd:
 
     Medians are lower medians in the per-axis total orders; each split value
     is the coordinate of the first element of the upper part, so the output
-    is deterministic.
+    is deterministic.  Pairs come in (x-node, y-node, z-node) preorder.
+
+    The trees are built level-synchronously on integer ranks: a node is a
+    range of positions in an array sorted by the node's axis, so a split is
+    a slice.  The x-tree cuts the signed x order.  The y-trees of all
+    x-nodes split one array holding each x-node's points in signed y order,
+    and the z-trees of all crossing sets (the points of a y-node on the same
+    side of both splits) split one array holding each set in z order.
     """
     n = len(points)
     if n < 2:
         raise ValueError("decomposition needs at least 2 points")
-    if len({p.as_tuple() for p in points}) != n:
+    P = points_array(points)
+    order = np.lexsort((np.arange(n), P[:, 0], P[:, 1], P[:, 2]))
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    if (P[order[1:]] == P[order[:-1]]).all(axis=1).any():
         raise ValueError("points must be pairwise distinct")
 
-    order = sorted(range(n), key=lambda i: (points[i].z, points[i].y, points[i].x, i))
-    rank = [0] * n
-    for pos, i in enumerate(order):
-        rank[i] = pos
     # Signed per-axis total orders: a precedes b iff the direction bit from a
     # to b equals the cone's sign, so the rank tiebreak flips with the sign.
-    kx = [(cone.sx * points[i].x, cone.sx * rank[i]) for i in range(n)]
-    ky = [(cone.sy * points[i].y, cone.sy * rank[i]) for i in range(n)]
-    kz = [(points[i].z, rank[i]) for i in range(n)]
+    # The z order is the (z, y, x, index) order itself.
+    x_order = np.lexsort((cone.sx * rank, cone.sx * P[:, 0]))
+    y_order = np.lexsort((cone.sy * rank, cone.sy * P[:, 1]))
+    rx = np.empty(n, dtype=np.intp)
+    rx[x_order] = np.arange(n)
+    ry = np.empty(n, dtype=np.intp)
+    ry[y_order] = np.arange(n)
 
-    pairs: list[CspdPair] = []
+    # x-nodes: ranges of x ranks; the pivot is the rank at the split.
+    _, x_lo, x_hi = _median_trees(np.array([0]), np.array([n]))
+    x_pivot = x_lo + (x_hi - x_lo) // 2
+    x_split = P[x_order[x_pivot], 0]
 
-    def rec3(u: list[int], x_pivot, x_split: float, y_split: float) -> None:
-        if len(u) < 2:
-            return
-        far = sum(1 for i in u if kx[i] >= x_pivot)
-        if far == 0 or far == len(u):
-            return
-        mid = len(u) // 2
-        z_split = points[u[mid]].z
-        z_pivot = kz[u[mid]]
-        side_a = tuple(i for i in u[:mid] if kx[i] < x_pivot)
-        side_b = tuple(i for i in u[mid:] if kx[i] >= x_pivot)
-        if side_a and side_b:
-            pairs.append(CspdPair(cone, side_a, side_b,
-                                  Point3(x_split, y_split, z_split)))
-        rec3(u[:mid], x_pivot, x_split, y_split)
-        rec3(u[mid:], x_pivot, x_split, y_split)
+    # Y: each x-node's points in y order, x-nodes in preorder.
+    owner, pos = _ranges(x_lo, x_hi)
+    ys = x_order[pos]
+    sort = np.lexsort((ry[ys], owner))
+    ys, owner = ys[sort], owner[sort]
+    far = np.concatenate([[0], np.cumsum(rx[ys] >= x_pivot[owner])])
+    x_of_y, y_lo, y_hi = _median_trees(*_segments(owner, len(x_lo)), far)
+    y_at = ys[y_lo + (y_hi - y_lo) // 2]
+    y_pivot, y_split = ry[y_at], P[y_at, 1]
 
-    def rec2(sy: list[int], sz: list[int], x_pivot, x_split: float) -> None:
-        if len(sy) < 2:
-            return
-        far = sum(1 for i in sy if kx[i] >= x_pivot)
-        if far == 0 or far == len(sy):
-            return
-        mid = len(sy) // 2
-        y_pivot = ky[sy[mid]]
-        y_split = points[sy[mid]].y
-        # candidates crossing both the x and this y split, in z order
-        u = [i for i in sz if (kx[i] >= x_pivot) == (ky[i] >= y_pivot)]
-        rec3(u, x_pivot, x_split, y_split)
-        rec2(sy[:mid], [i for i in sz if ky[i] < y_pivot], x_pivot, x_split)
-        rec2(sy[mid:], [i for i in sz if ky[i] >= y_pivot], x_pivot, x_split)
+    # U: each y-node's crossing set in z order, y-nodes in preorder.
+    owner, pos = _ranges(y_lo, y_hi)
+    us = ys[pos]
+    x_far = rx[us] >= x_pivot[x_of_y[owner]]
+    keep = x_far == (ry[us] >= y_pivot[owner])
+    us, owner, x_far = us[keep], owner[keep], x_far[keep]
+    sort = np.lexsort((rank[us], owner))
+    us, owner, x_far = us[sort], owner[sort], x_far[sort]
+    far = np.concatenate([[0], np.cumsum(x_far)])
+    y_of_z, z_lo, z_hi = _median_trees(*_segments(owner, len(y_lo)), far)
 
-    def rec1(sx: list[int], sy: list[int], sz: list[int]) -> None:
-        if len(sx) < 2:
-            return
-        mid = len(sx) // 2
-        x_pivot = kx[sx[mid]]
-        x_split = points[sx[mid]].x
-        rec2(sy, sz, x_pivot, x_split)
-        rec1(sx[:mid],
-             [i for i in sy if kx[i] < x_pivot], [i for i in sz if kx[i] < x_pivot])
-        rec1(sx[mid:],
-             [i for i in sy if kx[i] >= x_pivot], [i for i in sz if kx[i] >= x_pivot])
-
-    sx0 = sorted(range(n), key=lambda i: kx[i])
-    sy0 = sorted(range(n), key=lambda i: ky[i])
-    sz0 = sorted(range(n), key=lambda i: kz[i])
-    rec1(sx0, sy0, sz0)
-
-    size_sum = sum(len(p.a) + len(p.b) for p in pairs)
-    return Cspd(cone=cone, pairs=tuple(pairs), size_sum=size_sum)
+    # A z-node emits its near points below the split against its far points
+    # from the split on, when both are nonempty.
+    z_mid = z_lo + (z_hi - z_lo) // 2
+    len_a = (z_mid - z_lo) - (far[z_mid] - far[z_lo])
+    len_b = far[z_hi] - far[z_mid]
+    emit = (len_a > 0) & (len_b > 0)
+    y_of_z, z_lo, z_mid, z_hi = y_of_z[emit], z_lo[emit], z_mid[emit], z_hi[emit]
+    apex = np.column_stack([x_split[x_of_y[y_of_z]], y_split[y_of_z], P[us[z_mid], 2]])
+    owner, pos = _ranges(z_lo, z_hi)
+    members = us[pos[x_far[pos] == (pos >= z_mid[owner])]]
+    return Cspd(cone, apex, len_a[emit], len_b[emit], members)
 
 
 def certify_cspd(points: Sequence[Point3], cone: ConeId, cspd: Cspd) -> list[str]:

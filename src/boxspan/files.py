@@ -8,10 +8,12 @@ Instance files: ``{"points": [[x,y,z], ...], "obstacles": [{"lo": [...],
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import os
 import tempfile
-from typing import Any
+from typing import Any, Iterator, TextIO
 
 from .geometry import AxisBox, Environment, Point3
 from .spanner import SpannerGraph
@@ -23,18 +25,25 @@ class FormatError(ValueError):
     """A file does not match the expected schema."""
 
 
-def write_json_atomic(path: str, payload: Any) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: str) -> Iterator[TextIO]:
+    """A text file that replaces ``path`` only once the block completes."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json_atomic(path: str, payload: Any) -> None:
+    with _atomic_open(path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _triple(value: Any, what: str) -> tuple[float, float, float]:
@@ -71,13 +80,34 @@ def load_instance(path: str) -> Environment:
     return Environment(obstacles, points)
 
 
+def _json_number(w: float) -> str:
+    """A float as ``json.dump`` writes it."""
+    if math.isfinite(w):
+        return float.__repr__(w)
+    return "NaN" if w != w else ("Infinity" if w > 0 else "-Infinity")
+
+
+def _graph_chunks(graph: SpannerGraph) -> Iterator[str]:
+    """The graph payload as ``write_json_atomic`` writes it, edge by edge:
+    json's indenting encoder is pure Python and several times slower."""
+    yield f'{{\n  "n": {graph.n},\n  "edges": '
+    edges = graph.edge_list()
+    if edges:
+        sep = "[\n"
+        for i, j, w in edges:
+            yield f"{sep}    [\n      {i},\n      {j},\n      {_json_number(w)}\n    ]"
+            sep = ",\n"
+        yield "\n  ],\n"
+    else:
+        yield "[],\n"
+    yield f'  "metric": {json.dumps(GRAPH_METRIC)}\n}}\n'
+
+
 def save_graph(path: str, graph: SpannerGraph) -> None:
-    payload = {
-        "n": graph.n,
-        "edges": [[i, j, w] for (i, j, w) in graph.edge_list()],
-        "metric": GRAPH_METRIC,
-    }
-    write_json_atomic(path, payload)
+    """Write ``{"n", "edges": [[i, j, weight], ...], "metric"}`` byte for
+    byte as ``write_json_atomic`` would."""
+    with _atomic_open(path) as fh:
+        fh.writelines(_graph_chunks(graph))
 
 
 def load_graph(path: str) -> SpannerGraph:

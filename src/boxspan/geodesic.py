@@ -143,7 +143,9 @@ class GeodesicSolver:
     1. no obstacle interior meets the closed box of the pair: distance is L1;
     2. one of the six three-leg staircases of the pair is free (one numpy
        broadcast, see :meth:`_staircase_clear`): distance is L1;
-    3. a monotone staircase through that box exists (grid DP): distance is L1;
+    3. several obstacles meet that box and a monotone staircase through it
+       exists (grid DP): distance is L1.  With one, step 2 is exact (the
+       one-box lemma in :meth:`_staircase_clear`), so this step is skipped;
     4. Dijkstra on the grid cut by the box-overlapping obstacles, then, if the
        resulting upper bound cannot rule out every other obstacle, a second
        run cut by all obstacles whose cheapest through-detour is within the
@@ -196,11 +198,7 @@ class GeodesicSolver:
         out = np.abs(pts - s).sum(axis=1)
         if m == 0 or len(targets) == 0:
             return out
-        blo = np.minimum(pts, s)
-        bhi = np.maximum(pts, s)
-        overlap = ((self.obs_lo[:, None, :] < bhi[None, :, :])
-                   & (self.obs_hi[:, None, :] > blo[None, :, :])).all(axis=2)
-        ask = np.nonzero(overlap.any(axis=0))[0]
+        ask = np.nonzero(self.meets_obstacles(np.minimum(pts, s), np.maximum(pts, s)))[0]
         if len(ask) == 0:
             return out
         clear = self._staircase_clear(s, pts[ask])
@@ -210,6 +208,13 @@ class GeodesicSolver:
             else:
                 out[i] = self.distance(source, targets[i])
         return out
+
+    def meets_obstacles(self, blo: np.ndarray, bhi: np.ndarray) -> np.ndarray:
+        """Per closed box [blo[k], bhi[k]], whether some obstacle's open
+        interior meets it; where none does, every geodesic between two points
+        of the box is plain L1."""
+        return ((self.obs_lo[:, None, :] < bhi[None, :, :])
+                & (self.obs_hi[:, None, :] > blo[None, :, :])).all(axis=2).any(axis=0)
 
     # -- internals ---------------------------------------------------------
 
@@ -225,7 +230,10 @@ class GeodesicSolver:
         over = self._overlapping(blo, bhi)
         if len(over) == 0:
             return l1
-        if self._staircase_clear(s, t[None, :])[0] or self._monotone_clear(s, t, over):
+        # With a single overlapping obstacle, "not clear" is exact by the
+        # one-box lemma (see _staircase_clear): no monotone path exists.
+        if (self._staircase_clear(s, t[None, :])[0]
+                or len(over) > 1 and self._monotone_clear(s, t, over)):
             return l1
         d1 = self._grid_sigma(s, t, over)
         detours = self._min_detours(s, t)
@@ -258,7 +266,9 @@ class GeodesicSolver:
 
         Exactness: a free staircase is a feasible path of length exactly L1,
         and no path is shorter, so "clear" proves sigma = L1.  "Not clear"
-        proves nothing; callers fall back to the grid test.
+        is exact when one obstacle meets the pair's box (the lemma below);
+        with several it proves nothing, and callers fall back to the grid
+        test.
 
         One-box lemma, why the fallback is rare: between two free points, a
         single open box blocks every monotone path iff it strictly spans the
@@ -271,8 +281,8 @@ class GeodesicSolver:
         belong to the same endpoint, the other endpoint is free, so it has
         one outside on the third axis.  Moving j first and i last keeps s_i
         fixed on the first two legs and t_j on the last two, so that
-        staircase misses the box.  So the grid runs only for pairs that are
-        blocked or whose box meets several obstacles.
+        staircase misses the box.  So the monotone grid runs only for pairs
+        whose box meets several obstacles.
         """
         # Axis first, so that both reductions run over leading axes:
         # corners (3, 8, k), legs (3, 12, k), hits (3, obstacles, 12, k).

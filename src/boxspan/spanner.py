@@ -4,16 +4,20 @@ For each cone and each decomposition pair, the apex is projected out of any
 obstacle containing it (six axis exits); for each distinct exit point the
 member with the smallest geodesic distance to it becomes a center, and the
 center is connected to every other member with geodesic edge weights.  Edges
-are deduplicated; the first emission keeps its provenance tag.
+are deduplicated; the first emission keeps its provenance tag.  Pairs whose
+member box no obstacle meets are settled on numpy arrays, all of a cone at
+once; only the others query the geodesic solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cspd import CONES, CspdPair, build_cspd
+import numpy as np
+
+from .cspd import CONES, Cspd, CspdPair, build_cspd
 from .geodesic import GeodesicSolver, _solver_for
-from .geometry import Environment, Point3, project_out
+from .geometry import Environment, Point3, points_array, project_out
 
 
 @dataclass
@@ -68,6 +72,13 @@ def build_spanner(env: Environment, solver: GeodesicSolver | None = None) -> Spa
     Edge budget: at most 6 * (|A| + |B|) edges are emitted per pair before
     deduplication, so the edge count is at most six times the total pair
     size over the four cones.
+
+    Box-free pairs, whose closed member box meets no obstacle interior, are
+    settled on arrays (see :func:`_box_free_emissions`); every other pair goes
+    through :func:`candidate_points`, :func:`select_center` and the solver,
+    in pair order.  The emissions of a cone are sorted by (pair, exit,
+    member), the order a loop over the pairs would make them in, and the
+    first emission of each edge is kept.
     """
     n = env.n
     if n < 1:
@@ -84,12 +95,23 @@ def build_spanner(env: Environment, solver: GeodesicSolver | None = None) -> Spa
         return graph
     if solver is None:
         solver = _solver_for(env)
+    P = points_array(env.points)
     for cone in CONES:
         decomposition = build_cspd(env.points, cone)
-        graph.stats["pair_counts"][cone.code()] = len(decomposition.pairs)
-        graph.stats["size_sums"][cone.code()] = decomposition.size_sum
-        for pair_id, pair in enumerate(decomposition.pairs):
-            members = sorted(set(pair.a) | set(pair.b))
+        code = cone.code()
+        graph.stats["pair_counts"][code] = len(decomposition)
+        graph.stats["size_sums"][code] = decomposition.size_sum
+        if not len(decomposition):
+            continue
+        starts = decomposition.offsets[:-1]
+        box = P[decomposition.members]
+        free = ~solver.meets_obstacles(np.minimum.reduceat(box, starts),
+                                       np.maximum.reduceat(box, starts))
+        graph.stats["apex_free"] += int(free.sum())
+        rows = [_box_free_emissions(P, decomposition, free)]
+        for pair_id in np.nonzero(~free)[0].tolist():
+            pair = decomposition.pair(pair_id)
+            members = sorted(pair.a + pair.b)
             candidates = candidate_points(pair, env)
             if candidates[0] == pair.apex:
                 graph.stats["apex_free"] += 1
@@ -104,7 +126,44 @@ def build_spanner(env: Environment, solver: GeodesicSolver | None = None) -> Spa
                 others = [q for q in members if q != center]
                 weights = solver.distances_from(env.points[center],
                                                 [env.points[q] for q in others])
-                graph.stats["emissions"] += len(others)
-                for q, weight in zip(others, weights.tolist()):
-                    graph.add_edge(center, q, weight, (cone.code(), pair_id, cand_id))
+                rows.append((np.full(len(others), pair_id), np.full(len(others), cand_id),
+                             np.full(len(others), center), np.array(others), weights))
+        pair_ids, cand_ids, centers, targets, weights = map(np.concatenate, zip(*rows))
+        order = np.lexsort((targets, cand_ids, pair_ids))
+        graph.stats["emissions"] += len(order)
+        key = (np.minimum(centers, targets) * n + np.maximum(centers, targets))[order]
+        order = order[np.sort(np.unique(key, return_index=True)[1])]
+        for center, q, weight, pair_id, cand_id in zip(
+                centers[order].tolist(), targets[order].tolist(), weights[order].tolist(),
+                pair_ids[order].tolist(), cand_ids[order].tolist()):
+            graph.add_edge(center, q, weight, (code, pair_id, cand_id))
     return graph
+
+
+def _box_free_emissions(P: np.ndarray, decomposition: Cspd, free: np.ndarray):
+    """(pair, exit, center, member, weight) rows of the pairs marked free.
+
+    The apex of a pair lies in its closed member box (between its sides), so
+    when no obstacle interior meets that box the apex is interior to none and
+    its six exits all equal it: exit 0 alone emits.  Every target box of the
+    center query and of the edge queries lies in the member box as well, so
+    each distance is plain L1, and the float expression here is the one
+    :meth:`GeodesicSolver.distances_from` evaluates for such targets, which
+    it neither caches nor sends to :meth:`GeodesicSolver.distance`.  The
+    center is the first L1-nearest member in index order, as
+    :func:`select_center` picks it.
+    """
+    pair_of = np.repeat(np.arange(len(decomposition)),
+                        decomposition.len_a + decomposition.len_b)
+    take = free[pair_of]
+    pair_ids, members = pair_of[take], decomposition.members[take]
+    to_apex = np.abs(P[members] - decomposition.apex[pair_ids]).sum(axis=1)
+    nearest = np.lexsort((members, to_apex, pair_ids))
+    head = nearest[np.diff(pair_ids[nearest], prepend=-1) != 0]
+    center = np.empty(len(decomposition), dtype=members.dtype)
+    center[pair_ids[head]] = members[head]
+    centers = center[pair_ids]
+    other = members != centers
+    pair_ids, centers, members = pair_ids[other], centers[other], members[other]
+    weights = np.abs(P[members] - P[centers]).sum(axis=1)
+    return pair_ids, np.zeros_like(pair_ids), centers, members, weights

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ from boxspan.cspd import (CONES, ConeId, Cspd, CspdPair, build_cspd, certify_csp
 from boxspan.geometry import Point3
 
 # coordinates from a small pool to exercise ties on every axis
-tied_coord = st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.0])
+tied_coord = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0])
 tied_point = st.builds(Point3, tied_coord, tied_coord, tied_coord)
 
 
@@ -22,6 +24,89 @@ def distinct_points(draw_list):
             seen.add(p.as_tuple())
             out.append(p)
     return out
+
+
+def _as_cspd(cone, pairs):
+    """A decomposition holding exactly the given pairs."""
+    return Cspd(cone, np.array([p.apex.as_tuple() for p in pairs], dtype=float).reshape(-1, 3),
+                np.array([len(p.a) for p in pairs], dtype=int),
+                np.array([len(p.b) for p in pairs], dtype=int),
+                np.array([i for p in pairs for i in p.a + p.b], dtype=int))
+
+
+# -- reference: the decomposition as three nested recursions -----------------
+#
+# Plain-python median splits on (coordinate, rank) keys, emitting pairs in
+# depth-first order; build_cspd must reproduce its pairs, order and apexes.
+
+def reference_cspd(points, cone):
+    n = len(points)
+    order = sorted(range(n), key=lambda i: (points[i].z, points[i].y, points[i].x, i))
+    rank = [0] * n
+    for pos, i in enumerate(order):
+        rank[i] = pos
+    kx = [(cone.sx * points[i].x, cone.sx * rank[i]) for i in range(n)]
+    ky = [(cone.sy * points[i].y, cone.sy * rank[i]) for i in range(n)]
+    kz = [(points[i].z, rank[i]) for i in range(n)]
+
+    pairs = []
+
+    def rec3(u, x_pivot, x_split, y_split):
+        if len(u) < 2:
+            return
+        far = sum(1 for i in u if kx[i] >= x_pivot)
+        if far == 0 or far == len(u):
+            return
+        mid = len(u) // 2
+        z_split = points[u[mid]].z
+        side_a = tuple(i for i in u[:mid] if kx[i] < x_pivot)
+        side_b = tuple(i for i in u[mid:] if kx[i] >= x_pivot)
+        if side_a and side_b:
+            pairs.append(CspdPair(cone, side_a, side_b, Point3(x_split, y_split, z_split)))
+        rec3(u[:mid], x_pivot, x_split, y_split)
+        rec3(u[mid:], x_pivot, x_split, y_split)
+
+    def rec2(sy, sz, x_pivot, x_split):
+        if len(sy) < 2:
+            return
+        far = sum(1 for i in sy if kx[i] >= x_pivot)
+        if far == 0 or far == len(sy):
+            return
+        mid = len(sy) // 2
+        y_pivot = ky[sy[mid]]
+        y_split = points[sy[mid]].y
+        u = [i for i in sz if (kx[i] >= x_pivot) == (ky[i] >= y_pivot)]
+        rec3(u, x_pivot, x_split, y_split)
+        rec2(sy[:mid], [i for i in sz if ky[i] < y_pivot], x_pivot, x_split)
+        rec2(sy[mid:], [i for i in sz if ky[i] >= y_pivot], x_pivot, x_split)
+
+    def rec1(sx, sy, sz):
+        if len(sx) < 2:
+            return
+        mid = len(sx) // 2
+        x_pivot = kx[sx[mid]]
+        x_split = points[sx[mid]].x
+        rec2(sy, sz, x_pivot, x_split)
+        rec1(sx[:mid],
+             [i for i in sy if kx[i] < x_pivot], [i for i in sz if kx[i] < x_pivot])
+        rec1(sx[mid:],
+             [i for i in sy if kx[i] >= x_pivot], [i for i in sz if kx[i] >= x_pivot])
+
+    rec1(sorted(range(n), key=lambda i: kx[i]), sorted(range(n), key=lambda i: ky[i]),
+         sorted(range(n), key=lambda i: kz[i]))
+    return tuple(pairs)
+
+
+def assert_matches_reference(pts):
+    for cone in CONES:
+        got = build_cspd(pts, cone)
+        expected = reference_cspd(pts, cone)
+        assert got.pairs == expected
+        # bit for bit, so a lost -0.0 sign shows
+        assert [tuple(map(repr, p.apex.as_tuple())) for p in got.pairs] == \
+            [tuple(map(repr, p.apex.as_tuple())) for p in expected]
+        assert got.size_sum == sum(len(p.a) + len(p.b) for p in expected)
+        assert [got.pair(k) for k in range(len(got))] == list(expected)
 
 
 def test_classify_examples():
@@ -123,14 +208,37 @@ def test_certified_on_tie_heavy_sets(raw):
         assert certify_cspd(pts, cone, build_cspd(pts, cone)) == []
 
 
+@pytest.mark.parametrize("n,pool", [(10, None), (10, 4), (50, None), (50, 8),
+                                    (200, None), (200, 7)])
+def test_build_matches_reference_on_random_sets(n, pool):
+    rng = random.Random(2000 + n + (pool or 0))
+    assert_matches_reference(_random_points(rng, n, pool))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(tied_point, min_size=2, max_size=24))
+def test_build_matches_reference_on_tie_heavy_sets(raw):
+    pts = distinct_points(raw)
+    if len(pts) >= 2:
+        assert_matches_reference(pts)
+
+
+def test_build_matches_reference_on_two_and_three_points():
+    """Every ordering of two or three corners of a cube whose low corner
+    carries -0.0, so that ties and signed zeros meet on every axis."""
+    corners = [Point3(*c) for c in itertools.product((-0.0, 1.0), repeat=3)]
+    for n in (2, 3):
+        for pts in itertools.permutations(corners, n):
+            assert_matches_reference(list(pts))
+
+
 def test_certify_flags_corrupted_pair():
     pts = [Point3(0, 0, 0), Point3(1, 1, 1), Point3(2, 2, 2)]
     cone = ConeId(1, 1)
     good = build_cspd(pts, cone)
     pair = next(p for p in good.pairs if len(p.a) + len(p.b) > 2)
     moved = CspdPair(cone, pair.a + (pair.b[0],), pair.b[1:], pair.apex)
-    corrupted = Cspd(cone, tuple(moved if p is pair else p for p in good.pairs),
-                     good.size_sum)
+    corrupted = _as_cspd(cone, tuple(moved if p is pair else p for p in good.pairs))
     report = certify_cspd(pts, cone, corrupted)
     assert any("not cone-related" in v or "covered" in v for v in report)
 
@@ -138,7 +246,7 @@ def test_certify_flags_corrupted_pair():
 def test_certify_flags_missing_coverage():
     pts = [Point3(0, 0, 0), Point3(1, 1, 1)]
     cone = ConeId(1, 1)
-    empty = Cspd(cone, (), 0)
+    empty = _as_cspd(cone, ())
     report = certify_cspd(pts, cone, empty)
     assert any("covered 0 times, expected 1" in v for v in report)
 

@@ -215,3 +215,43 @@ def test_cli_outputs_stay_pinned(tmp_path):
     assert got["max_stretch_l1"] == 1.3320154875474195
     assert got["detour_max_ratio"] == 1.087927786771605
     assert got["detour_passes"] == 1000
+
+
+def test_cli_obstacle_free_outputs_stay_pinned(tmp_path):
+    """The same pin without obstacles, for ``generate --n 256 --m 0 --seed 11``:
+    every decomposition pair is box-free there and settled on arrays."""
+    inst, graph, built, report = (str(tmp_path / name) for name in
+                                  ("inst.json", "graph.json", "build.json", "report.json"))
+    files.save_instance(inst, random_instance(GenConfig(seed=11, n=256, m=0)))
+    assert main(["build", "--in", inst, "--out", graph, "--report", built]) == 0
+    with open(graph, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == "7e135771084baede62cbba15183714405bbec910c0fecdee3662c1f290d611c6"
+    with open(built) as fh:
+        assert json.load(fh)["edge_count"] == 9673
+    assert main(["verify", "--instance", inst, "--graph", graph, "--detour-samples", "1000",
+                 "--seed", "11", "--report", report]) == 0
+    with open(report) as fh:
+        got = json.load(fh)
+    assert got["max_stretch_l1"] == 1.6775849503762488
+    assert got["detour_passes"] == 1000
+
+
+@pytest.mark.parametrize("n,edges", [
+    (0, {}),
+    (1, {}),
+    (5, {(0, 1): 1e-07, (0, 4): 0.1 + 0.2, (1, 2): 1e16, (2, 3): float("inf"),
+         (3, 4): 2.5, (1, 3): 1.0, (2, 4): 123456789.125, (0, 2): float("-inf"),
+         (0, 3): float("nan")}),
+], ids=["empty", "one-point", "weights"])
+def test_save_graph_writes_json_dump_bytes(tmp_path, n, edges):
+    """save_graph streams exactly what json.dump with indent=2 writes."""
+    graph = SpannerGraph(n=n, edges=dict(edges))
+    expected = str(tmp_path / "expected.json")
+    with open(expected, "w") as fh:
+        json.dump({"n": n, "edges": [list(e) for e in graph.edge_list()],
+                   "metric": files.GRAPH_METRIC}, fh, indent=2)
+        fh.write("\n")
+    files.save_graph(str(tmp_path / "graph.json"), graph)
+    with open(expected, "rb") as fh, open(tmp_path / "graph.json", "rb") as gh:
+        assert gh.read() == fh.read()

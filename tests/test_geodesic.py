@@ -218,6 +218,32 @@ def test_staircase_is_exact_when_one_obstacle_meets_the_box(staircase_vs_grid):
     assert {grid for _, grid in one} == {True, False}
 
 
+def test_single_obstacle_pairs_skip_the_monotone_grid(monkeypatch):
+    """With one obstacle meeting the pair's box, a staircase "not clear" goes
+    straight to Dijkstra, and the distances still match the reference."""
+    monotone_clear = GeodesicSolver._monotone_clear
+
+    def multi_obstacle_only(self, s, t, over):
+        assert len(over) > 1, "monotone grid built for a single-obstacle pair"
+        return monotone_clear(self, s, t, over)
+
+    monkeypatch.setattr(GeodesicSolver, "_monotone_clear", multi_obstacle_only)
+    blocked = 0
+    for env in _certificate_instances():
+        solver = GeodesicSolver(env)
+        pts = points_array(env.points)
+        for i, j in itertools.combinations(range(env.n), 2):
+            s, t = pts[i], pts[j]
+            if len(solver._overlapping(np.minimum(s, t), np.maximum(s, t))) != 1:
+                continue
+            got = solver.distance(env.points[i], env.points[j])
+            if not solver._staircase_clear(s, t[None, :])[0]:
+                blocked += 1
+                assert got == pytest.approx(brute_sigma(env, env.points[i], env.points[j]),
+                                            abs=1e-9)
+    assert blocked > 0
+
+
 def test_distances_from_is_bitwise_pairwise():
     for env in _certificate_instances():
         solver = GeodesicSolver(env)

@@ -125,6 +125,69 @@ def test_build_is_deterministic(small_instance):
     assert again.provenance == g.provenance
 
 
+def reference_build(env, solver):
+    """Every pair through candidate_points, select_center and the solver,
+    one pair at a time, adding each edge as it is emitted."""
+    graph = SpannerGraph(n=env.n)
+    graph.stats = {"pair_counts": {}, "size_sums": {}, "apex_interior": 0,
+                   "apex_free": 0, "emissions": 0}
+    if env.n < 2:
+        return graph
+    for cone in CONES:
+        decomposition = build_cspd(env.points, cone)
+        graph.stats["pair_counts"][cone.code()] = len(decomposition.pairs)
+        graph.stats["size_sums"][cone.code()] = decomposition.size_sum
+        for pair_id, pair in enumerate(decomposition.pairs):
+            members = sorted(set(pair.a) | set(pair.b))
+            candidates = candidate_points(pair, env)
+            if candidates[0] == pair.apex:
+                graph.stats["apex_free"] += 1
+            else:
+                graph.stats["apex_interior"] += 1
+            seen = set()
+            for cand_id, cand in enumerate(candidates):
+                if cand.as_tuple() in seen:
+                    continue
+                seen.add(cand.as_tuple())
+                center = select_center(pair, env, cand, solver)
+                others = [q for q in members if q != center]
+                weights = solver.distances_from(env.points[center],
+                                                [env.points[q] for q in others])
+                graph.stats["emissions"] += len(others)
+                for q, weight in zip(others, weights.tolist()):
+                    graph.add_edge(center, q, weight, (cone.code(), pair_id, cand_id))
+    return graph
+
+
+# A checkerboard: an apex at an odd corner has up to six nearest members.
+LATTICE = [Point3(*c) for c in itertools.product((0.0, 1.0, 2.0, 3.0, 4.0), repeat=3)
+           if sum(c) % 2 == 0]
+
+
+@pytest.mark.parametrize("env", [
+    random_instance(GenConfig(seed=31, n=120, m=0)),
+    random_instance(GenConfig(seed=32, n=60, m=8, placement="mixed")),
+    random_instance(GenConfig(seed=33, n=60, m=10, max_side=0.3)),
+    Environment([], LATTICE),
+    Environment([AxisBox(Point3(1.0, 1.0, 1.0), Point3(2.0, 2.0, 3.0))], LATTICE),
+    random_instance(GenConfig(seed=34, n=1, m=2)),
+    random_instance(GenConfig(seed=35, n=2, m=2)),
+    random_instance(GenConfig(seed=36, n=3, m=3, max_side=0.3)),
+], ids=["open", "mixed", "interior-apexes", "lattice", "lattice-cube", "n1", "n2", "n3"])
+def test_build_matches_per_pair_reference(env):
+    """Edges in insertion order, provenance and stats match the per-pair
+    loop, and the solver is left with the same cache, filled in the same
+    order, so it answered the same queries.  The lattices make many members
+    tie for nearest to an apex."""
+    solver, reference_solver = GeodesicSolver(env), GeodesicSolver(env)
+    got = build_spanner(env, solver)
+    expected = reference_build(env, reference_solver)
+    assert list(got.edges.items()) == list(expected.edges.items())
+    assert list(got.provenance.items()) == list(expected.provenance.items())
+    assert got.stats == expected.stats
+    assert list(solver._cache.items()) == list(reference_solver._cache.items())
+
+
 def test_add_edge_rejects_self_loop():
     g = SpannerGraph(n=3)
     with pytest.raises(ValueError):
