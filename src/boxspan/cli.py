@@ -80,16 +80,16 @@ def cmd_build(args: argparse.Namespace) -> int:
                 "n": graph.n,
                 "m": len(env.obstacles),
                 "edge_count": graph.edge_count,
-                "pair_size_sums": graph.stats.get("size_sums", {}),
-                "pair_counts": graph.stats.get("pair_counts", {}),
-                "apex_free": graph.stats.get("apex_free", 0),
-                "apex_interior": graph.stats.get("apex_interior", 0),
-                "emissions": graph.stats.get("emissions", 0),
+                "pair_size_sums": graph.stats["size_sums"],
+                "pair_counts": graph.stats["pair_counts"],
+                "apex_free": graph.stats["apex_free"],
+                "apex_interior": graph.stats["apex_interior"],
+                "emissions": graph.stats["emissions"],
                 "build_seconds": elapsed,
             })
     except OSError as exc:
         return _fail(str(exc))
-    size_sum = sum(graph.stats.get("size_sums", {}).values())
+    size_sum = sum(graph.stats["size_sums"].values())
     print(f"wrote {args.out}: n={graph.n} edges={graph.edge_count} "
           f"pair_size_sum={size_sum} seconds={elapsed:.2f}")
     return EXIT_OK

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AxisBox, Environment, Point3, separation, validate_environment
+from .geometry import AxisBox, Environment, Point3, validate_environment
 
 
 class CrowdedRegionError(RuntimeError):
@@ -19,7 +19,7 @@ class CrowdedRegionError(RuntimeError):
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Configuration for random instances (and defaults for the slab family)."""
+    """Configuration for random instances."""
 
     seed: int
     n: int
@@ -29,9 +29,6 @@ class GenConfig:
     min_side: float = 0.04
     max_side: float = 0.2
     placement: str = "free"  # "free" | "mixed"
-    eps: float = 0.1
-    s: float = 2.1
-    delta: float = 1e-3
 
     def validate(self) -> None:
         if self.n < 1:
@@ -46,12 +43,6 @@ class GenConfig:
             raise ValueError("need 0 < min_side <= max_side")
         if self.placement not in ("free", "mixed"):
             raise ValueError(f"unknown placement mode {self.placement!r}")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.s <= 2 - self.eps**2 / 2:
-            raise ValueError("s must exceed 2 - eps^2/2 for the ratio argument")
 
 
 def random_instance(cfg: GenConfig) -> Environment:
@@ -67,6 +58,10 @@ def random_instance(cfg: GenConfig) -> Environment:
     scale = cfg.extent
 
     obstacles: list[AxisBox] = []
+    # Corners of the placed boxes; a candidate is kept when its largest axis
+    # gap to each of them (geometry.separation) is at least cfg.gap.
+    placed_lo = np.empty((cfg.m, 3))
+    placed_hi = np.empty((cfg.m, 3))
     tries = 0
     max_tries = 300 * max(cfg.m, 1)
     while len(obstacles) < cfg.m:
@@ -76,9 +71,12 @@ def random_instance(cfg: GenConfig) -> Environment:
         tries += 1
         sides = rng.uniform(cfg.min_side * scale, cfg.max_side * scale, size=3)
         lo = rng.uniform(0.0, scale - sides)
-        box = AxisBox(Point3(*lo), Point3(*(lo + sides)))
-        if all(separation(box, other) >= cfg.gap for other in obstacles):
-            obstacles.append(box)
+        hi = lo + sides
+        k = len(obstacles)
+        gaps = np.maximum(placed_lo[:k] - hi, lo - placed_hi[:k]).max(axis=1)
+        if (gaps >= cfg.gap).all():
+            placed_lo[k], placed_hi[k] = lo, hi
+            obstacles.append(AxisBox(Point3(*lo), Point3(*hi)))
 
     points: list[Point3] = []
     seen: set[tuple[float, float, float]] = set()

@@ -14,7 +14,6 @@ edges of obstacles.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
 
@@ -24,7 +23,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from .geometry import Environment, Point3, points_array
 
-DEFAULT_NODE_CAP = 20_000_000
+# Largest grid or lattice, in nodes, that a query may build; read at call time.
+NODE_CAP = 20_000_000
 
 # A three-leg staircase from s to t moves the axes one at a time.  After the
 # axes in a set S have moved it stands at the corner whose coordinate on axis
@@ -42,12 +42,11 @@ _ORDERS = np.array([[_LEGS.index((0, 1 << a)),
 
 
 class GridTooLargeError(RuntimeError):
-    """Raised when a grid would exceed the configured node-count cap."""
+    """Raised when a grid would exceed :data:`NODE_CAP` nodes."""
 
 
 def _grid_links(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
-                obs_lo: np.ndarray, obs_hi: np.ndarray,
-                node_cap: int) -> tuple[np.ndarray, list[np.ndarray]]:
+                obs_lo: np.ndarray, obs_hi: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Node validity and per-axis link arrays for a tensor grid.
 
     A node is valid unless strictly inside some obstacle.  A link between
@@ -58,8 +57,8 @@ def _grid_links(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
     cx, cy, cz = cuts
     shape = (len(cx), len(cy), len(cz))
     n_nodes = shape[0] * shape[1] * shape[2]
-    if n_nodes > node_cap:
-        raise GridTooLargeError(f"grid needs {n_nodes} nodes, cap is {node_cap}")
+    if n_nodes > NODE_CAP:
+        raise GridTooLargeError(f"grid needs {n_nodes} nodes, cap is {NODE_CAP}")
 
     # Index ranges of cut values strictly inside an obstacle's open interval.
     def strict(c: np.ndarray, lo_v: float, hi_v: float) -> slice:
@@ -153,12 +152,15 @@ class GeodesicSolver:
        obstacle certifies a through-detour no longer than the optimum, so
        every obstacle an optimal path can touch keeps its cut planes.
 
-    Results are cached per unordered pair.
+    Results are cached per unordered pair, so the orientation asked first
+    fixes the value for both.  Above L1 (step 4) the value depends on that
+    orientation in the last bits: Dijkstra sums the steps of a path in
+    travel order, so sigma(p, q) and sigma(q, p) can differ by an ulp, and
+    two solvers that meet a pair in opposite orientations, such as the
+    builder's and the verifier's, can disagree that much.
     """
 
-    def __init__(self, env: Environment, node_cap: int = DEFAULT_NODE_CAP):
-        self.env = env
-        self.node_cap = node_cap
+    def __init__(self, env: Environment):
         self.obs_lo = points_array([box.lo for box in env.obstacles])
         self.obs_hi = points_array([box.hi for box in env.obstacles])
         self._point_ids = {p: i for i, p in enumerate(env.points)}
@@ -313,7 +315,7 @@ class GeodesicSolver:
                                    np.clip(lo[:, axis], a[axis], b[axis]),
                                    np.clip(hi[:, axis], a[axis], b[axis])])
             cuts.append(np.unique(vals))
-        valid, links = _grid_links(tuple(cuts), lo, hi, self.node_cap)
+        valid, links = _grid_links(tuple(cuts), lo, hi)
         reach = np.zeros(valid.shape, dtype=bool)
         if not valid[0, 0, 0]:
             return False
@@ -344,7 +346,7 @@ class GeodesicSolver:
                                    self.obs_hi[cut_set, axis]])
             cuts.append(np.unique(vals))
         cuts = tuple(cuts)
-        _, links = _grid_links(cuts, self.obs_lo, self.obs_hi, self.node_cap)
+        _, links = _grid_links(cuts, self.obs_lo, self.obs_hi)
         graph = _grid_csr(cuts, links)
         ny, nz = len(cuts[1]), len(cuts[2])
 
@@ -356,22 +358,16 @@ class GeodesicSolver:
         return float(dist[node_id(t)])
 
 
-@lru_cache(maxsize=4)
-def _solver_for(env: Environment) -> GeodesicSolver:
-    return GeodesicSolver(env)
-
-
 def geodesic_distance(env: Environment, p: Point3, q: Point3) -> float:
     """L1 geodesic distance between two points outside obstacle interiors."""
     for box in env.obstacles:
         if box.contains_interior(p) or box.contains_interior(q):
             raise ValueError("query points must lie outside obstacle interiors")
-    return _solver_for(env).distance(p, q)
+    return GeodesicSolver(env).distance(p, q)
 
 
 def oracle_fine_grid_distance(env: Environment, p: Point3, q: Point3,
-                              resolution: float,
-                              node_cap: int = DEFAULT_NODE_CAP) -> float:
+                              resolution: float) -> float:
     """Validation oracle: shortest-path distance over a uniform lattice.
 
     The lattice consists of all integer multiples of ``resolution`` covering
@@ -403,8 +399,8 @@ def oracle_fine_grid_distance(env: Environment, p: Point3, q: Point3,
         axis_values.append(vals)
     vx, vy, vz = axis_values
     n_nodes = len(vx) * len(vy) * len(vz)
-    if n_nodes > node_cap:
-        raise GridTooLargeError(f"lattice needs {n_nodes} nodes, cap is {node_cap}")
+    if n_nodes > NODE_CAP:
+        raise GridTooLargeError(f"lattice needs {n_nodes} nodes, cap is {NODE_CAP}")
 
     open_node = np.ones((len(vx), len(vy), len(vz)), dtype=bool)
     for box in env.obstacles:

@@ -4,9 +4,10 @@ For each cone and each decomposition pair, the apex is projected out of any
 obstacle containing it (six axis exits); for each distinct exit point the
 member with the smallest geodesic distance to it becomes a center, and the
 center is connected to every other member with geodesic edge weights.  Edges
-are deduplicated; the first emission keeps its provenance tag.  Pairs whose
-member box no obstacle meets are settled on numpy arrays, all of a cone at
-once; only the others query the geodesic solver.
+are deduplicated over all cones; the first emission of each edge sets its
+weight and its place in the edge order.  Pairs whose member box no obstacle
+meets are settled on numpy arrays, all of a cone at once; only the others
+query the geodesic solver.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cspd import CONES, Cspd, CspdPair, build_cspd
-from .geodesic import GeodesicSolver, _solver_for
+from .geodesic import GeodesicSolver
 from .geometry import Environment, Point3, points_array, project_out
 
 
@@ -26,7 +27,6 @@ class SpannerGraph:
 
     n: int
     edges: dict[tuple[int, int], float] = field(default_factory=dict)
-    provenance: dict[tuple[int, int], tuple[str, int, int]] = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
 
     def edge_list(self) -> list[tuple[int, int, float]]:
@@ -36,15 +36,12 @@ class SpannerGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def add_edge(self, i: int, j: int, weight: float,
-                 tag: tuple[str, int, int] | None = None) -> None:
+    def add_edge(self, i: int, j: int, weight: float) -> None:
         if i == j:
             raise ValueError("self-loops are not allowed")
         key = (i, j) if i < j else (j, i)
         if key not in self.edges:
             self.edges[key] = weight
-            if tag is not None:
-                self.provenance[key] = tag
 
 
 def candidate_points(pair: CspdPair, env: Environment) -> tuple[Point3, ...]:
@@ -60,7 +57,7 @@ def select_center(pair: CspdPair, env: Environment, candidate: Point3,
     Ties break to the smallest point index.
     """
     if solver is None:
-        solver = _solver_for(env)
+        solver = GeodesicSolver(env)
     members = sorted(set(pair.a) | set(pair.b))
     dists = solver.distances_from(candidate, [env.points[i] for i in members])
     return members[int(dists.argmin())]
@@ -77,8 +74,8 @@ def build_spanner(env: Environment, solver: GeodesicSolver | None = None) -> Spa
     settled on arrays (see :func:`_box_free_emissions`); every other pair goes
     through :func:`candidate_points`, :func:`select_center` and the solver,
     in pair order.  The emissions of a cone are sorted by (pair, exit,
-    member), the order a loop over the pairs would make them in, and the
-    first emission of each edge is kept.
+    member), the order a loop over the pairs would make them in; over the
+    cones in order, the first emission of each edge is kept.
     """
     n = env.n
     if n < 1:
@@ -94,8 +91,9 @@ def build_spanner(env: Environment, solver: GeodesicSolver | None = None) -> Spa
     if n < 2:
         return graph
     if solver is None:
-        solver = _solver_for(env)
+        solver = GeodesicSolver(env)
     P = points_array(env.points)
+    keys, edge_weights = [], []
     for cone in CONES:
         decomposition = build_cspd(env.points, cone)
         code = cone.code()
@@ -131,12 +129,12 @@ def build_spanner(env: Environment, solver: GeodesicSolver | None = None) -> Spa
         pair_ids, cand_ids, centers, targets, weights = map(np.concatenate, zip(*rows))
         order = np.lexsort((targets, cand_ids, pair_ids))
         graph.stats["emissions"] += len(order)
-        key = (np.minimum(centers, targets) * n + np.maximum(centers, targets))[order]
-        order = order[np.sort(np.unique(key, return_index=True)[1])]
-        for center, q, weight, pair_id, cand_id in zip(
-                centers[order].tolist(), targets[order].tolist(), weights[order].tolist(),
-                pair_ids[order].tolist(), cand_ids[order].tolist()):
-            graph.add_edge(center, q, weight, (code, pair_id, cand_id))
+        keys.append((np.minimum(centers, targets) * n + np.maximum(centers, targets))[order])
+        edge_weights.append(weights[order])
+    key, weight = np.concatenate(keys), np.concatenate(edge_weights)
+    first = np.sort(np.unique(key, return_index=True)[1])
+    i, j = np.divmod(key[first], n)
+    graph.edges = dict(zip(zip(i.tolist(), j.tolist()), weight[first].tolist()))
     return graph
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .geodesic import GeodesicSolver, _solver_for
+from .geodesic import GeodesicSolver
 from .geometry import EPS_GEOM, Environment, Point3, bounding_box, points_array
 from .spanner import SpannerGraph, build_spanner
 
@@ -31,17 +31,14 @@ class StretchReport:
 
     max_ratio: float
     argmax: tuple[int, int] | None
-    edge_count: int
-    ratios: dict[tuple[int, int], float] | None = None
 
     @property
     def l2_ratio_analytic(self) -> float:
         """Stretch in the Euclidean norm implied by the norm sandwich."""
         return NORM_RATIO * self.max_ratio
 
-    def within_bound(self, bound: float = STRETCH_BOUND_L1,
-                     slack: float = STRETCH_SLACK) -> bool:
-        return self.max_ratio <= bound + slack
+    def within_bound(self) -> bool:
+        return self.max_ratio <= STRETCH_BOUND_L1 + STRETCH_SLACK
 
 
 def _graph_csr(g: SpannerGraph) -> csr_matrix:
@@ -61,32 +58,26 @@ def graph_distances(g: SpannerGraph, source: int) -> np.ndarray:
 
 
 def spanning_ratio(env: Environment, g: SpannerGraph,
-                   include_table: bool = False,
                    solver: GeodesicSolver | None = None) -> StretchReport:
     """Max over all pairs of graph distance divided by geodesic distance."""
     if g.n != env.n:
         raise ValueError("graph and environment disagree on the number of points")
     if solver is None:
-        solver = _solver_for(env)
+        solver = GeodesicSolver(env)
     if g.n < 2:
-        return StretchReport(max_ratio=1.0, argmax=None, edge_count=g.edge_count)
+        return StretchReport(max_ratio=1.0, argmax=None)
     dist_graph = dijkstra(_graph_csr(g), directed=False)
     best = 0.0
     arg: tuple[int, int] | None = None
-    table: dict[tuple[int, int], float] = {}
     for i in range(g.n - 1):
         targets = list(env.points[i + 1:])
         sigma = solver.distances_from(env.points[i], targets)
         ratios = dist_graph[i, i + 1:] / sigma
         j_rel = int(np.argmax(ratios))
-        if include_table:
-            for k, r in enumerate(ratios):
-                table[(i, i + 1 + k)] = float(r)
         if ratios[j_rel] > best:
             best = float(ratios[j_rel])
             arg = (i, i + 1 + j_rel)
-    return StretchReport(max_ratio=best, argmax=arg, edge_count=g.edge_count,
-                         ratios=table if include_table else None)
+    return StretchReport(max_ratio=best, argmax=arg)
 
 
 def via_triples(env: Environment, count: int,
@@ -137,7 +128,7 @@ def check_via_detour(env: Environment, p: Point3, q: Point3, o: Point3,
             if box.contains_interior(pt):
                 raise ValueError("query points must lie outside obstacle interiors")
     if solver is None:
-        solver = _solver_for(env)
+        solver = GeodesicSolver(env)
     lhs = solver.distance(p, o) + solver.distance(o, q)
     rhs = VIA_DETOUR_FACTOR * solver.distance(p, q)
     return lhs, rhs, lhs <= rhs + EPS_GEOM
@@ -196,12 +187,13 @@ def scaling_sweep(sizes: list[int], trials: int, seed: int, m: int = 8) -> list[
         for trial in range(trials):
             child_seed = int(np.random.SeedSequence((seed, n, trial)).generate_state(1)[0])
             env = random_instance(GenConfig(seed=child_seed, n=n, m=m))
-            g = build_spanner(env)
+            solver = GeodesicSolver(env)
+            g = build_spanner(env, solver)
             size_sum = sum(g.stats["size_sums"].values())
             if g.edge_count > 6 * size_sum:
                 raise RuntimeError(
                     f"edge budget violated at n={n}: {g.edge_count} > 6*{size_sum}")
-            report = spanning_ratio(env, g)
+            report = spanning_ratio(env, g, solver)
             if not report.within_bound():
                 raise RuntimeError(
                     f"stretch bound violated at n={n}: {report.max_ratio}")

@@ -1,8 +1,11 @@
+import re
+
+import numpy as np
 import pytest
 
 from boxspan.geodesic import GeodesicSolver
-from boxspan.generators import GenConfig, random_instance, slab_instance
-from boxspan.geometry import validate_environment
+from boxspan.generators import CrowdedRegionError, GenConfig, random_instance, slab_instance
+from boxspan.geometry import AxisBox, Point3, separation, validate_environment
 
 
 def test_same_seed_reproduces_identical_instance():
@@ -35,6 +38,45 @@ def test_mixed_placement_snaps_points_to_faces():
     assert on_face > 0
 
 
+def reference_obstacles(cfg):
+    """The obstacle loop of random_instance, testing each candidate against
+    each placed box with geometry.separation."""
+    rng = np.random.default_rng(cfg.seed)
+    scale = cfg.extent
+    obstacles = []
+    tries = 0
+    max_tries = 300 * max(cfg.m, 1)
+    while len(obstacles) < cfg.m:
+        if tries > max_tries:
+            raise CrowdedRegionError(
+                f"could not place {cfg.m} obstacles with gap {cfg.gap}: region too crowded")
+        tries += 1
+        sides = rng.uniform(cfg.min_side * scale, cfg.max_side * scale, size=3)
+        lo = rng.uniform(0.0, scale - sides)
+        box = AxisBox(Point3(*lo), Point3(*(lo + sides)))
+        if all(separation(box, other) >= cfg.gap for other in obstacles):
+            obstacles.append(box)
+    return tuple(obstacles)
+
+
+def test_obstacle_placement_matches_separation_loop():
+    """Same boxes, or the same crowded-region message, as the per-box loop."""
+    crowded = 0
+    for seed in range(20):
+        for cfg in (GenConfig(seed=seed, n=10, m=30, placement="mixed"),
+                    GenConfig(seed=seed, n=10, m=60, gap=0.01),
+                    GenConfig(seed=seed, n=10, m=10, gap=0.3)):
+            try:
+                expected = reference_obstacles(cfg)
+            except CrowdedRegionError as exc:
+                crowded += 1
+                with pytest.raises(CrowdedRegionError, match=re.escape(str(exc))):
+                    random_instance(cfg)
+            else:
+                assert random_instance(cfg).obstacles == expected, cfg
+    assert 0 < crowded < 60
+
+
 def test_crowded_region_fails():
     with pytest.raises(RuntimeError, match="crowded"):
         random_instance(GenConfig(seed=0, n=2, m=400, gap=0.1))
@@ -47,8 +89,6 @@ def test_config_validation():
         GenConfig(seed=0, n=5, gap=0.0).validate()
     with pytest.raises(ValueError):
         GenConfig(seed=0, n=5, placement="grid").validate()
-    with pytest.raises(ValueError):
-        GenConfig(seed=0, n=5, eps=0.1, s=1.0).validate()  # s below 2 - eps^2/2
 
 
 def test_slab_instance_geometry():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxspan import geodesic
 from boxspan.geodesic import (GeodesicSolver, GridTooLargeError, _grid_links,
                               geodesic_distance, oracle_fine_grid_distance)
 from boxspan.generators import GenConfig, random_instance
@@ -78,7 +79,7 @@ def brute_sigma(env, p, q):
 def test_track_graph_cuts_and_nodes_match_hand_enumeration():
     # the cuts of the grid for (-1, .5, .5) -> (2, .5, .5) around the unit cube
     cuts = (np.array([-1, 0, 1, 2.0]), np.array([0, 0.5, 1]), np.array([0, 0.5, 1]))
-    valid, links = _grid_links(cuts, np.zeros((1, 3)), np.ones((1, 3)), node_cap=100)
+    valid, links = _grid_links(cuts, np.zeros((1, 3)), np.ones((1, 3)))
     # no cut is strictly inside the cube on any axis, so every node is valid
     assert valid.size == 36 and int(valid.sum()) == 36
     # links crossing the open interior are absent; hand-check the x-row at
@@ -88,11 +89,12 @@ def test_track_graph_cuts_and_nodes_match_hand_enumeration():
     assert list(links[0][:, 1, 0]) == [True, True, True]
 
 
-def test_track_graph_node_cap():
+def test_track_graph_node_cap(monkeypatch):
     # the pair's box meets the cube, so the query needs a 36-node Dijkstra grid
     env = Environment([UNIT_CUBE], [Point3(-0.5, 0.5, 0.5), Point3(1.5, 0.5, 0.5)])
+    monkeypatch.setattr(geodesic, "NODE_CAP", 10)
     with pytest.raises(GridTooLargeError):
-        GeodesicSolver(env, node_cap=10).distance(*env.points)
+        GeodesicSolver(env).distance(*env.points)
 
 
 # -- pairwise distances -------------------------------------------------------
@@ -302,12 +304,13 @@ def test_oracle_monotone_on_random_instances():
             assert vals[2] >= solver.distance(p, q) - 1e-9
 
 
-def test_oracle_rejects_bad_resolution_and_cap():
+def test_oracle_rejects_bad_resolution_and_cap(monkeypatch):
     env = Environment([], [Point3(0, 0, 0), Point3(1, 1, 1)])
     with pytest.raises(ValueError):
         oracle_fine_grid_distance(env, *env.points, resolution=0.0)
+    monkeypatch.setattr(geodesic, "NODE_CAP", 10)
     with pytest.raises(GridTooLargeError):
-        oracle_fine_grid_distance(env, *env.points, resolution=1 / 64, node_cap=10)
+        oracle_fine_grid_distance(env, *env.points, resolution=1 / 64)
 
 
 @settings(max_examples=30, deadline=None)
