@@ -16,7 +16,7 @@ import numpy as np
 from . import files
 from .generators import CrowdedRegionError, GenConfig, random_instance, slab_instance
 from .geodesic import GeodesicSolver, GridTooLargeError
-from .geometry import Environment, validate_environment
+from .geometry import Environment, points_array, validate_environment
 from .spanner import build_spanner
 from .verification import (NORM_RATIO, STRETCH_BOUND_L1, VIA_DETOUR_FACTOR,
                            check_via_detour, norm_conversion_check,
@@ -109,6 +109,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         solver = GeodesicSolver(env)
         report = spanning_ratio(env, graph, solver=solver)
         triples = via_triples(env, args.detour_samples, np.random.default_rng(args.seed))
+        # Ask every via pair at once, as each check asks them: (p, o), (o, q),
+        # (p, q).  The checks below then read their distances from the cache.
+        solver.pair_distances(points_array([pt for p, q, o in triples for pt in (p, o, p)]),
+                              points_array([pt for p, q, o in triples for pt in (o, q, q)]))
         passes, worst = 0, 0.0
         for p, q, o in triples:
             lhs, rhs, holds = check_via_detour(env, p, q, o, solver)

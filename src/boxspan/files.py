@@ -110,10 +110,16 @@ def save_graph(path: str, graph: SpannerGraph) -> None:
         fh.writelines(_graph_chunks(graph))
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_graph(path: str) -> SpannerGraph:
+    """Read a graph file; raise FormatError unless ``n`` and every endpoint
+    are (non-boolean) integers and every weight is a finite positive number."""
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or not isinstance(data.get("n"), int):
+    if not isinstance(data, dict) or not _is_int(data.get("n")):
         raise FormatError("graph file must be an object with an integer 'n'")
     n = data["n"]
     graph = SpannerGraph(n=n)
@@ -121,13 +127,18 @@ def load_graph(path: str) -> SpannerGraph:
         if not isinstance(entry, list) or len(entry) != 3:
             raise FormatError(f"edge must be [i, j, weight], got {entry!r}")
         i, j, w = entry
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _is_int(i) or not _is_int(j):
             raise FormatError(f"edge endpoints must be integers, got {entry!r}")
         if not 0 <= i < j < n:
             raise FormatError(f"edge ({i},{j}) out of range or not i < j for n={n}")
-        w = float(w)
-        if not w > 0:
-            raise FormatError(f"edge ({i},{j}) must have positive weight, got {w}")
+        if not isinstance(w, (int, float)) or isinstance(w, bool):
+            raise FormatError(f"edge ({i},{j}) weight must be a number, got {w!r}")
+        try:
+            w = float(w)
+        except OverflowError:
+            w = math.inf
+        if not (w > 0 and math.isfinite(w)):
+            raise FormatError(f"edge ({i},{j}) must have finite positive weight, got {w}")
         if (i, j) in graph.edges:
             raise FormatError(f"duplicate edge ({i},{j})")
         graph.edges[(i, j)] = w

@@ -14,7 +14,7 @@ edges of obstacles.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, repeat
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +39,16 @@ _ORDERS = np.array([[_LEGS.index((0, 1 << a)),
                      _LEGS.index((1 << a, 1 << a | 1 << b)),
                      _LEGS.index((1 << a | 1 << b, 7))]
                     for a, b in permutations(range(3), 2)])
+
+
+# Pairs per chunk of a settle step: the staircase broadcast of a chunk makes
+# temporaries of (pairs x obstacles x 36) elements.
+_STAIRCASE_CHUNK = 64
+
+
+def _pair_key(a: tuple, b: tuple) -> tuple:
+    """Cache key of the unordered pair of coordinate tuples a != b."""
+    return (a, b) if a < b else (b, a)
 
 
 class GridTooLargeError(RuntimeError):
@@ -135,7 +145,12 @@ def _grid_csr(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
 
 
 class GeodesicSolver:
-    """Pairwise and one-to-many L1 geodesic queries over one environment.
+    """Pairwise, batched and one-to-many L1 geodesic queries over one environment.
+
+    :meth:`distance` answers one pair, :meth:`pair_distances` a batch of pairs
+    and :meth:`distances_from` one source against many targets.  The two array
+    queries run steps 1 and 2 below as numpy broadcasts over many pairs at a
+    time and send only the pairs these leave open through the per-pair path.
 
     Query strategy, cheapest first:
 
@@ -152,8 +167,14 @@ class GeodesicSolver:
        obstacle certifies a through-detour no longer than the optimum, so
        every obstacle an optimal path can touch keeps its cut planes.
 
-    Results are cached per unordered pair, so the orientation asked first
-    fixes the value for both.  Above L1 (step 4) the value depends on that
+    Results are cached per unordered pair of coordinate tuples, so the
+    orientation asked first fixes the value for both.  :meth:`distance` and
+    :meth:`pair_distances` cache every pair of distinct points they answer;
+    :meth:`distances_from` caches only targets whose box meets an obstacle,
+    so that the all-pairs stretch scan does not fill the cache with plain L1
+    answers.  ``verify`` warms the cache with one :meth:`pair_distances` call
+    over all via-point pairs, after which each via check reads its three
+    distances from the cache.  Above L1 (step 4) the value depends on that
     orientation in the last bits: Dijkstra sums the steps of a path in
     travel order, so sigma(p, q) and sigma(q, p) can differ by an ulp, and
     two solvers that meet a pair in opposite orientations, such as the
@@ -163,52 +184,57 @@ class GeodesicSolver:
     def __init__(self, env: Environment):
         self.obs_lo = points_array([box.lo for box in env.obstacles])
         self.obs_hi = points_array([box.hi for box in env.obstacles])
-        self._point_ids = {p: i for i, p in enumerate(env.points)}
         self._cache: dict[tuple, float] = {}
-
-    def _key(self, p: Point3, q: Point3):
-        a = self._point_ids.get(p, p.as_tuple())
-        b = self._point_ids.get(q, q.as_tuple())
-        ka = (0, a) if isinstance(a, int) else (1, a)
-        kb = (0, b) if isinstance(b, int) else (1, b)
-        return (ka, kb) if ka <= kb else (kb, ka)
 
     def distance(self, p: Point3, q: Point3) -> float:
         if p == q:
             return 0.0
-        key = self._key(p, q)
+        a, b = p.as_tuple(), q.as_tuple()
+        key = _pair_key(a, b)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        s = np.array(p.as_tuple())
-        t = np.array(q.as_tuple())
-        d = self._sigma(s, t)
+        d = self._sigma(np.array(a), np.array(b))
         self._cache[key] = d
         return d
 
-    def distances_from(self, source: Point3, targets: Sequence[Point3]) -> np.ndarray:
+    def pair_distances(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """Geodesic distances of the pairs (S[k], T[k]), rows of (k, 3) arrays.
+
+        Returns, and leaves in the cache, exactly what :meth:`distance` would
+        if asked for the pairs one by one in input order: the same values to
+        the bit, the same cache entries, the orientation asked first fixing a
+        repeated pair, and 0.0 with no cache entry for equal endpoints.  One
+        box test covers all pairs and the staircase broadcast all those it
+        leaves open; only the pairs neither settles go through the per-pair
+        path.
+        """
+        S = np.asarray(S, dtype=float).reshape(-1, 3)
+        T = np.asarray(T, dtype=float).reshape(-1, 3)
+        out = np.abs(S - T).sum(axis=1)
+        ask = np.nonzero((S != T).any(axis=1))[0]
+        if len(ask):
+            free = ~self.meets_obstacles(np.minimum(S, T), np.maximum(S, T))
+            self._settle(S, T, out, ask, free[ask])
+        return out
+
+    def distances_from(self, source: Point3 | np.ndarray,
+                       targets: Sequence[Point3] | np.ndarray) -> np.ndarray:
         """Geodesic distances from one source to many targets.
 
-        Targets whose box meets an obstacle are first put to one
-        :meth:`_staircase_clear` broadcast; only those it cannot settle go
-        through :meth:`distance`.  Either way their answers are cached, as
-        :meth:`distance` caches them.
+        Source and targets are points or rows of coordinates.  Targets whose
+        box meets no obstacle are answered with L1 and not cached, so a scan
+        over all pairs does not fill the cache; the others are settled and
+        cached as :meth:`pair_distances` settles them.
         """
-        m = len(self.obs_lo)
-        s = np.array(source.as_tuple())
-        pts = points_array(targets)
+        s = np.array(source.as_tuple()) if isinstance(source, Point3) else np.asarray(source)
+        pts = targets if isinstance(targets, np.ndarray) else points_array(targets)
         out = np.abs(pts - s).sum(axis=1)
-        if m == 0 or len(targets) == 0:
+        if len(self.obs_lo) == 0 or len(pts) == 0:
             return out
         ask = np.nonzero(self.meets_obstacles(np.minimum(pts, s), np.maximum(pts, s)))[0]
-        if len(ask) == 0:
-            return out
-        clear = self._staircase_clear(s, pts[ask])
-        for i, settled in zip(ask.tolist(), clear.tolist()):
-            if settled:
-                self._cache[self._key(source, targets[i])] = float(out[i])
-            else:
-                out[i] = self.distance(source, targets[i])
+        if len(ask):
+            self._settle(s, pts, out, ask)
         return out
 
     def meets_obstacles(self, blo: np.ndarray, bhi: np.ndarray) -> np.ndarray:
@@ -224,6 +250,51 @@ class GeodesicSolver:
         """Obstacles whose open interior meets the closed box [blo, bhi]."""
         mask = ((self.obs_lo < bhi) & (self.obs_hi > blo)).all(axis=1)
         return np.nonzero(mask)[0]
+
+    def _settle(self, S: np.ndarray, T: np.ndarray, out: np.ndarray, ask: np.ndarray,
+                free: np.ndarray | None = None) -> None:
+        """Answer and cache the pairs ask of (S, T) in order, as :meth:`distance` would.
+
+        S is one source row for all pairs or one row per pair, and out holds
+        each pair's L1 on entry.  free marks the asked pairs whose box meets
+        no obstacle (none when omitted); the others are put to the staircase
+        broadcast.  A free or staircase-clear pair is L1 in both orientations,
+        so it is cached as L1 even when cached already: the value is the
+        same.  Any other pair keeps its cached value or goes through
+        :meth:`_sigma`.  The pairs are taken _STAIRCASE_CHUNK at a time,
+        which bounds the memory of the broadcast and of the Python rows made
+        for the keys.
+        """
+        single = S.ndim == 1
+        source = tuple(S.tolist()) if single else None
+        cache = self._cache
+        # Per-pair sources share one tuple per distinct point among all keys.
+        shared: dict[tuple, tuple] = {}
+        for start in range(0, len(ask), _STAIRCASE_CHUNK):
+            rows = ask[start:start + _STAIRCASE_CHUNK]
+            s, t = (S if single else S[rows]), T[rows]
+            if free is None:
+                clear = self._staircase_clear(s, t)
+            else:
+                clear = free[start:start + _STAIRCASE_CHUNK].copy()
+                test = np.nonzero(~clear)[0]
+                if len(test):
+                    clear[test] = self._staircase_clear(s if single else s[test], t[test])
+            if single:
+                firsts, seconds = repeat(source), map(tuple, t.tolist())
+            else:
+                firsts = [shared.setdefault(a, a) for a in map(tuple, s.tolist())]
+                seconds = [shared.setdefault(b, b) for b in map(tuple, t.tolist())]
+            for i, a, b, l1, settled in zip(rows.tolist(), firsts, seconds,
+                                            out[rows].tolist(), clear.tolist()):
+                key = _pair_key(a, b)
+                if settled:
+                    cache[key] = l1
+                    continue
+                d = cache.get(key)
+                if d is None:
+                    d = cache[key] = self._sigma(S if single else S[i], T[i])
+                out[i] = d
 
     def _sigma(self, s: np.ndarray, t: np.ndarray) -> float:
         l1 = float(np.abs(s - t).sum())
@@ -258,6 +329,8 @@ class GeodesicSolver:
     def _staircase_clear(self, s: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Per target, whether a three-leg staircase from s to it is free.
 
+        s is one source row for all targets or one source row per target.
+
         The six staircases move the axes one at a time, in each of the 3!
         orders.  A leg is one axis-parallel segment; like a grid link, it is
         blocked iff some obstacle's open interior meets it, that is, its
@@ -289,7 +362,7 @@ class GeodesicSolver:
         # Axis first, so that both reductions run over leading axes:
         # corners (3, 8, k), legs (3, 12, k), hits (3, obstacles, 12, k).
         corners = np.where(_CORNER_FROM_TARGET[:, :, None], pts.T[:, None, :],
-                           s[:, None, None])
+                           s[:, None, None] if s.ndim == 1 else s.T[:, None, :])
         a, b = corners[:, _LEG_START], corners[:, _LEG_END]
         lo = np.minimum(a, b)[:, None]
         hi = np.maximum(a, b)[:, None]

@@ -16,7 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .geodesic import GeodesicSolver
-from .geometry import EPS_GEOM, Environment, Point3, bounding_box, points_array
+from .geometry import EPS_GEOM, Environment, Point3, points_array
 from .spanner import SpannerGraph, build_spanner
 
 STRETCH_BOUND_L1 = 8.0
@@ -67,11 +67,11 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
     if g.n < 2:
         return StretchReport(max_ratio=1.0, argmax=None)
     dist_graph = dijkstra(_graph_csr(g), directed=False)
+    P = points_array(env.points)
     best = 0.0
     arg: tuple[int, int] | None = None
     for i in range(g.n - 1):
-        targets = list(env.points[i + 1:])
-        sigma = solver.distances_from(env.points[i], targets)
+        sigma = solver.distances_from(P[i], P[i + 1:])
         ratios = dist_graph[i, i + 1:] / sigma
         j_rel = int(np.argmax(ratios))
         if ratios[j_rel] > best:
@@ -91,26 +91,28 @@ def via_triples(env: Environment, count: int,
     n = env.n
     if n < 2:
         return []
+    coords = [p.as_tuple() for p in env.points]
+    boxes = [b.lo.as_tuple() + b.hi.as_tuple() for b in env.obstacles]
     triples = []
     for _ in range(count):
         i = int(rng.integers(n))
         j = int(rng.integers(n - 1))
         if j >= i:
             j += 1
-        p, q = env.points[i], env.points[j]
-        box = bounding_box(p, q)
-        o = p
+        (px, py, pz), (qx, qy, qz) = coords[i], coords[j]
+        lx, ly, lz = min(px, qx), min(py, qy), min(pz, qz)
+        hx, hy, hz = max(px, qx), max(py, qy), max(pz, qz)
+        o = env.points[i]
         for _ in range(64):
-            u = rng.random(3)
-            cand = Point3(
-                min(max(p.x + u[0] * (q.x - p.x), box.lo.x), box.hi.x),
-                min(max(p.y + u[1] * (q.y - p.y), box.lo.y), box.hi.y),
-                min(max(p.z + u[2] * (q.z - p.z), box.lo.z), box.hi.z),
-            )
-            if not any(b.contains_interior(cand) for b in env.obstacles):
-                o = cand
+            ux, uy, uz = rng.random(3).tolist()
+            x = min(max(px + ux * (qx - px), lx), hx)
+            y = min(max(py + uy * (qy - py), ly), hy)
+            z = min(max(pz + uz * (qz - pz), lz), hz)
+            if not any(ax < x < bx and ay < y < by and az < z < bz
+                       for ax, ay, az, bx, by, bz in boxes):
+                o = Point3(x, y, z)
                 break
-        triples.append((p, q, o))
+        triples.append((env.points[i], env.points[j], o))
     return triples
 
 
@@ -121,7 +123,9 @@ def check_via_detour(env: Environment, p: Point3, q: Point3, o: Point3,
     Returns (lhs, rhs, holds).  The via point must lie in the closed box
     spanned by p and q, and all three points outside obstacle interiors.
     """
-    if not bounding_box(p, q).contains(o):
+    if not (min(p.x, q.x) <= o.x <= max(p.x, q.x)
+            and min(p.y, q.y) <= o.y <= max(p.y, q.y)
+            and min(p.z, q.z) <= o.z <= max(p.z, q.z)):
         raise ValueError("via point must lie in the closed box of p and q")
     for pt in (p, q, o):
         for box in env.obstacles:

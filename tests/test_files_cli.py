@@ -43,9 +43,19 @@ def test_load_instance_rejects_bad_schema(tmp_path):
 def test_load_graph_rejects_bad_edges(tmp_path):
     path = str(tmp_path / "bad.json")
     for edges in ([[0, 0, 1.0]], [[1, 0, 1.0]], [[0, 5, 1.0]], [[0, 1, -2.0]],
-                  [[0, 1, 1.0], [0, 1, 2.0]], [[0.5, 1, 1.0]]):
+                  [[0, 1, 1.0], [0, 1, 2.0]], [[0.5, 1, 1.0]],
+                  [[0, 1, None]], [[0, 1, [1.0]]], [[0, 1, "1.5"]], [[True, 2, 1.0]],
+                  [[0, 1, False]], [[0, 1, float("nan")]], [[0, 1, float("inf")]]):
         with open(path, "w") as fh:
             json.dump({"n": 3, "edges": edges, "metric": "L1-geodesic"}, fh)
+        with pytest.raises(files.FormatError):
+            files.load_graph(path)
+    # "n" must be an integer, and a weight that overflows a float is not finite
+    for text in ('{"n": true, "edges": []}',
+                 '{"n": 3, "edges": [[0, 1, 1e400]]}',
+                 '{"n": 3, "edges": [[0, 1, 1%s]]}' % ("0" * 400)):
+        with open(path, "w") as fh:
+            fh.write(text)
         with pytest.raises(files.FormatError):
             files.load_graph(path)
 
@@ -115,6 +125,10 @@ def test_cli_usage_errors(tmp_path, monkeypatch, capsys):
     files.save_graph(graph, SpannerGraph(n=3))
     assert main(["verify", "--instance", inst, "--graph", graph,
                  "--detour-samples", "-5"]) == 2
+    # a graph file whose weight is not a number
+    with open(graph, "w") as fh:
+        json.dump({"n": 3, "edges": [[0, 1, None]], "metric": "L1-geodesic"}, fh)
+    assert main(["verify", "--instance", inst, "--graph", graph]) == 2
     # bench parameters out of range
     for flags in (["--trials", "0"], ["--sizes", "-3"], ["--m", "-1"]):
         assert main(["bench", "--sizes", "8", "--trials", "1", *flags]) == 2, flags

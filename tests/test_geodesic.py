@@ -13,6 +13,7 @@ from boxspan.geodesic import (GeodesicSolver, GridTooLargeError, _grid_links,
 from boxspan.generators import GenConfig, random_instance
 from boxspan.geometry import (AxisBox, Environment, Point3, l1_distance, points_array,
                               validate_environment)
+from boxspan.verification import via_triples
 
 UNIT_CUBE = AxisBox(Point3(0, 0, 0), Point3(1, 1, 1))
 
@@ -253,6 +254,62 @@ def test_distances_from_is_bitwise_pairwise():
             fresh = GeodesicSolver(env)
             expected = [fresh.distance(source, p) for p in env.points]
             assert np.array_equal(solver.distances_from(source, env.points), expected)
+
+
+def _pair_batch(env, count, seed):
+    """count random point pairs of env (some with equal endpoints), the
+    first 40 again reversed and repeated, and via pairs (p, o), (o, q),
+    (p, q) with o drawn in the box of p and q."""
+    rng = np.random.default_rng(seed)
+    pts = points_array(env.points)
+    S, T = pts[rng.integers(env.n, size=count)], pts[rng.integers(env.n, size=count)]
+    via = [(p, o, o, q, p, q) for p, q, o in via_triples(env, 40, rng)]
+    via = np.array([[pt.as_tuple() for pt in row] for row in via]).reshape(-1, 2, 3)
+    return (np.concatenate([S, T[:40], S[:40], via[:, 0]]),
+            np.concatenate([T, S[:40], T[:40], via[:, 1]]))
+
+
+@pytest.mark.parametrize("env", [
+    random_instance(GenConfig(seed=3, n=30, m=0)),
+    random_instance(GenConfig(seed=11, n=64, m=8)),
+    random_instance(GenConfig(seed=5, n=24, m=8, placement="mixed", max_side=0.3)),
+    list(_certificate_instances())[-1],
+], ids=["open", "scatter", "mixed", "lattice"])
+def test_pair_distances_match_sequential_distance(env):
+    """Values to the bit and the cache, entry for entry and in order, match
+    distance() asked pair by pair, also on a solver that has already answered
+    some pairs in the other orientation; a batch of 600 pairs spans several
+    staircase chunks."""
+    S, T = _pair_batch(env, 600, seed=env.n)
+    warm = [(Point3(*t), Point3(*s)) for s, t in zip(S[:600:7].tolist(), T[:600:7].tolist())]
+    solver, fresh = GeodesicSolver(env), GeodesicSolver(env)
+    for p, q in warm:
+        assert solver.distance(p, q) == fresh.distance(p, q)
+    got = solver.pair_distances(S, T)
+    expected = [fresh.distance(Point3(*s), Point3(*t)) for s, t in zip(S.tolist(), T.tolist())]
+    assert np.array_equal(got, expected)
+    assert solver._cache == fresh._cache
+    assert list(solver._cache) == list(fresh._cache)
+    assert (S == T).all(axis=1).any()
+    empty = GeodesicSolver(env)
+    assert empty.pair_distances(np.empty((0, 3)), np.empty((0, 3))).shape == (0,)
+    assert empty._cache == {}
+
+
+def test_pair_distances_keep_the_first_orientation():
+    """On an instance where sigma(p, q) and sigma(q, p) differ in the last
+    bits, a batch that asks both orientations returns the first one's value
+    for both, as distance() does."""
+    env = random_instance(GenConfig(seed=5, n=24, m=8, placement="mixed", max_side=0.3))
+    split = []
+    for p, q in itertools.combinations(env.points, 2):
+        forward, backward = GeodesicSolver(env).distance(p, q), GeodesicSolver(env).distance(q, p)
+        if forward != backward:
+            split.append((p.as_tuple(), q.as_tuple(), forward, backward))
+    assert split
+    for p, q, forward, backward in split:
+        got = GeodesicSolver(env).pair_distances(np.array([q, p, q]), np.array([p, q, p]))
+        assert got.tolist() == [backward, backward, backward]
 
 
 def test_lower_bound_and_triangle_inequality():

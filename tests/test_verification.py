@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from boxspan.geodesic import GeodesicSolver
-from boxspan.geometry import AxisBox, Environment, Point3, l1_distance, l2_distance
+from boxspan.geometry import (AxisBox, Environment, Point3, bounding_box, l1_distance,
+                              l2_distance)
 from boxspan.generators import GenConfig, random_instance, slab_instance
 from boxspan.spanner import SpannerGraph, build_spanner
 from boxspan.verification import (STRETCH_BOUND_L1, VIA_DETOUR_FACTOR, check_via_detour,
@@ -116,6 +117,60 @@ def test_via_detour_holds_amid_obstacles():
         assert holds
         worst = max(worst, VIA_DETOUR_FACTOR * lhs / rhs)
     assert worst <= VIA_DETOUR_FACTOR
+
+
+def reference_via_triples(env, count, rng):
+    """The sampler's loop on Point3 and AxisBox objects, as a reference."""
+    n = env.n
+    if n < 2:
+        return []
+    triples = []
+    for _ in range(count):
+        i = int(rng.integers(n))
+        j = int(rng.integers(n - 1))
+        if j >= i:
+            j += 1
+        p, q = env.points[i], env.points[j]
+        box = bounding_box(p, q)
+        o = p
+        for _ in range(64):
+            u = rng.random(3)
+            cand = Point3(
+                min(max(p.x + u[0] * (q.x - p.x), box.lo.x), box.hi.x),
+                min(max(p.y + u[1] * (q.y - p.y), box.lo.y), box.hi.y),
+                min(max(p.z + u[2] * (q.z - p.z), box.lo.z), box.hi.z),
+            )
+            if not any(b.contains_interior(cand) for b in env.obstacles):
+                o = cand
+                break
+        triples.append((p, q, o))
+    return triples
+
+
+def _reprs(triples):
+    return [[repr(float(c)) for pt in triple for c in pt.as_tuple()] for triple in triples]
+
+
+@pytest.mark.parametrize("env", [
+    random_instance(GenConfig(seed=21, n=30, m=8, placement="mixed", max_side=0.3)),
+    random_instance(GenConfig(seed=22, n=64, m=8)),
+    random_instance(GenConfig(seed=23, n=10, m=0)),
+    random_instance(GenConfig(seed=24, n=1, m=2)),
+    # draws between two points of one face lie on that face, outside the cube
+    Environment([AxisBox(Point3(0, 0, 0), Point3(1, 1, 1))],
+                [Point3(0, 0.2, 0.2), Point3(0, 0.8, 0.8), Point3(1, 0.2, 0.8),
+                 Point3(1, 0.8, 0.2)]),
+    # every draw between two opposite faces falls inside the cube: o = p
+    Environment([AxisBox(Point3(0, 0, 0), Point3(1, 1, 1))],
+                [Point3(0, 0.5, 0.5), Point3(1, 0.5, 0.5)]),
+], ids=["mixed", "scatter", "open", "one-point", "face-points", "all-draws-blocked"])
+def test_via_triples_match_reference_draws(env):
+    for seed in range(4):
+        got = via_triples(env, 200, np.random.default_rng(seed))
+        expected = reference_via_triples(env, 200, np.random.default_rng(seed))
+        assert _reprs(got) == _reprs(expected)
+    if env.n == 2 and env.obstacles:
+        assert all(o == p for p, _, o in got)
 
 
 def test_norm_conversion_check():
