@@ -19,7 +19,7 @@ from .geodesic import GeodesicSolver, GridTooLargeError
 from .geometry import Environment, points_array, validate_environment
 from .spanner import build_spanner
 from .verification import (NORM_RATIO, STRETCH_BOUND_L1, VIA_DETOUR_FACTOR,
-                           check_via_detour, norm_conversion_check,
+                           check_via_triples, norm_conversion_check,
                            scaling_sweep, spanning_ratio, via_triples)
 
 EXIT_OK = 0
@@ -54,6 +54,13 @@ def _load_valid_instance(path: str) -> Environment:
     env = files.load_instance(path)
     if env.n == 0:
         raise files.FormatError("instance has no points")
+    corners = points_array([*env.points,
+                            *(c for box in env.obstacles for c in (box.lo, box.hi))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = float((corners.max(axis=0) - corners.min(axis=0)).sum())
+    if not np.isfinite(span):
+        raise files.FormatError("instance coordinates overflow: the coordinate spans "
+                                f"of its points and obstacle corners sum to {span}")
     violations = validate_environment(env)
     if violations:
         raise files.FormatError(
@@ -109,15 +116,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         solver = GeodesicSolver(env)
         report = spanning_ratio(env, graph, solver=solver)
         triples = via_triples(env, args.detour_samples, np.random.default_rng(args.seed))
-        # Ask every via pair at once, as each check asks them: (p, o), (o, q),
-        # (p, q).  The checks below then read their distances from the cache.
-        solver.pair_distances(points_array([pt for p, q, o in triples for pt in (p, o, p)]),
-                              points_array([pt for p, q, o in triples for pt in (o, q, q)]))
-        passes, worst = 0, 0.0
-        for p, q, o in triples:
-            lhs, rhs, holds = check_via_detour(env, p, q, o, solver)
-            worst = max(worst, VIA_DETOUR_FACTOR * lhs / rhs)
-            passes += holds
+        passes, worst = check_via_triples(env, triples, solver)
     except GridTooLargeError as exc:
         return _fail(f"instance too large for the grid approach: {exc}")
     norm_ok = norm_conversion_check(env)
@@ -232,6 +231,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:
+        return _fail(f"--seed must be nonnegative, got {args.seed}")
     return args.func(args)
 
 

@@ -65,8 +65,10 @@ def save_instance(path: str, env: Environment) -> None:
 def load_instance(path: str) -> Environment:
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or "points" not in data:
-        raise FormatError("instance file must be an object with a 'points' field")
+    if not isinstance(data, dict) or not isinstance(data.get("points"), list):
+        raise FormatError("instance file must be an object with a 'points' list")
+    if not isinstance(data.get("obstacles", []), list):
+        raise FormatError("instance 'obstacles' must be a list")
     try:
         points = [Point3(*_triple(p, "point")) for p in data["points"]]
         obstacles = []
@@ -121,6 +123,8 @@ def load_graph(path: str) -> SpannerGraph:
         data = json.load(fh)
     if not isinstance(data, dict) or not _is_int(data.get("n")):
         raise FormatError("graph file must be an object with an integer 'n'")
+    if not isinstance(data.get("edges", []), list):
+        raise FormatError("graph 'edges' must be a list")
     n = data["n"]
     graph = SpannerGraph(n=n)
     for entry in data.get("edges", []):

@@ -109,48 +109,31 @@ def _grid_links(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
 
 def _grid_csr(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
               links: list[np.ndarray]) -> csr_matrix:
-    cx, cy, cz = cuts
-    ny, nz = len(cy), len(cz)
-    n_nodes = len(cx) * ny * nz
-
-    def node_id(i, j, k):
-        return (i * ny + j) * nz + k
-
+    """The grid graph: one edge per link, from its lower node (numbered in C
+    order) to the next node along the link's axis, weighted by its length."""
+    shape = tuple(len(c) for c in cuts)
+    n_nodes = shape[0] * shape[1] * shape[2]
+    strides = (shape[1] * shape[2], shape[2], 1)
     rows, cols, weights = [], [], []
-    steps = (np.diff(cx), np.diff(cy), np.diff(cz))
     for axis in range(3):
-        i, j, k = np.nonzero(links[axis])
-        if len(i) == 0:
-            continue
-        u = node_id(i, j, k)
-        if axis == 0:
-            v = node_id(i + 1, j, k)
-            w = steps[0][i]
-        elif axis == 1:
-            v = node_id(i, j + 1, k)
-            w = steps[1][j]
-        else:
-            v = node_id(i, j, k + 1)
-            w = steps[2][k]
+        idx = np.nonzero(links[axis])
+        u = np.ravel_multi_index(idx, shape)
         rows.append(u)
-        cols.append(v)
-        weights.append(w)
-    if rows:
-        data = np.concatenate(weights)
-        graph = csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
-                           shape=(n_nodes, n_nodes))
-    else:
-        graph = csr_matrix((n_nodes, n_nodes))
-    return graph
+        cols.append(u + strides[axis])
+        weights.append(np.diff(cuts[axis])[idx[axis]])
+    return csr_matrix((np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n_nodes, n_nodes))
 
 
 class GeodesicSolver:
     """Pairwise, batched and one-to-many L1 geodesic queries over one environment.
 
     :meth:`distance` answers one pair, :meth:`pair_distances` a batch of pairs
-    and :meth:`distances_from` one source against many targets.  The two array
-    queries run steps 1 and 2 below as numpy broadcasts over many pairs at a
-    time and send only the pairs these leave open through the per-pair path.
+    and :meth:`distances_from` one source against many targets.  All three
+    run steps 1 and 2 below once, in the batch settle step :meth:`_settle`,
+    as numpy broadcasts over many pairs at a time (:meth:`distance` on a
+    cache miss is a batch of one).  Only the pairs these leave open take the
+    per-pair path, the grid stage :meth:`_sigma` (steps 3 and 4).
 
     Query strategy, cheapest first:
 
@@ -187,27 +170,21 @@ class GeodesicSolver:
         self._cache: dict[tuple, float] = {}
 
     def distance(self, p: Point3, q: Point3) -> float:
-        if p == q:
-            return 0.0
         a, b = p.as_tuple(), q.as_tuple()
-        key = _pair_key(a, b)
-        hit = self._cache.get(key)
+        hit = self._cache.get(_pair_key(a, b))
         if hit is not None:
             return hit
-        d = self._sigma(np.array(a), np.array(b))
-        self._cache[key] = d
-        return d
+        return float(self.pair_distances(np.array([a]), np.array([b]))[0])
 
     def pair_distances(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
         """Geodesic distances of the pairs (S[k], T[k]), rows of (k, 3) arrays.
 
-        Returns, and leaves in the cache, exactly what :meth:`distance` would
-        if asked for the pairs one by one in input order: the same values to
-        the bit, the same cache entries, the orientation asked first fixing a
-        repeated pair, and 0.0 with no cache entry for equal endpoints.  One
-        box test covers all pairs and the staircase broadcast all those it
-        leaves open; only the pairs neither settles go through the per-pair
-        path.
+        Returns, and leaves in the cache, exactly what asking the pairs one
+        at a time in input order would: the same values to the bit, the same
+        cache entries, the orientation asked first fixing a repeated pair, and
+        0.0 with no cache entry for equal endpoints.  One box test covers all
+        pairs and the staircase broadcast all those it leaves open; only the
+        pairs neither settles go through the grid stage.
         """
         S = np.asarray(S, dtype=float).reshape(-1, 3)
         T = np.asarray(T, dtype=float).reshape(-1, 3)
@@ -253,17 +230,17 @@ class GeodesicSolver:
 
     def _settle(self, S: np.ndarray, T: np.ndarray, out: np.ndarray, ask: np.ndarray,
                 free: np.ndarray | None = None) -> None:
-        """Answer and cache the pairs ask of (S, T) in order, as :meth:`distance` would.
+        """Answer and cache the pairs ask of (S, T), one at a time in order.
 
         S is one source row for all pairs or one row per pair, and out holds
         each pair's L1 on entry.  free marks the asked pairs whose box meets
         no obstacle (none when omitted); the others are put to the staircase
         broadcast.  A free or staircase-clear pair is L1 in both orientations,
         so it is cached as L1 even when cached already: the value is the
-        same.  Any other pair keeps its cached value or goes through
-        :meth:`_sigma`.  The pairs are taken _STAIRCASE_CHUNK at a time,
-        which bounds the memory of the broadcast and of the Python rows made
-        for the keys.
+        same.  Any other pair keeps its cached value or goes through the
+        grid stage :meth:`_sigma`.  The pairs are taken _STAIRCASE_CHUNK at a
+        time, which bounds the memory of the broadcast and of the Python rows
+        made for the keys.
         """
         single = S.ndim == 1
         source = tuple(S.tolist()) if single else None
@@ -297,16 +274,13 @@ class GeodesicSolver:
                 out[i] = d
 
     def _sigma(self, s: np.ndarray, t: np.ndarray) -> float:
+        """Grid stage (steps 3 and 4) of one pair that :meth:`_settle` left
+        open: its box meets an obstacle and all six staircases are blocked."""
         l1 = float(np.abs(s - t).sum())
-        blo = np.minimum(s, t)
-        bhi = np.maximum(s, t)
-        over = self._overlapping(blo, bhi)
-        if len(over) == 0:
-            return l1
-        # With a single overlapping obstacle, "not clear" is exact by the
-        # one-box lemma (see _staircase_clear): no monotone path exists.
-        if (self._staircase_clear(s, t[None, :])[0]
-                or len(over) > 1 and self._monotone_clear(s, t, over)):
+        over = self._overlapping(np.minimum(s, t), np.maximum(s, t))
+        # With a single overlapping obstacle, the blocked staircases are exact
+        # by the one-box lemma (see _staircase_clear): no monotone path exists.
+        if len(over) > 1 and self._monotone_clear(s, t, over):
             return l1
         d1 = self._grid_sigma(s, t, over)
         detours = self._min_detours(s, t)
@@ -420,15 +394,11 @@ class GeodesicSolver:
             cuts.append(np.unique(vals))
         cuts = tuple(cuts)
         _, links = _grid_links(cuts, self.obs_lo, self.obs_hi)
-        graph = _grid_csr(cuts, links)
-        ny, nz = len(cuts[1]), len(cuts[2])
-
-        def node_id(pt: np.ndarray) -> int:
-            idx = [int(np.searchsorted(cuts[axis], pt[axis])) for axis in range(3)]
-            return (idx[0] * ny + idx[1]) * nz + idx[2]
-
-        dist = dijkstra(graph, directed=False, indices=node_id(s))
-        return float(dist[node_id(t)])
+        source, target = np.ravel_multi_index(
+            [np.searchsorted(c, (s[axis], t[axis])) for axis, c in enumerate(cuts)],
+            tuple(len(c) for c in cuts))
+        dist = dijkstra(_grid_csr(cuts, links), directed=False, indices=int(source))
+        return float(dist[target])
 
 
 def geodesic_distance(env: Environment, p: Point3, q: Point3) -> float:

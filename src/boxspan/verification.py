@@ -138,6 +138,26 @@ def check_via_detour(env: Environment, p: Point3, q: Point3, o: Point3,
     return lhs, rhs, lhs <= rhs + EPS_GEOM
 
 
+def check_via_triples(env: Environment, triples: list[tuple[Point3, Point3, Point3]],
+                      solver: GeodesicSolver) -> tuple[int, float]:
+    """Check every via triple (p, q, o); return (passes, worst 4 * lhs / rhs).
+
+    One :meth:`GeodesicSolver.pair_distances` call first settles all via
+    pairs in the order :func:`check_via_detour` asks them, (p, o), (o, q),
+    (p, q), so each check reads its three distances from the cache.  The
+    order matters above L1, where the orientation asked first fixes the
+    last bits of a cached value.
+    """
+    solver.pair_distances(points_array([pt for p, q, o in triples for pt in (p, o, p)]),
+                          points_array([pt for p, q, o in triples for pt in (o, q, q)]))
+    passes, worst = 0, 0.0
+    for p, q, o in triples:
+        lhs, rhs, holds = check_via_detour(env, p, q, o, solver)
+        worst = max(worst, VIA_DETOUR_FACTOR * lhs / rhs)
+        passes += holds
+    return passes, worst
+
+
 def norm_conversion_check(env: Environment) -> bool:
     """Verify the norm sandwich l1/sqrt(3) <= l2 <= l1 on all point pairs.
 

@@ -33,7 +33,8 @@ def test_graph_round_trip_preserves_weights_exactly(tmp_path):
 def test_load_instance_rejects_bad_schema(tmp_path):
     path = str(tmp_path / "bad.json")
     for payload in ([1, 2], {"points": [[1, 2]]}, {"points": [[1, "a", 3]]},
-                    {"points": [], "obstacles": [{"lo": [0, 0, 0]}]}):
+                    {"points": [], "obstacles": [{"lo": [0, 0, 0]}]}, {"points": 5},
+                    {"points": [[0, 0, 0], [1, 1, 1]], "obstacles": 7}):
         with open(path, "w") as fh:
             json.dump(payload, fh)
         with pytest.raises(files.FormatError):
@@ -51,7 +52,7 @@ def test_load_graph_rejects_bad_edges(tmp_path):
         with pytest.raises(files.FormatError):
             files.load_graph(path)
     # "n" must be an integer, and a weight that overflows a float is not finite
-    for text in ('{"n": true, "edges": []}',
+    for text in ('{"n": true, "edges": []}', '{"n": 8, "edges": 5}',
                  '{"n": 3, "edges": [[0, 1, 1e400]]}',
                  '{"n": 3, "edges": [[0, 1, 1%s]]}' % ("0" * 400)):
         with open(path, "w") as fh:
@@ -129,6 +130,21 @@ def test_cli_usage_errors(tmp_path, monkeypatch, capsys):
     with open(graph, "w") as fh:
         json.dump({"n": 3, "edges": [[0, 1, None]], "metric": "L1-geodesic"}, fh)
     assert main(["verify", "--instance", inst, "--graph", graph]) == 2
+    # fields that are not lists
+    for name, text in (("points.json", '{"points": 5}'),
+                       ("obstacles.json", '{"points": [[0,0,0],[1,1,1]], "obstacles": 7}')):
+        (tmp_path / name).write_text(text)
+        assert main(["build", "--in", str(tmp_path / name),
+                     "--out", str(tmp_path / "g.json")]) == 2, name
+    (tmp_path / "edges.json").write_text('{"n": 3, "edges": 5}')
+    assert main(["verify", "--instance", inst, "--graph", str(tmp_path / "edges.json")]) == 2
+    # a negative seed is named before any command runs
+    capsys.readouterr()
+    for argv in (["generate", "--n", "3", "--out", str(tmp_path / "x.json")],
+                 ["verify", "--instance", inst, "--graph", graph],
+                 ["bench", "--sizes", "8", "--trials", "1"]):
+        assert main([*argv, "--seed", "-1"]) == 2, argv
+        assert "--seed must be nonnegative, got -1" in capsys.readouterr().err
     # bench parameters out of range
     for flags in (["--trials", "0"], ["--sizes", "-3"], ["--m", "-1"]):
         assert main(["bench", "--sizes", "8", "--trials", "1", *flags]) == 2, flags
@@ -161,6 +177,21 @@ def test_cli_rejects_invalid_instance(tmp_path):
                       [Point3(0.5, 0.5, 0.5)])  # point inside the obstacle
     files.save_instance(inst, env)
     assert main(["build", "--in", inst, "--out", str(tmp_path / "g.json")]) == 2
+
+
+def test_cli_rejects_overflowing_coordinates(tmp_path, capsys):
+    """Coordinates whose spans overflow a float are bad input for both
+    commands, not a graph with an infinite weight."""
+    inst, graph = str(tmp_path / "inst.json"), str(tmp_path / "graph.json")
+    with open(inst, "w") as fh:
+        fh.write('{"points": [[0, 0, 1e308], [0, 0, -1e308]]}')
+    files.save_graph(graph, SpannerGraph(n=2, edges={(0, 1): 1.0}))
+    for argv in (["build", "--in", inst, "--out", str(tmp_path / "out.json")],
+                 ["verify", "--instance", inst, "--graph", graph]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert "instance coordinates overflow" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out.json")
 
 
 def test_cli_verify_detects_mismatched_n(tmp_path):

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxspan import geodesic
-from boxspan.geodesic import (GeodesicSolver, GridTooLargeError, _grid_links,
+from boxspan.geodesic import (GeodesicSolver, GridTooLargeError, _grid_csr, _grid_links,
                               geodesic_distance, oracle_fine_grid_distance)
 from boxspan.generators import GenConfig, random_instance
 from boxspan.geometry import (AxisBox, Environment, Point3, l1_distance, points_array,
@@ -73,6 +74,42 @@ def brute_sigma(env, p, q):
                 dist[v] = d + w
                 heapq.heappush(heap, (d + w, v))
     return dist[dst]
+
+
+def reference_grid_csr(cuts, links):
+    """The grid graph built with a node-id closure and one branch per axis,
+    as a reference for the strided _grid_csr."""
+    cx, cy, cz = cuts
+    ny, nz = len(cy), len(cz)
+    n_nodes = len(cx) * ny * nz
+
+    def node_id(i, j, k):
+        return (i * ny + j) * nz + k
+
+    rows, cols, weights = [], [], []
+    steps = (np.diff(cx), np.diff(cy), np.diff(cz))
+    for axis in range(3):
+        i, j, k = np.nonzero(links[axis])
+        if len(i) == 0:
+            continue
+        u = node_id(i, j, k)
+        if axis == 0:
+            v = node_id(i + 1, j, k)
+            w = steps[0][i]
+        elif axis == 1:
+            v = node_id(i, j + 1, k)
+            w = steps[1][j]
+        else:
+            v = node_id(i, j, k + 1)
+            w = steps[2][k]
+        rows.append(u)
+        cols.append(v)
+        weights.append(w)
+    if rows:
+        data = np.concatenate(weights)
+        return csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n_nodes, n_nodes))
+    return csr_matrix((n_nodes, n_nodes))
 
 
 # -- solver grids -------------------------------------------------------------
@@ -245,6 +282,80 @@ def test_single_obstacle_pairs_skip_the_monotone_grid(monkeypatch):
                 assert got == pytest.approx(brute_sigma(env, env.points[i], env.points[j]),
                                             abs=1e-9)
     assert blocked > 0
+
+
+def test_settle_runs_the_staircase_once_per_chunk(monkeypatch):
+    """distances_from on targets that are all staircase-blocked runs the
+    staircase broadcast once per chunk of 64 targets, and the grid stage never
+    runs it again for a pair."""
+    runs = []
+    for env in _certificate_instances():
+        solver = GeodesicSolver(env)
+        pts = points_array(env.points)
+        for s in pts:
+            blocked = pts[solver.meets_obstacles(np.minimum(pts, s), np.maximum(pts, s))
+                          & ~solver._staircase_clear(s, pts)]
+            if len(blocked):
+                runs.append((env, s, np.concatenate([blocked] * (130 // len(blocked) + 1))))
+    assert runs
+    staircase_clear = GeodesicSolver._staircase_clear
+    calls = []
+
+    def counting(self, s, pts):
+        calls.append(len(pts))
+        return staircase_clear(self, s, pts)
+
+    monkeypatch.setattr(GeodesicSolver, "_staircase_clear", counting)
+    for env, s, targets in runs:
+        calls.clear()
+        GeodesicSolver(env).distances_from(s, targets)
+        assert calls == [min(64, len(targets) - k) for k in range(0, len(targets), 64)]
+
+
+def test_grid_csr_matches_reference(monkeypatch):
+    """The strided _grid_csr gives the reference's CSR arrays on the Dijkstra
+    and monotone grids of the certificate instances, on an oracle lattice and
+    on grids with no links or a one-node axis."""
+    grids = []
+    grid_links, grid_csr = geodesic._grid_links, geodesic._grid_csr
+
+    def recording_links(cuts, lo, hi):
+        valid, links = grid_links(cuts, lo, hi)
+        grids.append((cuts, links))
+        return valid, links
+
+    def recording_csr(cuts, links):
+        grids.append((cuts, links))
+        return grid_csr(cuts, links)
+
+    monkeypatch.setattr(geodesic, "_grid_links", recording_links)
+    kinds = set()
+    for env in _certificate_instances():
+        solver = GeodesicSolver(env)
+        pts = points_array(env.points)
+        for s, t in itertools.combinations(pts, 2):
+            over = solver._overlapping(np.minimum(s, t), np.maximum(s, t))
+            if len(over):
+                solver._monotone_clear(s, t, over)
+                solver._grid_sigma(s, t, over)
+                kinds.add(len(over) > 1)
+    assert kinds == {True, False}
+    monkeypatch.setattr(geodesic, "_grid_links", grid_links)
+    monkeypatch.setattr(geodesic, "_grid_csr", recording_csr)
+    lattice = len(grids)
+    env = Environment([UNIT_CUBE], [Point3(-0.5, 0.5, 0.5), Point3(1.5, 0.25, 0.5)])
+    oracle_fine_grid_distance(env, *env.points, resolution=1 / 8)
+    assert len(grids) == lattice + 1
+    cuts = (np.array([0.0, 1.0]), np.array([0.0, 0.5, 2.0]), np.array([3.0]))
+    grids.append((cuts, [np.zeros((1, 3, 1), bool), np.zeros((2, 2, 1), bool),
+                         np.zeros((2, 3, 0), bool)]))
+    grids.append((cuts, [np.ones((1, 3, 1), bool), np.ones((2, 2, 1), bool),
+                         np.ones((2, 3, 0), bool)]))
+    for cuts, links in grids:
+        got, expected = grid_csr(cuts, links), reference_grid_csr(cuts, links)
+        assert got.shape == expected.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(expected, attr)), attr
 
 
 def test_distances_from_is_bitwise_pairwise():

@@ -10,8 +10,8 @@ from boxspan.geometry import (AxisBox, Environment, Point3, bounding_box, l1_dis
 from boxspan.generators import GenConfig, random_instance, slab_instance
 from boxspan.spanner import SpannerGraph, build_spanner
 from boxspan.verification import (STRETCH_BOUND_L1, VIA_DETOUR_FACTOR, check_via_detour,
-                                  graph_distances, norm_conversion_check, scaling_sweep,
-                                  spanning_ratio, via_triples)
+                                  check_via_triples, graph_distances, norm_conversion_check,
+                                  scaling_sweep, spanning_ratio, via_triples)
 
 
 def _graph(n, edges):
@@ -109,13 +109,10 @@ def test_via_detour_holds_amid_obstacles():
     solver = GeodesicSolver(env)
     triples = via_triples(env, 60, np.random.default_rng(77))
     assert len(triples) == 60
-    worst = 0.0
-    for p, q, o in triples:
-        assert p != q
-        # raises unless o is in the box of p and q and outside every obstacle
-        lhs, rhs, holds = check_via_detour(env, p, q, o, solver)
-        assert holds
-        worst = max(worst, VIA_DETOUR_FACTOR * lhs / rhs)
+    assert all(p != q for p, q, _ in triples)
+    # raises unless each o is in the box of p and q and outside every obstacle
+    passes, worst = check_via_triples(env, triples, solver)
+    assert passes == 60
     assert worst <= VIA_DETOUR_FACTOR
 
 
