@@ -121,6 +121,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail(f"instance too large for the grid approach: {exc}")
     norm_ok = norm_conversion_check(env)
     stretch_ok = report.within_bound()
+    if report.understated:
+        i, j = report.understated
+        print(f"bound violation: the graph distance of points {i} and {j} is below "
+              "their geodesic distance", file=sys.stderr)
     total = len(triples)
     samples_ok = passes == total
     payload = {

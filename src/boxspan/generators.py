@@ -6,6 +6,7 @@ so identical configurations reproduce identical instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,9 @@ class GenConfig:
     placement: str = "free"  # "free" | "mixed"
 
     def validate(self) -> None:
+        for name in ("extent", "gap", "min_side", "max_side"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.m < 0:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .geometry import Environment, Point3, points_array
 
@@ -55,6 +55,18 @@ class GridTooLargeError(RuntimeError):
     """Raised when a grid would exceed :data:`NODE_CAP` nodes."""
 
 
+def _some_box(mx: np.ndarray, my: np.ndarray, mz: np.ndarray) -> np.ndarray:
+    """Cells (i, j, k) with mx[o, i], my[o, j] and mz[o, k] all set for some
+    row o: the cells of the grid that lie in some obstacle's index box.
+
+    One product over the obstacle rows; its float32 counts stay exact below
+    2**24 obstacles.
+    """
+    k, nx, ny, nz = len(mx), mx.shape[1], my.shape[1], mz.shape[1]
+    xy = (mx[:, :, None] & my[:, None, :]).reshape(k, nx * ny).T.astype(np.float32)
+    return (xy @ mz.astype(np.float32) > 0).reshape(nx, ny, nz)
+
+
 def _grid_links(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
                 obs_lo: np.ndarray, obs_hi: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Node validity and per-axis link arrays for a tensor grid.
@@ -64,47 +76,19 @@ def _grid_links(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
     open segment between them misses every obstacle's open interior: the two
     fixed coordinates strictly inside, the moving range strictly overlapping.
     """
-    cx, cy, cz = cuts
-    shape = (len(cx), len(cy), len(cz))
-    n_nodes = shape[0] * shape[1] * shape[2]
+    n_nodes = len(cuts[0]) * len(cuts[1]) * len(cuts[2])
     if n_nodes > NODE_CAP:
         raise GridTooLargeError(f"grid needs {n_nodes} nodes, cap is {NODE_CAP}")
-
-    # Index ranges of cut values strictly inside an obstacle's open interval.
-    def strict(c: np.ndarray, lo_v: float, hi_v: float) -> slice:
-        return slice(np.searchsorted(c, lo_v, side="right"),
-                     np.searchsorted(c, hi_v, side="left"))
-
-    inside = np.zeros(shape, dtype=bool)
-    for k in range(len(obs_lo)):
-        inside[strict(cx, obs_lo[k, 0], obs_hi[k, 0]),
-               strict(cy, obs_lo[k, 1], obs_hi[k, 1]),
-               strict(cz, obs_lo[k, 2], obs_hi[k, 2])] = True
-    valid = ~inside
-
-    links: list[np.ndarray] = []
-    all_cuts = (cx, cy, cz)
-    for axis in range(3):
-        c = all_cuts[axis]
-        blocked = np.zeros([len(v) - 1 if a == axis else len(v)
-                            for a, v in enumerate(all_cuts)], dtype=bool)
-        for k in range(len(obs_lo)):
-            # segment c[i]..c[i+1] overlaps (lo, hi) iff c[i] < hi and c[i+1] > lo
-            i0 = max(np.searchsorted(c, obs_lo[k, axis], side="right") - 1, 0)
-            i1 = np.searchsorted(c, obs_hi[k, axis], side="left")
-            region: list[slice] = [slice(None)] * 3
-            region[axis] = slice(i0, i1)
-            for other in range(3):
-                if other == axis:
-                    continue
-                region[other] = strict(all_cuts[other], obs_lo[k, other], obs_hi[k, other])
-            blocked[tuple(region)] = True
-        head: list[slice] = [slice(None)] * 3
-        head[axis] = slice(None, -1)
-        tail: list[slice] = [slice(None)] * 3
-        tail[axis] = slice(1, None)
-        links.append(valid[tuple(head)] & valid[tuple(tail)] & ~blocked)
-    return valid, links
+    # (obstacles x cuts) masks: the cut lies strictly inside the obstacle's
+    # interval; the segment from this cut to the next overlaps it.  A link
+    # with an end strictly inside an obstacle overlaps it on all three axes,
+    # so the segment test alone also keeps both ends valid.
+    lo, hi = obs_lo.T[:, :, None], obs_hi.T[:, :, None]
+    inside = [(c > lo[axis]) & (c < hi[axis]) for axis, c in enumerate(cuts)]
+    links = [~_some_box(*inside[:axis], (c[:-1] < hi[axis]) & (c[1:] > lo[axis]),
+                        *inside[axis + 1:])
+             for axis, c in enumerate(cuts)]
+    return ~_some_box(*inside), links
 
 
 def _grid_csr(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -141,14 +125,16 @@ class GeodesicSolver:
     2. one of the six three-leg staircases of the pair is free (one numpy
        broadcast, see :meth:`_staircase_clear`): distance is L1;
     3. several obstacles meet that box and a monotone staircase through it
-       exists (grid DP): distance is L1.  With one, step 2 is exact (the
-       one-box lemma in :meth:`_staircase_clear`), so this step is skipped;
-    4. Dijkstra on the grid cut by the box-overlapping obstacles, then, if the
-       resulting upper bound cannot rule out every other obstacle, a second
-       run cut by all obstacles whose cheapest through-detour is within the
-       bound.  The pruning is conservative: an optimal path touching an
-       obstacle certifies a through-detour no longer than the optimum, so
-       every obstacle an optimal path can touch keeps its cut planes.
+       exists (a reachability search on the grid cut by the box-overlapping
+       obstacles, see :func:`_monotone_clear`): distance is L1.  With one,
+       step 2 is exact (the one-box lemma in :meth:`_staircase_clear`), so
+       this step is skipped;
+    4. Dijkstra on that same grid, then, if the resulting upper bound cannot
+       rule out every other obstacle, a second run on the grid cut by all
+       obstacles whose cheapest through-detour is within the bound.  The
+       pruning is conservative: an optimal path touching an obstacle
+       certifies a through-detour no longer than the optimum, so every
+       obstacle an optimal path can touch keeps its cut planes.
 
     Results are cached per unordered pair of coordinate tuples, so the
     orientation asked first fixes the value for both.  :meth:`distance` and
@@ -278,16 +264,17 @@ class GeodesicSolver:
         open: its box meets an obstacle and all six staircases are blocked."""
         l1 = float(np.abs(s - t).sum())
         over = self._overlapping(np.minimum(s, t), np.maximum(s, t))
+        cuts, links, ends = self._grid(s, t, over)
         # With a single overlapping obstacle, the blocked staircases are exact
         # by the one-box lemma (see _staircase_clear): no monotone path exists.
-        if len(over) > 1 and self._monotone_clear(s, t, over):
+        if len(over) > 1 and _monotone_clear(links, ends):
             return l1
-        d1 = self._grid_sigma(s, t, over)
+        d1 = _grid_distance(cuts, links, ends)
         detours = self._min_detours(s, t)
         keep = np.nonzero(detours <= d1 + 1e-12)[0]
         if not np.setdiff1d(keep, over, assume_unique=False).size:
             return max(d1, l1)
-        d2 = self._grid_sigma(s, t, keep)
+        d2 = _grid_distance(*self._grid(s, t, keep))
         if not np.isfinite(d2):
             raise RuntimeError("geodesic query found no route; free space "
                                "amid disjoint bounded boxes is connected")
@@ -344,61 +331,52 @@ class GeodesicSolver:
                & (self.obs_hi.T[:, :, None, None] > lo)).all(axis=0).any(axis=0)
         return (~hit)[_ORDERS].all(axis=1).any(axis=0)
 
-    def _monotone_clear(self, s: np.ndarray, t: np.ndarray, over: np.ndarray) -> bool:
-        """Whether a monotone staircase from s to t avoids all obstacle interiors.
-
-        Works on the grid cut by the overlapping obstacles' faces clipped to
-        the box of s and t; any monotone avoiding path can be slid onto it.
-        """
-        flip = s > t
-        sgn = np.where(flip, -1.0, 1.0)
-        a = s * sgn
-        b = t * sgn
-        lo = np.where(flip, -self.obs_hi[over], self.obs_lo[over])
-        hi = np.where(flip, -self.obs_lo[over], self.obs_hi[over])
-        cuts = []
-        for axis in range(3):
-            vals = np.concatenate([[a[axis], b[axis]],
-                                   np.clip(lo[:, axis], a[axis], b[axis]),
-                                   np.clip(hi[:, axis], a[axis], b[axis])])
-            cuts.append(np.unique(vals))
-        valid, links = _grid_links(tuple(cuts), lo, hi)
-        reach = np.zeros(valid.shape, dtype=bool)
-        if not valid[0, 0, 0]:
-            return False
-        reach[0, 0, 0] = True
-        while True:
-            grew = reach.copy()
-            grew[1:, :, :] |= reach[:-1, :, :] & links[0]
-            grew[:, 1:, :] |= reach[:, :-1, :] & links[1]
-            grew[:, :, 1:] |= reach[:, :, :-1] & links[2]
-            if grew[-1, -1, -1]:
-                return True
-            if np.array_equal(grew, reach):
-                return False
-            reach = grew
-
-    def _grid_sigma(self, s: np.ndarray, t: np.ndarray, cut_set: np.ndarray) -> float:
-        """Dijkstra distance on the grid cut by the given obstacles plus s, t.
-
-        Links are tested against every obstacle, so the result is always the
-        length of a genuinely feasible path (an upper bound on the geodesic
-        distance; exact once cut_set covers all obstacles an optimal path
-        touches).
-        """
-        cuts = []
-        for axis in range(3):
-            vals = np.concatenate([[s[axis], t[axis]],
-                                   self.obs_lo[cut_set, axis],
-                                   self.obs_hi[cut_set, axis]])
-            cuts.append(np.unique(vals))
-        cuts = tuple(cuts)
+    def _grid(self, s: np.ndarray, t: np.ndarray, cut_set: np.ndarray) -> tuple:
+        """The grid cut by the faces of the given obstacles plus s and t, as
+        (cuts, links, ends).  Links are tested against every obstacle, so each
+        grid path is feasible; ends[axis] holds the indices of s and t on that axis."""
+        cuts = tuple(np.unique(np.concatenate([[s[axis], t[axis]],
+                                               self.obs_lo[cut_set, axis],
+                                               self.obs_hi[cut_set, axis]]))
+                     for axis in range(3))
         _, links = _grid_links(cuts, self.obs_lo, self.obs_hi)
-        source, target = np.ravel_multi_index(
-            [np.searchsorted(c, (s[axis], t[axis])) for axis, c in enumerate(cuts)],
-            tuple(len(c) for c in cuts))
-        dist = dijkstra(_grid_csr(cuts, links), directed=False, indices=int(source))
-        return float(dist[target])
+        ends = np.array([np.searchsorted(c, (s[axis], t[axis])) for axis, c in enumerate(cuts)])
+        return cuts, links, ends
+
+
+def _grid_distance(cuts: tuple[np.ndarray, np.ndarray, np.ndarray], links: list[np.ndarray],
+                   ends: np.ndarray) -> float:
+    """Dijkstra distance from s to t on a grid of :meth:`GeodesicSolver._grid`:
+    an upper bound on the geodesic distance, exact once the grid carries the
+    faces of every obstacle an optimal path touches."""
+    source, target = np.ravel_multi_index(ends, tuple(len(c) for c in cuts))
+    dist = dijkstra(_grid_csr(cuts, links), directed=False, indices=int(source))
+    return float(dist[target])
+
+
+def _monotone_clear(links: list[np.ndarray], ends: np.ndarray) -> bool:
+    """Whether a monotone staircase from s to t avoids all obstacle interiors,
+    on the links of the grid :meth:`GeodesicSolver._grid` cuts by the faces of
+    the obstacles that overlap the pair's box.
+
+    The test is a breadth-first search on the sub-grid between s and t, each
+    axis reversed where s > t, so that every link points away from s.  It is
+    exact because any monotone avoiding path stays in the pair's closed box
+    and can be slid onto the planes of s, t and the overlapping obstacles'
+    faces clipped to that box, and:
+
+    - the sub-grid holds exactly those cut values;
+    - no obstacle outside the overlapping ones has an open interior that
+      meets the pair's closed box, so inside it the links, tested against
+      every obstacle, are those of the overlapping obstacles alone.
+    """
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    flip = tuple(slice(None, None, -1 if i > j else 1) for i, j in ends)
+    sub = [links[axis][tuple(slice(lo[a], hi[a] + (a != axis)) for a in range(3))][flip]
+           for axis in range(3)]
+    graph = _grid_csr(tuple(np.arange(n, dtype=float) for n in hi - lo + 1), sub)
+    return graph.shape[0] - 1 in breadth_first_order(graph, 0, directed=True,
+                                                     return_predecessors=False)
 
 
 def geodesic_distance(env: Environment, p: Point3, q: Point3) -> float:

@@ -113,6 +113,10 @@ def test_cli_usage_errors(tmp_path, monkeypatch, capsys):
     # invalid generator parameters
     assert main(["generate", "--mode", "slabs", "--n", "10", "--delta", "-1",
                  "--out", str(tmp_path / "x.json")]) == 2
+    for flags in (["--extent", "inf"], ["--extent", "nan"], ["--gap", "nan", "--m", "2"]):
+        capsys.readouterr()
+        assert main(["generate", "--n", "4", *flags, "--out", str(tmp_path / "x.json")]) == 2
+        assert f"{flags[0][2:]} must be finite" in capsys.readouterr().err, flags
     # missing input file
     assert main(["build", "--in", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "g.json")]) == 2
@@ -221,6 +225,28 @@ def test_cli_verify_flags_bound_violation(tmp_path):
                  "--detour-samples", "10"]) == 1
 
 
+def test_cli_verify_rejects_understated_weights(tmp_path, capsys):
+    """A graph shorter than the geodesic distances breaks the bounds: a star
+    of tiny weights and the real spanner with every weight scaled down both
+    exit 1, and the first such pair is named."""
+    inst, graph, star = (str(tmp_path / name) for name in
+                         ("inst.json", "graph.json", "star.json"))
+    assert main(["generate", "--n", "64", "--m", "8", "--seed", "11", "--out", inst]) == 0
+    assert main(["build", "--in", inst, "--out", graph]) == 0
+    files.save_graph(star, SpannerGraph(n=64, edges={(0, j): 1e-6 for j in range(1, 64)}))
+    scaled = files.load_graph(graph)
+    scaled.edges = {e: w * 1e-3 for e, w in scaled.edges.items()}
+    files.save_graph(graph, scaled)
+    for path in (star, graph):
+        report = str(tmp_path / "report.json")
+        capsys.readouterr()
+        assert main(["verify", "--instance", inst, "--graph", path, "--detour-samples", "10",
+                     "--report", report]) == 1, path
+        assert "graph distance of points 0 and 1 is below" in capsys.readouterr().err
+        with open(report) as fh:
+            assert json.load(fh)["bounds_hold"] is False
+
+
 def test_cli_bench(tmp_path):
     report = str(tmp_path / "bench.json")
     assert main(["bench", "--sizes", "8,16", "--trials", "1", "--seed", "2",
@@ -279,6 +305,26 @@ def test_cli_obstacle_free_outputs_stay_pinned(tmp_path):
     with open(report) as fh:
         got = json.load(fh)
     assert got["max_stretch_l1"] == 1.6775849503762488
+    assert got["detour_passes"] == 1000
+
+
+def test_cli_maze_outputs_stay_pinned(tmp_path):
+    """The same pin on a maze of 40 boxes, where many pairs are blocked and
+    take the grid stage: the monotone test and both Dijkstra runs."""
+    inst, graph, report = (str(tmp_path / name) for name in
+                           ("inst.json", "graph.json", "report.json"))
+    files.save_instance(inst, random_instance(GenConfig(
+        seed=11, n=32, m=40, placement="mixed", min_side=0.05, max_side=0.3, gap=0.01)))
+    assert main(["build", "--in", inst, "--out", graph]) == 0
+    with open(graph, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == "37a42726c37d5f183afbf90baed9d454fed0358d796307e6778e2093542228be"
+    assert main(["verify", "--instance", inst, "--graph", graph, "--detour-samples", "1000",
+                 "--seed", "11", "--report", report]) == 0
+    with open(report) as fh:
+        got = json.load(fh)
+    assert got["max_stretch_l1"] == 1.2220450778392775
+    assert got["detour_max_ratio"] == 1.237699691289396
     assert got["detour_passes"] == 1000
 
 

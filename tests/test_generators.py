@@ -89,6 +89,10 @@ def test_config_validation():
         GenConfig(seed=0, n=5, gap=0.0).validate()
     with pytest.raises(ValueError):
         GenConfig(seed=0, n=5, placement="grid").validate()
+    for name in ("extent", "gap", "min_side", "max_side"):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                GenConfig(seed=0, n=5, **{name: value}).validate()
 
 
 def test_slab_instance_geometry():

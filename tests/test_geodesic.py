@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxspan import geodesic
-from boxspan.geodesic import (GeodesicSolver, GridTooLargeError, _grid_csr, _grid_links,
-                              geodesic_distance, oracle_fine_grid_distance)
+from boxspan.geodesic import (GeodesicSolver, GridTooLargeError, _grid_csr, _grid_distance,
+                              _grid_links, _monotone_clear, geodesic_distance,
+                              oracle_fine_grid_distance)
 from boxspan.generators import GenConfig, random_instance
 from boxspan.geometry import (AxisBox, Environment, Point3, l1_distance, points_array,
                               validate_environment)
@@ -110,6 +111,83 @@ def reference_grid_csr(cuts, links):
         return csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
                           shape=(n_nodes, n_nodes))
     return csr_matrix((n_nodes, n_nodes))
+
+
+def reference_grid_links(cuts, obs_lo, obs_hi):
+    """Node validity and link arrays marked obstacle by obstacle on
+    searchsorted index ranges, as a reference for the mask-product
+    _grid_links."""
+    cx, cy, cz = cuts
+    shape = (len(cx), len(cy), len(cz))
+
+    # Index ranges of cut values strictly inside an obstacle's open interval.
+    def strict(c, lo_v, hi_v):
+        return slice(np.searchsorted(c, lo_v, side="right"),
+                     np.searchsorted(c, hi_v, side="left"))
+
+    inside = np.zeros(shape, dtype=bool)
+    for k in range(len(obs_lo)):
+        inside[strict(cx, obs_lo[k, 0], obs_hi[k, 0]),
+               strict(cy, obs_lo[k, 1], obs_hi[k, 1]),
+               strict(cz, obs_lo[k, 2], obs_hi[k, 2])] = True
+    valid = ~inside
+
+    links = []
+    all_cuts = (cx, cy, cz)
+    for axis in range(3):
+        c = all_cuts[axis]
+        blocked = np.zeros([len(v) - 1 if a == axis else len(v)
+                            for a, v in enumerate(all_cuts)], dtype=bool)
+        for k in range(len(obs_lo)):
+            # segment c[i]..c[i+1] overlaps (lo, hi) iff c[i] < hi and c[i+1] > lo
+            i0 = max(np.searchsorted(c, obs_lo[k, axis], side="right") - 1, 0)
+            i1 = np.searchsorted(c, obs_hi[k, axis], side="left")
+            region = [slice(None)] * 3
+            region[axis] = slice(i0, i1)
+            for other in range(3):
+                if other == axis:
+                    continue
+                region[other] = strict(all_cuts[other], obs_lo[k, other], obs_hi[k, other])
+            blocked[tuple(region)] = True
+        head = [slice(None)] * 3
+        head[axis] = slice(None, -1)
+        tail = [slice(None)] * 3
+        tail[axis] = slice(1, None)
+        links.append(valid[tuple(head)] & valid[tuple(tail)] & ~blocked)
+    return valid, links
+
+
+def reference_monotone_clear(solver, s, t, over):
+    """Monotone reachability from s to t by a fixed-point sweep on a grid of
+    its own: the overlapping obstacles' faces clipped to the pair's box, all
+    signs flipped where s > t; the reference for _monotone_clear."""
+    flip = s > t
+    sgn = np.where(flip, -1.0, 1.0)
+    a = s * sgn
+    b = t * sgn
+    lo = np.where(flip, -solver.obs_hi[over], solver.obs_lo[over])
+    hi = np.where(flip, -solver.obs_lo[over], solver.obs_hi[over])
+    cuts = []
+    for axis in range(3):
+        vals = np.concatenate([[a[axis], b[axis]],
+                               np.clip(lo[:, axis], a[axis], b[axis]),
+                               np.clip(hi[:, axis], a[axis], b[axis])])
+        cuts.append(np.unique(vals))
+    valid, links = reference_grid_links(tuple(cuts), lo, hi)
+    reach = np.zeros(valid.shape, dtype=bool)
+    if not valid[0, 0, 0]:
+        return False
+    reach[0, 0, 0] = True
+    while True:
+        grew = reach.copy()
+        grew[1:, :, :] |= reach[:-1, :, :] & links[0]
+        grew[:, 1:, :] |= reach[:, :-1, :] & links[1]
+        grew[:, :, 1:] |= reach[:, :, :-1] & links[2]
+        if grew[-1, -1, -1]:
+            return True
+        if np.array_equal(grew, reach):
+            return False
+        reach = grew
 
 
 # -- solver grids -------------------------------------------------------------
@@ -239,7 +317,8 @@ def staircase_vs_grid():
             for t, fast in zip(targets, clear):
                 over = solver._overlapping(np.minimum(s, t), np.maximum(s, t))
                 if len(over):
-                    out.append((bool(fast), solver._monotone_clear(s, t, over), len(over)))
+                    _, links, ends = solver._grid(s, t, over)
+                    out.append((bool(fast), _monotone_clear(links, ends), len(over)))
     return out
 
 
@@ -261,13 +340,10 @@ def test_staircase_is_exact_when_one_obstacle_meets_the_box(staircase_vs_grid):
 def test_single_obstacle_pairs_skip_the_monotone_grid(monkeypatch):
     """With one obstacle meeting the pair's box, a staircase "not clear" goes
     straight to Dijkstra, and the distances still match the reference."""
-    monotone_clear = GeodesicSolver._monotone_clear
+    def single_obstacle_pairs_only(links, ends):
+        raise AssertionError("monotone test run for a single-obstacle pair")
 
-    def multi_obstacle_only(self, s, t, over):
-        assert len(over) > 1, "monotone grid built for a single-obstacle pair"
-        return monotone_clear(self, s, t, over)
-
-    monkeypatch.setattr(GeodesicSolver, "_monotone_clear", multi_obstacle_only)
+    monkeypatch.setattr(geodesic, "_monotone_clear", single_obstacle_pairs_only)
     blocked = 0
     for env in _certificate_instances():
         solver = GeodesicSolver(env)
@@ -317,18 +393,13 @@ def test_grid_csr_matches_reference(monkeypatch):
     and monotone grids of the certificate instances, on an oracle lattice and
     on grids with no links or a one-node axis."""
     grids = []
-    grid_links, grid_csr = geodesic._grid_links, geodesic._grid_csr
-
-    def recording_links(cuts, lo, hi):
-        valid, links = grid_links(cuts, lo, hi)
-        grids.append((cuts, links))
-        return valid, links
+    grid_csr = geodesic._grid_csr
 
     def recording_csr(cuts, links):
         grids.append((cuts, links))
         return grid_csr(cuts, links)
 
-    monkeypatch.setattr(geodesic, "_grid_links", recording_links)
+    monkeypatch.setattr(geodesic, "_grid_csr", recording_csr)
     kinds = set()
     for env in _certificate_instances():
         solver = GeodesicSolver(env)
@@ -336,12 +407,11 @@ def test_grid_csr_matches_reference(monkeypatch):
         for s, t in itertools.combinations(pts, 2):
             over = solver._overlapping(np.minimum(s, t), np.maximum(s, t))
             if len(over):
-                solver._monotone_clear(s, t, over)
-                solver._grid_sigma(s, t, over)
+                cuts, links, ends = solver._grid(s, t, over)
+                _monotone_clear(links, ends)
+                _grid_distance(cuts, links, ends)
                 kinds.add(len(over) > 1)
     assert kinds == {True, False}
-    monkeypatch.setattr(geodesic, "_grid_links", grid_links)
-    monkeypatch.setattr(geodesic, "_grid_csr", recording_csr)
     lattice = len(grids)
     env = Environment([UNIT_CUBE], [Point3(-0.5, 0.5, 0.5), Point3(1.5, 0.25, 0.5)])
     oracle_fine_grid_distance(env, *env.points, resolution=1 / 8)
@@ -356,6 +426,41 @@ def test_grid_csr_matches_reference(monkeypatch):
         assert got.shape == expected.shape
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(expected, attr)), attr
+
+
+def test_grid_links_and_monotone_match_reference():
+    """The mask-product _grid_links gives the reference's validity and links
+    on every grid a blocked pair's grid stage builds, on the certificate
+    instances and a maze, also with no obstacle and with cuts on faces; and
+    the breadth-first _monotone_clear on that grid answers as the reference's
+    sweep on its own clipped grid, in both orientations."""
+    def check_links(cuts, lo, hi):
+        valid, links = _grid_links(cuts, lo, hi)
+        expected_valid, expected = reference_grid_links(cuts, lo, hi)
+        assert np.array_equal(valid, expected_valid)
+        assert all(np.array_equal(a, b) for a, b in zip(links, expected))
+
+    maze = random_instance(GenConfig(seed=0, n=24, m=40, placement="mixed",
+                                     min_side=0.05, max_side=0.3, gap=0.01))
+    answers = set()
+    for env in [*_certificate_instances(), maze]:
+        solver = GeodesicSolver(env)
+        for s, t in itertools.permutations(points_array(env.points), 2):
+            over = solver._overlapping(np.minimum(s, t), np.maximum(s, t))
+            if not len(over):
+                continue
+            cuts, links, ends = solver._grid(s, t, over)
+            check_links(cuts, solver.obs_lo, solver.obs_hi)
+            clear = _monotone_clear(links, ends)
+            assert clear == reference_monotone_clear(solver, s, t, over)
+            answers.add(clear)
+    assert answers == {True, False}
+    faces = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
+    for cuts, lo, hi in [((faces, faces[:3], faces[2:]), np.empty((0, 3)), np.empty((0, 3))),
+                         ((faces, faces, faces), np.zeros((1, 3)), np.ones((1, 3))),
+                         ((faces, faces[1:2], faces), np.array([[0, -1, 0], [1, 0.5, 1.5]]),
+                          np.array([[0.5, 1, 1], [2, 2, 2]]))]:
+        check_links(cuts, lo, hi)
 
 
 def test_distances_from_is_bitwise_pairwise():
