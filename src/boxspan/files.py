@@ -50,7 +50,11 @@ def _triple(value: Any, what: str) -> tuple[float, float, float]:
     if (not isinstance(value, list) or len(value) != 3
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
         raise FormatError(f"{what} must be a list of 3 numbers, got {value!r}")
-    return (float(value[0]), float(value[1]), float(value[2]))
+    try:
+        return (float(value[0]), float(value[1]), float(value[2]))
+    except OverflowError:
+        raise FormatError(f"instance coordinates overflow: a {what} has an integer "
+                          "coordinate too large for a float") from None
 
 
 def save_instance(path: str, env: Environment) -> None:

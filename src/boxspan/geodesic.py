@@ -41,9 +41,16 @@ _ORDERS = np.array([[_LEGS.index((0, 1 << a)),
                     for a, b in permutations(range(3), 2)])
 
 
-# Pairs per chunk of a settle step: the staircase broadcast of a chunk makes
-# temporaries of (pairs x obstacles x 36) elements.
+# Chunks of a classification.  The box test of a chunk makes temporaries of
+# (pairs x obstacles x 3) elements, at most _BOX_TEST_CHUNK of them; the
+# staircase broadcast of a chunk of _STAIRCASE_CHUNK pairs makes temporaries
+# of (pairs x obstacles x 36) elements.
+_BOX_TEST_CHUNK = 1 << 18
 _STAIRCASE_CHUNK = 64
+
+# How GeodesicSolver.classify says a pair is settled: no obstacle interior
+# meets its closed box; a three-leg staircase is free; the grid stage decides.
+BOX_FREE, STAIRCASE_CLEAR, GRID_STAGE = 0, 1, 2
 
 
 def _pair_key(a: tuple, b: tuple) -> tuple:
@@ -68,27 +75,25 @@ def _some_box(mx: np.ndarray, my: np.ndarray, mz: np.ndarray) -> np.ndarray:
 
 
 def _grid_links(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
-                obs_lo: np.ndarray, obs_hi: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Node validity and per-axis link arrays for a tensor grid.
+                obs_lo: np.ndarray, obs_hi: np.ndarray) -> list[np.ndarray]:
+    """Per-axis link arrays for a tensor grid.
 
-    A node is valid unless strictly inside some obstacle.  A link between
-    consecutive grid neighbors exists iff both endpoints are valid and the
-    open segment between them misses every obstacle's open interior: the two
-    fixed coordinates strictly inside, the moving range strictly overlapping.
+    A link between consecutive grid neighbors exists iff the open segment
+    between them misses every obstacle's open interior: the two fixed
+    coordinates strictly inside, the moving range strictly overlapping.  A
+    link with an end strictly inside an obstacle overlaps it on all three
+    axes, so both ends of every link lie outside all obstacle interiors.
     """
     n_nodes = len(cuts[0]) * len(cuts[1]) * len(cuts[2])
     if n_nodes > NODE_CAP:
         raise GridTooLargeError(f"grid needs {n_nodes} nodes, cap is {NODE_CAP}")
     # (obstacles x cuts) masks: the cut lies strictly inside the obstacle's
-    # interval; the segment from this cut to the next overlaps it.  A link
-    # with an end strictly inside an obstacle overlaps it on all three axes,
-    # so the segment test alone also keeps both ends valid.
+    # interval; the segment from this cut to the next overlaps it.
     lo, hi = obs_lo.T[:, :, None], obs_hi.T[:, :, None]
     inside = [(c > lo[axis]) & (c < hi[axis]) for axis, c in enumerate(cuts)]
-    links = [~_some_box(*inside[:axis], (c[:-1] < hi[axis]) & (c[1:] > lo[axis]),
-                        *inside[axis + 1:])
-             for axis, c in enumerate(cuts)]
-    return ~_some_box(*inside), links
+    return [~_some_box(*inside[:axis], (c[:-1] < hi[axis]) & (c[1:] > lo[axis]),
+                       *inside[axis + 1:])
+            for axis, c in enumerate(cuts)]
 
 
 def _grid_csr(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -113,11 +118,21 @@ class GeodesicSolver:
     """Pairwise, batched and one-to-many L1 geodesic queries over one environment.
 
     :meth:`distance` answers one pair, :meth:`pair_distances` a batch of pairs
-    and :meth:`distances_from` one source against many targets.  All three
-    run steps 1 and 2 below once, in the batch settle step :meth:`_settle`,
-    as numpy broadcasts over many pairs at a time (:meth:`distance` on a
-    cache miss is a batch of one).  Only the pairs these leave open take the
-    per-pair path, the grid stage :meth:`_sigma` (steps 3 and 4).
+    and :meth:`distances_from` one source against many targets.  Each is a
+    classification followed by a resolution (:meth:`distance` on a cache
+    miss is a batch of one).  :meth:`classify` runs steps 1 and 2 below as
+    numpy broadcasts over many pairs at a time and gives each pair a state:
+    box-free, staircase-clear or grid stage.  :meth:`_settle` then resolves
+    the pairs one at a time in order: it reads and writes the cache, and only
+    the grid-stage pairs it finds no answer for take the per-pair path, the
+    grid stage :meth:`_sigma` (steps 3 and 4).
+
+    The classification may run early and in bulk: it is a pure function of
+    the coordinates and the obstacles, symmetric in the pair, and it reads
+    and writes no cache.  So a caller may compute it ahead of the queries,
+    as the builder does, and pass it to :meth:`distances_from`; the values,
+    the grid-stage calls and the cache, entry for entry and in insertion
+    order, stay those of classifying call by call.
 
     Query strategy, cheapest first:
 
@@ -168,37 +183,70 @@ class GeodesicSolver:
         Returns, and leaves in the cache, exactly what asking the pairs one
         at a time in input order would: the same values to the bit, the same
         cache entries, the orientation asked first fixing a repeated pair, and
-        0.0 with no cache entry for equal endpoints.  One box test covers all
-        pairs and the staircase broadcast all those it leaves open; only the
-        pairs neither settles go through the grid stage.
+        0.0 with no cache entry for equal endpoints.  One :meth:`classify`
+        call covers all pairs; only the pairs it leaves to the grid stage go
+        through :meth:`_sigma`.
         """
         S = np.asarray(S, dtype=float).reshape(-1, 3)
         T = np.asarray(T, dtype=float).reshape(-1, 3)
         out = np.abs(S - T).sum(axis=1)
         ask = np.nonzero((S != T).any(axis=1))[0]
         if len(ask):
-            free = ~self.meets_obstacles(np.minimum(S, T), np.maximum(S, T))
-            self._settle(S, T, out, ask, free[ask])
+            self._settle(S, T, out, ask, self.classify(S[ask], T[ask]))
         return out
 
     def distances_from(self, source: Point3 | np.ndarray,
-                       targets: Sequence[Point3] | np.ndarray) -> np.ndarray:
+                       targets: Sequence[Point3] | np.ndarray,
+                       states: np.ndarray | None = None) -> np.ndarray:
         """Geodesic distances from one source to many targets.
 
-        Source and targets are points or rows of coordinates.  Targets whose
-        box meets no obstacle are answered with L1 and not cached, so a scan
-        over all pairs does not fill the cache; the others are settled and
-        cached as :meth:`pair_distances` settles them.
+        Source and targets are points or rows of coordinates.  states, when
+        given, is :meth:`classify` of (source, targets), computed earlier.
+        Box-free targets are answered with L1 and not cached, so a scan over
+        all pairs does not fill the cache; the others are settled and cached
+        as :meth:`pair_distances` settles them.
         """
         s = np.array(source.as_tuple()) if isinstance(source, Point3) else np.asarray(source)
         pts = targets if isinstance(targets, np.ndarray) else points_array(targets)
         out = np.abs(pts - s).sum(axis=1)
-        if len(self.obs_lo) == 0 or len(pts) == 0:
-            return out
-        ask = np.nonzero(self.meets_obstacles(np.minimum(pts, s), np.maximum(pts, s)))[0]
+        if states is None:
+            states = self.classify(s, pts)
+        ask = np.nonzero(states != BOX_FREE)[0]
         if len(ask):
-            self._settle(s, pts, out, ask)
+            self._settle(s, pts, out, ask, states[ask])
         return out
+
+    def classify(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """How each pair (S[k], T[k]) is settled: :data:`BOX_FREE`,
+        :data:`STAIRCASE_CLEAR` or :data:`GRID_STAGE`, as an int8 array.
+
+        S is one source row for all pairs or one row per pair.  The box test
+        runs on all pairs and the staircase broadcast on the box-meeting
+        ones, each in chunks that bound its memory.  The state is a pure
+        function of the coordinates and the obstacles, symmetric in (S, T):
+        both tests compare only coordinates and their minima and maxima, and
+        the six staircases from t to s are those from s to t walked
+        backwards.  It reads and writes no cache, so classifying early, in
+        bulk, changes no answer.
+        """
+        T = np.asarray(T, dtype=float).reshape(-1, 3)
+        S = np.asarray(S, dtype=float)
+        states = np.full(len(T), BOX_FREE, dtype=np.int8)
+        if len(self.obs_lo) == 0 or len(T) == 0:
+            return states
+        step = max(1, _BOX_TEST_CHUNK // (3 * len(self.obs_lo)))
+        meets = []
+        for start in range(0, len(T), step):
+            s, t = (S if S.ndim == 1 else S[start:start + step]), T[start:start + step]
+            meets.append(np.nonzero(self.meets_obstacles(np.minimum(s, t), np.maximum(s, t)))[0]
+                         + start)
+        meets = np.concatenate(meets)
+        states[meets] = GRID_STAGE
+        for start in range(0, len(meets), _STAIRCASE_CHUNK):
+            rows = meets[start:start + _STAIRCASE_CHUNK]
+            clear = self._staircase_clear(S if S.ndim == 1 else S[rows], T[rows])
+            states[rows[clear]] = STAIRCASE_CLEAR
+        return states
 
     def meets_obstacles(self, blo: np.ndarray, bhi: np.ndarray) -> np.ndarray:
         """Per closed box [blo[k], bhi[k]], whether some obstacle's open
@@ -215,18 +263,17 @@ class GeodesicSolver:
         return np.nonzero(mask)[0]
 
     def _settle(self, S: np.ndarray, T: np.ndarray, out: np.ndarray, ask: np.ndarray,
-                free: np.ndarray | None = None) -> None:
+                states: np.ndarray) -> None:
         """Answer and cache the pairs ask of (S, T), one at a time in order.
 
-        S is one source row for all pairs or one row per pair, and out holds
-        each pair's L1 on entry.  free marks the asked pairs whose box meets
-        no obstacle (none when omitted); the others are put to the staircase
-        broadcast.  A free or staircase-clear pair is L1 in both orientations,
-        so it is cached as L1 even when cached already: the value is the
-        same.  Any other pair keeps its cached value or goes through the
-        grid stage :meth:`_sigma`.  The pairs are taken _STAIRCASE_CHUNK at a
-        time, which bounds the memory of the broadcast and of the Python rows
-        made for the keys.
+        S is one source row for all pairs or one row per pair, out holds each
+        pair's L1 on entry, and states is :meth:`classify` of the asked
+        pairs.  A box-free or staircase-clear pair is L1 in both
+        orientations, so it is cached as L1 even when cached already: the
+        value is the same.  Any other pair keeps its cached value or goes
+        through the grid stage :meth:`_sigma`, in this orientation.  The
+        pairs are taken _STAIRCASE_CHUNK at a time, which bounds the memory
+        of the Python rows made for the keys.
         """
         single = S.ndim == 1
         source = tuple(S.tolist()) if single else None
@@ -235,23 +282,15 @@ class GeodesicSolver:
         shared: dict[tuple, tuple] = {}
         for start in range(0, len(ask), _STAIRCASE_CHUNK):
             rows = ask[start:start + _STAIRCASE_CHUNK]
-            s, t = (S if single else S[rows]), T[rows]
-            if free is None:
-                clear = self._staircase_clear(s, t)
-            else:
-                clear = free[start:start + _STAIRCASE_CHUNK].copy()
-                test = np.nonzero(~clear)[0]
-                if len(test):
-                    clear[test] = self._staircase_clear(s if single else s[test], t[test])
             if single:
-                firsts, seconds = repeat(source), map(tuple, t.tolist())
+                firsts, seconds = repeat(source), map(tuple, T[rows].tolist())
             else:
-                firsts = [shared.setdefault(a, a) for a in map(tuple, s.tolist())]
-                seconds = [shared.setdefault(b, b) for b in map(tuple, t.tolist())]
-            for i, a, b, l1, settled in zip(rows.tolist(), firsts, seconds,
-                                            out[rows].tolist(), clear.tolist()):
+                firsts = [shared.setdefault(a, a) for a in map(tuple, S[rows].tolist())]
+                seconds = [shared.setdefault(b, b) for b in map(tuple, T[rows].tolist())]
+            for i, a, b, l1, state in zip(rows.tolist(), firsts, seconds, out[rows].tolist(),
+                                          states[start:start + _STAIRCASE_CHUNK].tolist()):
                 key = _pair_key(a, b)
-                if settled:
+                if state != GRID_STAGE:
                     cache[key] = l1
                     continue
                 d = cache.get(key)
@@ -339,7 +378,7 @@ class GeodesicSolver:
                                                self.obs_lo[cut_set, axis],
                                                self.obs_hi[cut_set, axis]]))
                      for axis in range(3))
-        _, links = _grid_links(cuts, self.obs_lo, self.obs_hi)
+        links = _grid_links(cuts, self.obs_lo, self.obs_hi)
         ends = np.array([np.searchsorted(c, (s[axis], t[axis])) for axis, c in enumerate(cuts)])
         return cuts, links, ends
 

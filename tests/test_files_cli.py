@@ -34,7 +34,10 @@ def test_load_instance_rejects_bad_schema(tmp_path):
     path = str(tmp_path / "bad.json")
     for payload in ([1, 2], {"points": [[1, 2]]}, {"points": [[1, "a", 3]]},
                     {"points": [], "obstacles": [{"lo": [0, 0, 0]}]}, {"points": 5},
-                    {"points": [[0, 0, 0], [1, 1, 1]], "obstacles": 7}):
+                    {"points": [[0, 0, 0], [1, 1, 1]], "obstacles": 7},
+                    {"points": [[0, 0, 10 ** 400]]},
+                    {"points": [[0, 0, 0]], "obstacles": [{"lo": [0, 0, 0],
+                                                           "hi": [1, 1, -10 ** 400]}]}):
         with open(path, "w") as fh:
             json.dump(payload, fh)
         with pytest.raises(files.FormatError):
@@ -187,15 +190,18 @@ def test_cli_rejects_overflowing_coordinates(tmp_path, capsys):
     """Coordinates whose spans overflow a float are bad input for both
     commands, not a graph with an infinite weight."""
     inst, graph = str(tmp_path / "inst.json"), str(tmp_path / "graph.json")
-    with open(inst, "w") as fh:
-        fh.write('{"points": [[0, 0, 1e308], [0, 0, -1e308]]}')
     files.save_graph(graph, SpannerGraph(n=2, edges={(0, 1): 1.0}))
-    for argv in (["build", "--in", inst, "--out", str(tmp_path / "out.json")],
-                 ["verify", "--instance", inst, "--graph", graph]):
-        capsys.readouterr()
-        assert main(argv) == 2, argv
-        assert "instance coordinates overflow" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "out.json")
+    # spans that overflow, and an integer coordinate of 401 digits
+    for text in ('{"points": [[0, 0, 1e308], [0, 0, -1e308]]}',
+                 '{"points": [[0, 0, 1%s], [0, 0, 0]]}' % ("0" * 400)):
+        with open(inst, "w") as fh:
+            fh.write(text)
+        for argv in (["build", "--in", inst, "--out", str(tmp_path / "out.json")],
+                     ["verify", "--instance", inst, "--graph", graph]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            assert "instance coordinates overflow" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out.json")
 
 
 def test_cli_verify_detects_mismatched_n(tmp_path):

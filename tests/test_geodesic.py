@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -195,7 +196,8 @@ def reference_monotone_clear(solver, s, t, over):
 def test_track_graph_cuts_and_nodes_match_hand_enumeration():
     # the cuts of the grid for (-1, .5, .5) -> (2, .5, .5) around the unit cube
     cuts = (np.array([-1, 0, 1, 2.0]), np.array([0, 0.5, 1]), np.array([0, 0.5, 1]))
-    valid, links = _grid_links(cuts, np.zeros((1, 3)), np.ones((1, 3)))
+    valid, _ = reference_grid_links(cuts, np.zeros((1, 3)), np.ones((1, 3)))
+    links = _grid_links(cuts, np.zeros((1, 3)), np.ones((1, 3)))
     # no cut is strictly inside the cube on any axis, so every node is valid
     assert valid.size == 36 and int(valid.sum()) == 36
     # links crossing the open interior are absent; hand-check the x-row at
@@ -388,6 +390,83 @@ def test_settle_runs_the_staircase_once_per_chunk(monkeypatch):
         assert calls == [min(64, len(targets) - k) for k in range(0, len(targets), 64)]
 
 
+def reference_state(obstacles, s, t):
+    """How a pair is settled, decided by hand: 0 when no obstacle's open
+    interior meets the pair's closed box, 1 when one of the six three-leg
+    staircases misses every open interior, leg by leg, 2 otherwise."""
+    def meets(box, lo, hi):
+        return all(box.lo.coord(a) < hi[a] and box.hi.coord(a) > lo[a] for a in range(3))
+
+    def blocked(a, b):
+        lo, hi = [min(u, v) for u, v in zip(a, b)], [max(u, v) for u, v in zip(a, b)]
+        return any(meets(box, lo, hi) for box in obstacles)
+
+    if not blocked(s, t):
+        return 0
+    for order in itertools.permutations(range(3)):
+        corners = [list(s)]
+        for axis in order:
+            corners.append(corners[-1][:axis] + [t[axis]] + corners[-1][axis + 1:])
+        if not any(blocked(a, b) for a, b in zip(corners, corners[1:])):
+            return 1
+    return 2
+
+
+@st.composite
+def _tied_instances(draw):
+    """Disjoint boxes on the integer lattice and points whose coordinates
+    are integers or half-integers: many ties, and many points on obstacle
+    faces, edges and corners."""
+    obstacles = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = draw(st.tuples(*[st.integers(0, 4)] * 3))
+        side = draw(st.tuples(*[st.integers(1, 2)] * 3))
+        box = AxisBox(Point3(*lo), Point3(*(a + b for a, b in zip(lo, side))))
+        if not validate_environment(Environment(obstacles + [box], [])):
+            obstacles.append(box)
+    coords = st.tuples(*[st.integers(0, 12).map(lambda v: v / 2)] * 3)
+    points = [p for p in draw(st.lists(coords, min_size=2, max_size=12, unique=True))
+              if not any(box.contains_interior(Point3(*p)) for box in obstacles)]
+    return obstacles, points, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tied_instances())
+def test_classify_matches_per_pair_decisions_and_is_symmetric(instance):
+    """classify on a batch of ordered pairs, shuffled and repeated so that
+    its box-meeting pairs span several staircase chunks, also with small
+    box-test chunks, gives the state that a box test and then
+    _staircase_clear give each pair asked alone, which is the state decided
+    by hand leg by leg; it is symmetric in (S, T), and one source row gives
+    that source's row of states."""
+    obstacles, points, seed = instance
+    env = Environment(obstacles, [Point3(*p) for p in points])
+    solver = GeodesicSolver(env)
+    pts = points_array(env.points)
+    n = len(pts)
+    expected = []
+    for s, t in itertools.product(pts, repeat=2):
+        lo, hi = np.minimum(s, t)[None], np.maximum(s, t)[None]
+        state = (0 if not solver.meets_obstacles(lo, hi)[0]
+                 else 1 if solver._staircase_clear(s, t[None])[0] else 2)
+        assert state == reference_state(obstacles, s.tolist(), t.tolist())
+        expected.append(state)
+    expected = np.array(expected).reshape(n, n)
+    for k in range(n):
+        assert solver.classify(pts[k], pts).tolist() == expected[k].tolist()
+    meeting = int((expected > 0).sum())
+    rows = np.tile(np.arange(n * n), 2 * geodesic._STAIRCASE_CHUNK // max(meeting, 1) + 1)
+    rows = np.random.default_rng(seed).permutation(rows)
+    i, j = np.divmod(rows, n)
+    states = solver.classify(pts[i], pts[j])
+    assert states.dtype == np.int8
+    assert np.array_equal(states, expected[i, j])
+    assert np.array_equal(solver.classify(pts[j], pts[i]), states)
+    # five pairs per box-test chunk
+    with mock.patch.object(geodesic, "_BOX_TEST_CHUNK", 15 * len(obstacles)):
+        assert np.array_equal(solver.classify(pts[i], pts[j]), states)
+
+
 def test_grid_csr_matches_reference(monkeypatch):
     """The strided _grid_csr gives the reference's CSR arrays on the Dijkstra
     and monotone grids of the certificate instances, on an oracle lattice and
@@ -429,15 +508,15 @@ def test_grid_csr_matches_reference(monkeypatch):
 
 
 def test_grid_links_and_monotone_match_reference():
-    """The mask-product _grid_links gives the reference's validity and links
-    on every grid a blocked pair's grid stage builds, on the certificate
-    instances and a maze, also with no obstacle and with cuts on faces; and
-    the breadth-first _monotone_clear on that grid answers as the reference's
+    """The mask-product _grid_links gives the reference's links on every grid
+    a blocked pair's grid stage builds, on the certificate instances and a
+    maze, also with no obstacle and with cuts on faces; and the
+    breadth-first _monotone_clear on that grid answers as the reference's
     sweep on its own clipped grid, in both orientations."""
     def check_links(cuts, lo, hi):
-        valid, links = _grid_links(cuts, lo, hi)
-        expected_valid, expected = reference_grid_links(cuts, lo, hi)
-        assert np.array_equal(valid, expected_valid)
+        links = _grid_links(cuts, lo, hi)
+        _, expected = reference_grid_links(cuts, lo, hi)
+        assert len(links) == 3
         assert all(np.array_equal(a, b) for a, b in zip(links, expected))
 
     maze = random_instance(GenConfig(seed=0, n=24, m=40, placement="mixed",

@@ -163,6 +163,33 @@ LATTICE = [Point3(*c) for c in itertools.product((0.0, 1.0, 2.0, 3.0, 4.0), repe
            if sum(c) % 2 == 0]
 
 
+def _faces_instance():
+    """Points of a lattice whose planes carry the faces of two boxes: many
+    lie on obstacle faces, edges and corners, many apexes are interior to
+    the larger box, and many of their exits are data points."""
+    boxes = [AxisBox(Point3(1.0, 1.0, 1.0), Point3(4.0, 4.0, 4.0)),
+             AxisBox(Point3(0.0, 4.5, 0.0), Point3(5.0, 5.0, 2.0))]
+    lattice = [Point3(*c) for c in itertools.product(np.arange(6.0).tolist(), repeat=3)
+               if not any(box.contains_interior(Point3(*c)) for box in boxes)]
+    pick = np.sort(np.random.default_rng(2).choice(len(lattice), size=48, replace=False))
+    return Environment(boxes, [lattice[i] for i in pick])
+
+
+def test_faces_instance_puts_points_and_exits_on_obstacles():
+    env = _faces_instance()
+    corners = {(x, y, z) for box in env.obstacles for x in (box.lo.x, box.hi.x)
+               for y in (box.lo.y, box.hi.y) for z in (box.lo.z, box.hi.z)}
+    on_boundary = [p for p in env.points
+                   if any(box.contains(p) for box in env.obstacles)]
+    assert len(on_boundary) >= 10
+    assert corners & {p.as_tuple() for p in env.points}
+    points = {p.as_tuple() for p in env.points}
+    exits_at_points = [e for cone in CONES for pair in build_cspd(env.points, cone).pairs
+                       for e in set(candidate_points(pair, env))
+                       if e != pair.apex and e.as_tuple() in points]
+    assert exits_at_points
+
+
 @pytest.mark.parametrize("env", [
     random_instance(GenConfig(seed=31, n=120, m=0)),
     random_instance(GenConfig(seed=32, n=60, m=8, placement="mixed")),
@@ -172,7 +199,9 @@ LATTICE = [Point3(*c) for c in itertools.product((0.0, 1.0, 2.0, 3.0, 4.0), repe
     random_instance(GenConfig(seed=34, n=1, m=2)),
     random_instance(GenConfig(seed=35, n=2, m=2)),
     random_instance(GenConfig(seed=36, n=3, m=3, max_side=0.3)),
-], ids=["open", "mixed", "interior-apexes", "lattice", "lattice-cube", "n1", "n2", "n3"])
+    _faces_instance(),
+], ids=["open", "mixed", "interior-apexes", "lattice", "lattice-cube", "n1", "n2", "n3",
+        "faces"])
 def test_build_matches_per_pair_reference(env):
     """Edges in insertion order and stats match the per-pair
     loop, and the solver is left with the same cache, filled in the same
