@@ -198,19 +198,31 @@ class GeodesicSolver:
     def distances_from(self, source: Point3 | np.ndarray,
                        targets: Sequence[Point3] | np.ndarray,
                        states: np.ndarray | None = None) -> np.ndarray:
-        """Geodesic distances from one source to many targets.
+        """Geodesic distances from one source, or one source row per target,
+        to many targets.
 
         Source and targets are points or rows of coordinates.  states, when
         given, is :meth:`classify` of (source, targets), computed earlier.
         Box-free targets are answered with L1 and not cached, so a scan over
         all pairs does not fill the cache; the others are settled and cached
         as :meth:`pair_distances` settles them.
+
+        One call with a source row per target returns, and leaves in the
+        cache, what one call per row in the same order would: :meth:`_settle`
+        resolves the rows one at a time in order either way, with each row's
+        own source, and the keys, the L1 and the classification of a row do
+        not depend on the other rows.  The builder asks its queries this way,
+        many (pair, exit) queries per call.
         """
         s = np.array(source.as_tuple()) if isinstance(source, Point3) else np.asarray(source)
         pts = targets if isinstance(targets, np.ndarray) else points_array(targets)
+        if s.ndim == 2 and len(s) != len(pts):
+            raise ValueError(f"{len(s)} source rows for {len(pts)} targets")
         out = np.abs(pts - s).sum(axis=1)
         if states is None:
             states = self.classify(s, pts)
+        elif len(states) != len(pts):
+            raise ValueError(f"{len(states)} states for {len(pts)} targets")
         ask = np.nonzero(states != BOX_FREE)[0]
         if len(ask):
             self._settle(s, pts, out, ask, states[ask])

@@ -6,9 +6,10 @@ member with the smallest geodesic distance to it becomes a center, and the
 center is connected to every other member with geodesic edge weights.  Edges
 are deduplicated over all cones; the first emission of each edge sets its
 weight and its place in the edge order.  Pairs whose member box no obstacle
-meets are settled on numpy arrays, all of a cone at once; only the others
-query the geodesic solver, with their queries classified in bulk ahead of
-the loop that resolves them in order.
+meets are settled on numpy arrays, all of a cone at once.  The queries of
+the others are made and classified on arrays as well, a cone at a time; the
+geodesic solver then resolves them in the order a loop over the pairs would
+ask them.
 """
 
 from __future__ import annotations
@@ -18,11 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cspd import CONES, Cspd, CspdPair, build_cspd
-from .geodesic import GeodesicSolver
+from .geodesic import BOX_FREE, GRID_STAGE, GeodesicSolver
 from .geometry import Environment, Point3, points_array, project_out
-
-# Point pairs per block of the builder's lazy all-pairs classification.
-_CLASSIFY_BLOCK = 1 << 11
 
 
 @dataclass
@@ -78,24 +76,19 @@ def build_spanner(env: Environment, solver: GeodesicSolver | None = None) -> Spa
     size over the four cones.
 
     Box-free pairs, whose closed member box meets no obstacle interior, are
-    settled on arrays (see :func:`_box_free_emissions`); every other pair goes
-    through :func:`candidate_points`, :func:`select_center` and the solver,
-    in pair order (see :func:`_obstructed_emissions`).  The emissions of a cone are sorted by (pair, exit,
-    member), the order a loop over the pairs would make them in; over the
-    cones in order, the first emission of each edge is kept.
+    settled on arrays (see :func:`_box_free_emissions`).  Every other pair
+    goes through :func:`candidate_points`, and its queries are made and
+    classified on arrays, then resolved by the solver in pair order (see
+    :func:`_obstructed_emissions`).  The emissions of a cone are sorted by
+    (pair, exit, member), the order a loop over the pairs would make them
+    in; over the cones in order, the first emission of each edge is kept.
 
-    The geodesic queries of the other pairs are classified in bulk and
-    resolved in order.  Per cone, one :meth:`GeodesicSolver.classify` call
-    covers the selection query of every (pair, exit, member); the (center,
-    member) pairs the edge weights need are classified lazily, a block of
-    point rows against all points at a time.  The loop over (pair, exit)
-    then passes these states to the solver, which only resolves: it reads
-    and writes the cache and runs the grid stage, in the old order and
-    orientation.  This is exact because the classification is a pure
-    function of the coordinates and the obstacles, symmetric in the pair,
-    and touches no cache; so the edges, the grid-stage calls and the
-    solver's cache, entry for entry and in insertion order, are those of
-    classifying query by query.
+    The result is exactly that of the per-pair loop which, for each
+    (pair, distinct exit), calls :func:`select_center` and then one
+    :meth:`GeodesicSolver.distances_from` for the center's edge weights:
+    the same edges in insertion order, the same stats, the same grid-stage
+    calls, and the same solver cache, entry for entry and in insertion
+    order.  :func:`_obstructed_emissions` gives the argument.
     """
     n = env.n
     if n < 1:
@@ -113,7 +106,6 @@ def build_spanner(env: Environment, solver: GeodesicSolver | None = None) -> Spa
     if solver is None:
         solver = GeodesicSolver(env)
     P = points_array(env.points)
-    weight_states = _lazy_row_states(solver, P)
     keys, edge_weights = [], []
     for cone in CONES:
         decomposition = build_cspd(env.points, cone)
@@ -129,7 +121,7 @@ def build_spanner(env: Environment, solver: GeodesicSolver | None = None) -> Spa
         graph.stats["apex_free"] += int(free.sum())
         rows = [_box_free_emissions(P, decomposition, free),
                 _obstructed_emissions(env, P, decomposition, np.nonzero(~free)[0], solver,
-                                      weight_states, graph.stats)]
+                                      graph.stats)]
         pair_ids, cand_ids, centers, targets, weights = map(np.concatenate, zip(*rows))
         order = np.lexsort((targets, cand_ids, pair_ids))
         graph.stats["emissions"] += len(order)
@@ -143,18 +135,36 @@ def build_spanner(env: Environment, solver: GeodesicSolver | None = None) -> Spa
 
 
 def _obstructed_emissions(env: Environment, P: np.ndarray, decomposition: Cspd,
-                          pair_ids: np.ndarray, solver: GeodesicSolver, weight_states,
-                          stats: dict):
-    """(pair, exit, center, member, weight) rows of the given pairs, in
-    (pair, exit) order, and their apex counts added to stats.
+                          pair_ids: np.ndarray, solver: GeodesicSolver, stats: dict):
+    """(pair, exit, center, member, weight) rows of the given pairs, and
+    their apex counts added to stats.
 
-    Each pair goes through :func:`candidate_points` and, per distinct exit,
-    :func:`select_center` and one :meth:`GeodesicSolver.distances_from` call
-    for the center's edge weights.  Both queries get precomputed states: one
-    :meth:`GeodesicSolver.classify` call covers the selection queries of all
-    (exit, member) of the pairs, and weight_states gives the center's row.
+    Each pair goes through :func:`candidate_points`, and each distinct exit
+    of it makes one query.  The rows of all queries are made at once, per
+    query its selection rows (exit, member), members in index order, then
+    its weight rows (center, member) for the other members, and one
+    :meth:`GeodesicSolver.classify` call classifies them all.  The center
+    is provisional: the first L1-nearest member (:func:`_nearest_members`).
+
+    The solver then resolves the rows in order.  A query with a grid-stage
+    selection row goes through :func:`select_center`; if that picks another
+    center, the query's weight rows are made and classified again.  The rows
+    between two such selections, box-free rows left out, go to one
+    :meth:`GeodesicSolver.distances_from` call with a source row per target.
+
+    This is exactly what the per-pair loop of :func:`build_spanner` does:
+
+    - classify is pure and symmetric in the pair, so classifying early and
+      in bulk changes no state and no answer;
+    - when no selection row is grid stage, every selection distance is L1
+      (box-free and staircase-clear pairs are), so :func:`select_center`
+      would pick the provisional center;
+    - the solver is asked the same rows, in the same order and orientation,
+      so the values, the grid-stage calls and the cache entries, in
+      insertion order, are the loop's.  A box-free row writes no cache
+      entry, so leaving it out changes nothing either.
     """
-    queries = []  # (pair id, pair, members, exit id, exit) per distinct exit
+    queries = []  # (pair id, pair, exit id, exit) per distinct exit
     for pair_id in pair_ids.tolist():
         pair = decomposition.pair(pair_id)
         candidates = candidate_points(pair, env)
@@ -163,48 +173,70 @@ def _obstructed_emissions(env: Environment, P: np.ndarray, decomposition: Cspd,
         for cand_id, cand in enumerate(candidates):
             if cand.as_tuple() not in seen:
                 seen.add(cand.as_tuple())
-                queries.append((pair_id, pair, sorted(pair.a + pair.b), cand_id, cand))
+                queries.append((pair_id, pair, cand_id, cand))
     if not queries:
         empty = np.zeros(0, dtype=np.intp)
         return empty, empty, empty, empty, np.zeros(0)
-    sizes = [len(q[2]) for q in queries]
-    exits = np.repeat(points_array([q[4] for q in queries]), sizes, axis=0)
-    select_states = np.split(solver.classify(exits, P[np.concatenate([q[2] for q in queries])]),
-                             np.cumsum(sizes)[:-1])
-    centers, others, weights = [], [], []
-    for (_, pair, members, _, cand), states in zip(queries, select_states):
-        center = select_center(pair, env, cand, solver, states)
-        rest = np.array([q for q in members if q != center])
-        weights.append(solver.distances_from(P[center], P[rest],
-                                             states=weight_states(center)[rest]))
-        centers.append(center)
-        others.append(rest)
-    counts = [len(rest) for rest in others]
-    return (np.repeat([q[0] for q in queries], counts), np.repeat([q[3] for q in queries], counts),
-            np.repeat(centers, counts), np.concatenate(others), np.concatenate(weights))
+    n, count = len(P), len(queries)
+    query_pairs = np.array([q[0] for q in queries])
+    # Sources index the points and then the exits, exit q at n + q.
+    Q = np.concatenate([P, points_array([q[3] for q in queries])])
+
+    # Selection rows: per query, its pair's members in index order.
+    starts = decomposition.offsets[query_pairs]
+    sizes = decomposition.offsets[query_pairs + 1] - starts
+    first = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(count), sizes)
+    members = decomposition.members[np.arange(len(owner)) + np.repeat(starts - first, sizes)]
+    members = members[np.lexsort((members, owner))]
+    centers = _nearest_members(np.abs(P[members] - Q[n + owner]).sum(axis=1), members, sizes)
+
+    # Query q owns rows block[q] to block[q + 1]: selection rows, then weight rows.
+    block = np.concatenate([[0], np.cumsum(2 * sizes - 1)])
+    row_query = np.repeat(np.arange(count), 2 * sizes - 1)
+    selection = np.arange(block[-1]) - block[row_query] < sizes[row_query]
+    other = members != centers[owner]
+    sources, targets = np.empty((2, block[-1]), dtype=members.dtype)
+    sources[selection], targets[selection] = n + owner, members
+    sources[~selection], targets[~selection] = centers[owner][other], members[other]
+    states = solver.classify(Q[sources], P[targets])
+    grid = np.maximum.reduceat(states[selection], first) == GRID_STAGE
+    weights = np.abs(P[targets] - Q[sources]).sum(axis=1)
+
+    def resolve(lo: int, hi: int) -> None:
+        """Rows lo to hi, box-free rows left out, in one distances_from call."""
+        ask = lo + np.nonzero(states[lo:hi] != BOX_FREE)[0]
+        if len(ask):
+            weights[ask] = solver.distances_from(Q[sources[ask]], P[targets[ask]],
+                                                 states=states[ask])
+
+    done = 0
+    for q in np.nonzero(grid)[0].tolist():
+        resolve(done, block[q])
+        _, pair, _, cand = queries[q]
+        picked = slice(block[q], block[q] + sizes[q])
+        center = select_center(pair, env, cand, solver, states[picked])
+        if center != centers[q]:
+            remade = slice(picked.stop, block[q + 1])
+            rest = targets[picked][targets[picked] != center]
+            sources[remade], targets[remade] = center, rest
+            states[remade] = solver.classify(P[center], P[rest])
+            weights[remade] = np.abs(P[rest] - P[center]).sum(axis=1)
+        done = picked.stop
+    resolve(done, block[-1])
+    emitted = ~selection
+    return (query_pairs[row_query[emitted]],
+            np.array([q[2] for q in queries])[row_query[emitted]],
+            sources[emitted], targets[emitted], weights[emitted])
 
 
-def _lazy_row_states(solver: GeodesicSolver, P: np.ndarray):
-    """A function from a point index i to ``solver.classify(P[i], P)``.
-
-    Rows are classified on first use, a block of rows against all points at
-    a time, so a build holds only the blocks its centers need, and a call
-    classifies at most _CLASSIFY_BLOCK pairs, or one row when a row is
-    longer.
-    """
-    n = len(P)
-    step = max(1, _CLASSIFY_BLOCK // n)
-    blocks: dict[int, np.ndarray] = {}
-
-    def row(i: int) -> np.ndarray:
-        block, offset = divmod(i, step)
-        if block not in blocks:
-            lo, hi = block * step, min(n, block * step + step)
-            blocks[block] = solver.classify(np.repeat(P[lo:hi], n, axis=0),
-                                            np.tile(P, (hi - lo, 1))).reshape(hi - lo, n)
-        return blocks[block][offset]
-
-    return row
+def _nearest_members(dist: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per segment of the rows, sizes[k] rows each and none empty, the
+    smallest member among the rows at the segment's least dist."""
+    starts = np.cumsum(sizes) - sizes
+    least = np.repeat(np.minimum.reduceat(dist, starts), sizes)
+    return np.minimum.reduceat(np.where(dist == least, members, np.iinfo(members.dtype).max),
+                               starts)
 
 
 def _box_free_emissions(P: np.ndarray, decomposition: Cspd, free: np.ndarray):
@@ -220,16 +252,12 @@ def _box_free_emissions(P: np.ndarray, decomposition: Cspd, free: np.ndarray):
     center is the first L1-nearest member in index order, as
     :func:`select_center` picks it.
     """
-    pair_of = np.repeat(np.arange(len(decomposition)),
-                        decomposition.len_a + decomposition.len_b)
+    sizes = decomposition.len_a + decomposition.len_b
+    pair_of = np.repeat(np.arange(len(decomposition)), sizes)
     take = free[pair_of]
-    pair_ids, members = pair_of[take], decomposition.members[take]
+    pair_ids, members, sizes = pair_of[take], decomposition.members[take], sizes[free]
     to_apex = np.abs(P[members] - decomposition.apex[pair_ids]).sum(axis=1)
-    nearest = np.lexsort((members, to_apex, pair_ids))
-    head = nearest[np.diff(pair_ids[nearest], prepend=-1) != 0]
-    center = np.empty(len(decomposition), dtype=members.dtype)
-    center[pair_ids[head]] = members[head]
-    centers = center[pair_ids]
+    centers = np.repeat(_nearest_members(to_apex, members, sizes), sizes)
     other = members != centers
     pair_ids, centers, members = pair_ids[other], centers[other], members[other]
     weights = np.abs(P[members] - P[centers]).sum(axis=1)

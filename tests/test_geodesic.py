@@ -551,6 +551,59 @@ def test_distances_from_is_bitwise_pairwise():
             assert np.array_equal(solver.distances_from(source, env.points), expected)
 
 
+_PER_ROW_ENVS = [random_instance(GenConfig(seed=5, n=24, m=8, placement="mixed", max_side=0.3)),
+                 list(_certificate_instances())[-1]]
+
+
+def _recorded(env, ask):
+    """ask(solver) on a fresh solver, the _sigma calls it made and the cache
+    it left, in insertion order."""
+    solver, calls = GeodesicSolver(env), []
+    sigma = solver._sigma
+    solver._sigma = lambda s, t: calls.append((s.tolist(), t.tolist())) or sigma(s, t)
+    return ask(solver).tobytes(), calls, list(solver._cache.items())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_distances_from_per_row_sources_match_one_call_per_row(data):
+    """One distances_from call with a source row per target, with or without
+    states, gives what one call per row in order gives: the same values to
+    the bit, the same _sigma calls and the same cache in insertion order.
+    The rows always hold grid-stage pairs, and repeat pairs in both
+    orientations."""
+    env = data.draw(st.sampled_from(_PER_ROW_ENVS))
+    pts = points_array(env.points)
+    i, j = np.divmod(np.arange(env.n ** 2), env.n)
+    grid = np.nonzero(GeodesicSolver(env).classify(pts[i], pts[j]) == geodesic.GRID_STAGE)[0]
+    index = st.integers(0, env.n - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=30))
+    pairs += [divmod(k, env.n) for k in data.draw(st.lists(st.sampled_from(grid.tolist()),
+                                                           min_size=1, max_size=8))]
+    again = data.draw(st.lists(st.sampled_from(pairs), max_size=20))
+    pairs += [(b, a) for a, b in again] + again
+    rows = np.array(data.draw(st.permutations(pairs)))
+    S, T = pts[rows[:, 0]], pts[rows[:, 1]]
+    expected = _recorded(env, lambda solver: np.array(
+        [solver.distances_from(s, t[None])[0] for s, t in zip(S, T)]))
+    assert expected[1]
+    assert _recorded(env, lambda solver: solver.distances_from(S, T)) == expected
+    assert _recorded(env, lambda solver: solver.distances_from(
+        S, T, states=solver.classify(S, T))) == expected
+
+
+def test_distances_from_rejects_rows_that_miss_a_target():
+    env = _PER_ROW_ENVS[0]
+    solver = GeodesicSolver(env)
+    pts = points_array(env.points)
+    with pytest.raises(ValueError):
+        solver.distances_from(pts[:2], pts[:3])
+    with pytest.raises(ValueError):
+        solver.distances_from(pts[0], pts[:3], states=np.zeros(2, dtype=np.int8))
+    with pytest.raises(ValueError):
+        solver.distances_from(pts[:3], pts[:3], states=np.zeros(4, dtype=np.int8))
+
+
 def _pair_batch(env, count, seed):
     """count random point pairs of env (some with equal endpoints), the
     first 40 again reversed and repeated, and via pairs (p, o), (o, q),

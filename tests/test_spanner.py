@@ -3,11 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
+from boxspan import spanner
 from boxspan.cspd import CONES, ConeId, CspdPair, build_cspd
-from boxspan.geodesic import GeodesicSolver, geodesic_distance, oracle_fine_grid_distance
-from boxspan.geometry import (AxisBox, Environment, Point3, bounding_box, l1_distance)
+from boxspan.geodesic import (GRID_STAGE, GeodesicSolver, geodesic_distance,
+                              oracle_fine_grid_distance)
+from boxspan.geometry import (AxisBox, Environment, Point3, bounding_box, l1_distance,
+                              points_array)
 from boxspan.generators import GenConfig, random_instance
-from boxspan.spanner import SpannerGraph, build_spanner, candidate_points, select_center
+from boxspan.spanner import (SpannerGraph, _nearest_members, build_spanner, candidate_points,
+                             select_center)
 
 UNIT_CUBE = AxisBox(Point3(0, 0, 0), Point3(1, 1, 1))
 
@@ -200,8 +204,10 @@ def test_faces_instance_puts_points_and_exits_on_obstacles():
     random_instance(GenConfig(seed=35, n=2, m=2)),
     random_instance(GenConfig(seed=36, n=3, m=3, max_side=0.3)),
     _faces_instance(),
+    random_instance(GenConfig(seed=0, n=32, m=40, placement="mixed", min_side=0.05,
+                              max_side=0.3, gap=0.01)),
 ], ids=["open", "mixed", "interior-apexes", "lattice", "lattice-cube", "n1", "n2", "n3",
-        "faces"])
+        "faces", "maze"])
 def test_build_matches_per_pair_reference(env):
     """Edges in insertion order and stats match the per-pair
     loop, and the solver is left with the same cache, filled in the same
@@ -213,6 +219,56 @@ def test_build_matches_per_pair_reference(env):
     assert list(got.edges.items()) == list(expected.edges.items())
     assert got.stats == expected.stats
     assert list(solver._cache.items()) == list(reference_solver._cache.items())
+
+
+@pytest.mark.parametrize("env", [
+    random_instance(GenConfig(seed=32, n=60, m=8, placement="mixed")),
+    _faces_instance(),
+], ids=["mixed", "faces"])
+def test_grid_stage_selections_move_some_centers(env, monkeypatch):
+    """The builder calls select_center only for a query with a grid-stage
+    selection row, and on these inputs some of those calls pick a member
+    other than the first L1-nearest one, so the builder's re-made weight
+    rows run (and test_build_matches_per_pair_reference checks them)."""
+    moved = []
+
+    def recording(pair, env, candidate, solver=None, states=None):
+        assert (states == GRID_STAGE).any()
+        center = select_center(pair, env, candidate, solver, states)
+        nearest = min(sorted(pair.a + pair.b),
+                      key=lambda i: (l1_distance(candidate, env.points[i]), i))
+        moved.append(center != nearest)
+        return center
+
+    monkeypatch.setattr(spanner, "select_center", recording)
+    build_spanner(env)
+    assert any(moved)
+
+
+def test_nearest_members_matches_per_segment_reference():
+    """Segments of LATTICE members in shuffled order, each with an apex at
+    an odd corner, where up to six members tie for nearest, or at a random
+    point: per segment, the smallest member at the least distance."""
+    rng = np.random.default_rng(7)
+    P = points_array(LATTICE)
+    odd = [c for c in itertools.product(range(5), repeat=3) if sum(c) % 2]
+    segments = []
+    for k in range(60):
+        size = len(P) if k % 4 == 0 else int(rng.integers(1, 12))
+        members = rng.choice(len(P), size=size, replace=False)
+        apex = np.array(odd[k % len(odd)], dtype=float) if k % 3 else rng.uniform(0, 4, 3)
+        segments.append((members, np.abs(P[members] - apex).sum(axis=1)))
+    expected, tied = [], 0
+    for members, dist in segments:
+        least = min(dist.tolist())
+        at_least = [m for m, d in zip(members.tolist(), dist.tolist()) if d == least]
+        expected.append(min(at_least))
+        tied += len(at_least) > 1
+    assert tied >= 10
+    got = _nearest_members(np.concatenate([d for _, d in segments]),
+                           np.concatenate([m for m, _ in segments]),
+                           np.array([len(m) for m, _ in segments]))
+    assert got.tolist() == expected
 
 
 def test_add_edge_rejects_self_loop():
