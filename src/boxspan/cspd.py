@@ -95,7 +95,7 @@ class Cspd:
     Pair k has apex ``apex[k]``, side A ``members[o : o + len_a[k]]`` and
     side B the ``len_b[k]`` members after it, where ``o = offsets[k]``; each
     side lists its point indices in (z, y, x, index) order.  ``pairs`` builds
-    the :class:`CspdPair` objects on first access; :meth:`pair` builds one.
+    the :class:`CspdPair` objects on first access.
     """
 
     cone: ConeId
@@ -123,16 +123,13 @@ class Cspd:
         """Start of each pair's members, plus the total at the end."""
         return np.concatenate([[0], np.cumsum(self.len_a + self.len_b)])
 
-    def pair(self, k: int) -> CspdPair:
-        start, split = int(self.offsets[k]), int(self.offsets[k] + self.len_a[k])
-        return CspdPair(self.cone,
-                        tuple(self.members[start:split].tolist()),
-                        tuple(self.members[split:self.offsets[k + 1]].tolist()),
-                        Point3(*self.apex[k].tolist()))
-
     @cached_property
     def pairs(self) -> tuple[CspdPair, ...]:
-        return tuple(self.pair(k) for k in range(len(self)))
+        offsets, members = self.offsets.tolist(), self.members.tolist()
+        return tuple(CspdPair(self.cone, tuple(members[lo:lo + a]), tuple(members[lo + a:hi]),
+                              Point3(*apex))
+                     for lo, hi, a, apex in zip(offsets, offsets[1:], self.len_a.tolist(),
+                                                self.apex.tolist()))
 
 
 def _ranges(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ edges of obstacles.
 
 from __future__ import annotations
 
-from itertools import permutations, repeat
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -218,45 +218,46 @@ class GeodesicSolver:
         pts = targets if isinstance(targets, np.ndarray) else points_array(targets)
         if s.ndim == 2 and len(s) != len(pts):
             raise ValueError(f"{len(s)} source rows for {len(pts)} targets")
-        out = np.abs(pts - s).sum(axis=1)
+        S = np.broadcast_to(s, pts.shape)
+        out = np.abs(pts - S).sum(axis=1)
         if states is None:
-            states = self.classify(s, pts)
+            states = self.classify(S, pts)
         elif len(states) != len(pts):
             raise ValueError(f"{len(states)} states for {len(pts)} targets")
         ask = np.nonzero(states != BOX_FREE)[0]
         if len(ask):
-            self._settle(s, pts, out, ask, states[ask])
+            self._settle(S, pts, out, ask, states[ask])
         return out
 
     def classify(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
         """How each pair (S[k], T[k]) is settled: :data:`BOX_FREE`,
         :data:`STAIRCASE_CLEAR` or :data:`GRID_STAGE`, as an int8 array.
 
-        S is one source row for all pairs or one row per pair.  The box test
-        runs on all pairs and the staircase broadcast on the box-meeting
-        ones, each in chunks that bound its memory.  The state is a pure
-        function of the coordinates and the obstacles, symmetric in (S, T):
-        both tests compare only coordinates and their minima and maxima, and
-        the six staircases from t to s are those from s to t walked
-        backwards.  It reads and writes no cache, so classifying early, in
+        S is one source row for all pairs, broadcast on entry, or one row per
+        pair.  The box test runs on all pairs and the staircase broadcast on
+        the box-meeting ones, each in chunks that bound its memory.  The
+        state is a pure function of the coordinates and the obstacles,
+        symmetric in (S, T): both tests compare only coordinates and their
+        minima and maxima, and the six staircases from t to s are those from
+        s to t walked backwards.  It reads and writes no cache, so classifying early, in
         bulk, changes no answer.
         """
         T = np.asarray(T, dtype=float).reshape(-1, 3)
-        S = np.asarray(S, dtype=float)
         states = np.full(len(T), BOX_FREE, dtype=np.int8)
         if len(self.obs_lo) == 0 or len(T) == 0:
             return states
+        S = np.broadcast_to(np.asarray(S, dtype=float), T.shape)
         step = max(1, _BOX_TEST_CHUNK // (3 * len(self.obs_lo)))
         meets = []
         for start in range(0, len(T), step):
-            s, t = (S if S.ndim == 1 else S[start:start + step]), T[start:start + step]
+            s, t = S[start:start + step], T[start:start + step]
             meets.append(np.nonzero(self.meets_obstacles(np.minimum(s, t), np.maximum(s, t)))[0]
                          + start)
         meets = np.concatenate(meets)
         states[meets] = GRID_STAGE
         for start in range(0, len(meets), _STAIRCASE_CHUNK):
             rows = meets[start:start + _STAIRCASE_CHUNK]
-            clear = self._staircase_clear(S if S.ndim == 1 else S[rows], T[rows])
+            clear = self._staircase_clear(S[rows], T[rows])
             states[rows[clear]] = STAIRCASE_CLEAR
         return states
 
@@ -278,27 +279,21 @@ class GeodesicSolver:
                 states: np.ndarray) -> None:
         """Answer and cache the pairs ask of (S, T), one at a time in order.
 
-        S is one source row for all pairs or one row per pair, out holds each
-        pair's L1 on entry, and states is :meth:`classify` of the asked
-        pairs.  A box-free or staircase-clear pair is L1 in both
-        orientations, so it is cached as L1 even when cached already: the
-        value is the same.  Any other pair keeps its cached value or goes
-        through the grid stage :meth:`_sigma`, in this orientation.  The
-        pairs are taken _STAIRCASE_CHUNK at a time, which bounds the memory
-        of the Python rows made for the keys.
+        S holds one source row per pair, out holds each pair's L1 on entry,
+        and states is :meth:`classify` of the asked pairs.  A box-free or
+        staircase-clear pair is L1 in both orientations, so it is cached as
+        L1 even when cached already: the value is the same.  Any other pair
+        keeps its cached value or goes through the grid stage :meth:`_sigma`,
+        in this orientation.  The pairs are taken _STAIRCASE_CHUNK at a time,
+        which bounds the memory of the Python rows made for the keys.
         """
-        single = S.ndim == 1
-        source = tuple(S.tolist()) if single else None
         cache = self._cache
-        # Per-pair sources share one tuple per distinct point among all keys.
+        # The keys share one tuple per distinct point.
         shared: dict[tuple, tuple] = {}
         for start in range(0, len(ask), _STAIRCASE_CHUNK):
             rows = ask[start:start + _STAIRCASE_CHUNK]
-            if single:
-                firsts, seconds = repeat(source), map(tuple, T[rows].tolist())
-            else:
-                firsts = [shared.setdefault(a, a) for a in map(tuple, S[rows].tolist())]
-                seconds = [shared.setdefault(b, b) for b in map(tuple, T[rows].tolist())]
+            firsts = [shared.setdefault(a, a) for a in map(tuple, S[rows].tolist())]
+            seconds = [shared.setdefault(b, b) for b in map(tuple, T[rows].tolist())]
             for i, a, b, l1, state in zip(rows.tolist(), firsts, seconds, out[rows].tolist(),
                                           states[start:start + _STAIRCASE_CHUNK].tolist()):
                 key = _pair_key(a, b)
@@ -307,7 +302,7 @@ class GeodesicSolver:
                     continue
                 d = cache.get(key)
                 if d is None:
-                    d = cache[key] = self._sigma(S if single else S[i], T[i])
+                    d = cache[key] = self._sigma(S[i], T[i])
                 out[i] = d
 
     def _sigma(self, s: np.ndarray, t: np.ndarray) -> float:
@@ -374,7 +369,7 @@ class GeodesicSolver:
         # Axis first, so that both reductions run over leading axes:
         # corners (3, 8, k), legs (3, 12, k), hits (3, obstacles, 12, k).
         corners = np.where(_CORNER_FROM_TARGET[:, :, None], pts.T[:, None, :],
-                           s[:, None, None] if s.ndim == 1 else s.T[:, None, :])
+                           s.reshape(-1, 3).T[:, None, :])
         a, b = corners[:, _LEG_START], corners[:, _LEG_END]
         lo = np.minimum(a, b)[:, None]
         hi = np.maximum(a, b)[:, None]

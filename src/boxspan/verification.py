@@ -65,7 +65,10 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
     Also records as ``understated`` the first pair, in row order, whose
     graph distance falls below (1 - STRETCH_SLACK) times its geodesic
     distance: no path amid the obstacles is shorter than the geodesic, so
-    only understated edge weights can cause it.
+    only understated edge weights can cause it.  Above L1, sigma(p, q) and
+    sigma(q, p) can differ by an ulp (see :class:`GeodesicSolver`), and the
+    builder's solver may have met a pair in the other orientation, so an
+    edge weight can sit an ulp off the sigma here; STRETCH_SLACK covers it.
     """
     if g.n != env.n:
         raise ValueError("graph and environment disagree on the number of points")
@@ -176,13 +179,22 @@ def norm_conversion_check(env: Environment) -> bool:
     This is the computational content behind quoting the measured L1 stretch
     times sqrt(3) as the Euclidean stretch; the conversion itself is
     analytic, not measured.
+
+    Each bound has a relative margin of 1e-12, so the check means the same
+    at every scale.  With u = 2**-53 and the coordinate differences as exact
+    inputs, to first order: l1 (two additions) is within 2u; l2 within 2.5u
+    (squares and additions 3u, halved by the root, plus u for it); l1 /
+    NORM_RATIO within 4u.  Rounding thus moves a comparison by at most 6.5u,
+    about 7e-16, far below the margin, while a ratio off by more than the
+    margin fails on a diagonal line.  This holds while the squares neither
+    underflow nor overflow (differences between about 1e-154 and 1e154).
     """
     pts = points_array(env.points)
     for i in range(len(pts) - 1):
         diff = np.abs(pts[i + 1:] - pts[i])
         l1 = diff.sum(axis=1)
         l2 = np.sqrt((diff * diff).sum(axis=1))
-        if not np.all((l1 / NORM_RATIO <= l2 + EPS_GEOM) & (l2 <= l1 + EPS_GEOM)):
+        if not np.all((l1 / NORM_RATIO <= l2 * (1 + 1e-12)) & (l2 <= l1 * (1 + 1e-12))):
             return False
     return True
 

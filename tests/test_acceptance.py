@@ -135,13 +135,13 @@ def test_criterion_5_slab_lower_bound():
         for j in range(i + 1, n):
             sigma = solver.distance(env.points[i], env.points[j])
             assert s - 1e-9 <= sigma <= s + eps + 4 * delta + 1e-9, (i, j, sigma)
-            complete.add_edge(i, j, sigma)
+            complete.edges[(i, j)] = sigma
     worst_ratio = math.inf
     for victim in list(complete.edges):
         pruned = SpannerGraph(n=n)
         for edge, w in complete.edges.items():
             if edge != victim:
-                pruned.add_edge(*edge, w)
+                pruned.edges[edge] = w
         detour = graph_distances(pruned, victim[0])[victim[1]]
         worst_ratio = min(worst_ratio, detour / complete.edges[victim])
     ok = worst_ratio > 2 - eps

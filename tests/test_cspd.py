@@ -106,7 +106,6 @@ def assert_matches_reference(pts):
         assert [tuple(map(repr, p.apex.as_tuple())) for p in got.pairs] == \
             [tuple(map(repr, p.apex.as_tuple())) for p in expected]
         assert got.size_sum == sum(len(p.a) + len(p.b) for p in expected)
-        assert [got.pair(k) for k in range(len(got))] == list(expected)
 
 
 def test_classify_examples():

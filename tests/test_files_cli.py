@@ -231,6 +231,17 @@ def test_cli_verify_flags_bound_violation(tmp_path):
                  "--detour-samples", "10"]) == 1
 
 
+def test_cli_verify_norm_sandwich_at_large_coordinates(tmp_path, capsys):
+    """Two points on the main diagonal, 3e9 apart per axis: l2 = l1 / sqrt(3)
+    up to rounding, which an absolute margin of 1e-9 does not cover."""
+    inst, graph = str(tmp_path / "inst.json"), str(tmp_path / "graph.json")
+    with open(inst, "w") as fh:
+        json.dump({"points": [[0, 0, 0], [3e9, 3e9, 3e9]]}, fh)
+    assert main(["build", "--in", inst, "--out", graph]) == 0
+    assert main(["verify", "--instance", inst, "--graph", graph]) == 0
+    assert "norm sandwich ok" in capsys.readouterr().out
+
+
 def test_cli_verify_rejects_understated_weights(tmp_path, capsys):
     """A graph shorter than the geodesic distances breaks the bounds: a star
     of tiny weights and the real spanner with every weight scaled down both

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from boxspan import spanner
-from boxspan.cspd import CONES, ConeId, CspdPair, build_cspd
-from boxspan.geodesic import (GRID_STAGE, GeodesicSolver, geodesic_distance,
-                              oracle_fine_grid_distance)
+from boxspan.cspd import CONES, ConeId, Cspd, CspdPair, build_cspd
+from boxspan.geodesic import GeodesicSolver, geodesic_distance, oracle_fine_grid_distance
 from boxspan.geometry import (AxisBox, Environment, Point3, bounding_box, l1_distance,
                               points_array)
 from boxspan.generators import GenConfig, random_instance
@@ -158,7 +157,7 @@ def reference_build(env, solver):
                                                 [env.points[q] for q in others])
                 graph.stats["emissions"] += len(others)
                 for q, weight in zip(others, weights.tolist()):
-                    graph.add_edge(center, q, weight)
+                    graph.edges.setdefault((min(center, q), max(center, q)), weight)
     return graph
 
 
@@ -194,20 +193,27 @@ def test_faces_instance_puts_points_and_exits_on_obstacles():
     assert exits_at_points
 
 
-@pytest.mark.parametrize("env", [
-    random_instance(GenConfig(seed=31, n=120, m=0)),
-    random_instance(GenConfig(seed=32, n=60, m=8, placement="mixed")),
-    random_instance(GenConfig(seed=33, n=60, m=10, max_side=0.3)),
-    Environment([], LATTICE),
-    Environment([AxisBox(Point3(1.0, 1.0, 1.0), Point3(2.0, 2.0, 3.0))], LATTICE),
-    random_instance(GenConfig(seed=34, n=1, m=2)),
-    random_instance(GenConfig(seed=35, n=2, m=2)),
-    random_instance(GenConfig(seed=36, n=3, m=3, max_side=0.3)),
-    _faces_instance(),
-    random_instance(GenConfig(seed=0, n=32, m=40, placement="mixed", min_side=0.05,
-                              max_side=0.3, gap=0.01)),
-], ids=["open", "mixed", "interior-apexes", "lattice", "lattice-cube", "n1", "n2", "n3",
-        "faces", "maze"])
+INPUTS = {
+    "open": random_instance(GenConfig(seed=31, n=120, m=0)),
+    "mixed": random_instance(GenConfig(seed=32, n=60, m=8, placement="mixed")),
+    "interior-apexes": random_instance(GenConfig(seed=33, n=60, m=10, max_side=0.3)),
+    "lattice": Environment([], LATTICE),
+    "lattice-cube": Environment([AxisBox(Point3(1.0, 1.0, 1.0), Point3(2.0, 2.0, 3.0))],
+                                LATTICE),
+    "n1": random_instance(GenConfig(seed=34, n=1, m=2)),
+    "n2": random_instance(GenConfig(seed=35, n=2, m=2)),
+    "n3": random_instance(GenConfig(seed=36, n=3, m=3, max_side=0.3)),
+    "faces": _faces_instance(),
+    "maze": random_instance(GenConfig(seed=0, n=32, m=40, placement="mixed", min_side=0.05,
+                                      max_side=0.3, gap=0.01)),
+}
+
+
+def _inputs(*names):
+    return pytest.mark.parametrize("env", [INPUTS[name] for name in names], ids=names)
+
+
+@_inputs(*INPUTS)
 def test_build_matches_per_pair_reference(env):
     """Edges in insertion order and stats match the per-pair
     loop, and the solver is left with the same cache, filled in the same
@@ -221,28 +227,36 @@ def test_build_matches_per_pair_reference(env):
     assert list(solver._cache.items()) == list(reference_solver._cache.items())
 
 
-@pytest.mark.parametrize("env", [
-    random_instance(GenConfig(seed=32, n=60, m=8, placement="mixed")),
-    _faces_instance(),
-], ids=["mixed", "faces"])
-def test_grid_stage_selections_move_some_centers(env, monkeypatch):
-    """The builder calls select_center only for a query with a grid-stage
-    selection row, and on these inputs some of those calls pick a member
-    other than the first L1-nearest one, so the builder's re-made weight
-    rows run (and test_build_matches_per_pair_reference checks them)."""
-    moved = []
+@_inputs("mixed", "faces")
+def test_grid_stage_selections_move_some_centers(env):
+    """On these inputs select_center, asked per (pair, distinct exit) as the
+    per-pair loop asks it, picks for some exit a member other than the first
+    L1-nearest one, so the builder's re-made weight rows run (and
+    test_build_matches_per_pair_reference checks them)."""
+    solver = GeodesicSolver(env)
+    moved = 0
+    for cone in CONES:
+        for pair in build_cspd(env.points, cone).pairs:
+            for cand in dict.fromkeys(candidate_points(pair, env)):
+                nearest = min(sorted(pair.a + pair.b),
+                              key=lambda i: (l1_distance(cand, env.points[i]), i))
+                moved += select_center(pair, env, cand, solver) != nearest
+    assert moved
 
-    def recording(pair, env, candidate, solver=None, states=None):
-        assert (states == GRID_STAGE).any()
-        center = select_center(pair, env, candidate, solver, states)
-        nearest = min(sorted(pair.a + pair.b),
-                      key=lambda i: (l1_distance(candidate, env.points[i]), i))
-        moved.append(center != nearest)
-        return center
 
-    monkeypatch.setattr(spanner, "select_center", recording)
+@_inputs("faces", "maze", "mixed", "lattice-cube")
+def test_builder_takes_no_per_pair_path(env, monkeypatch):
+    """The builder finds exits, centers and weights on arrays for every
+    pair: it calls none of candidate_points, select_center or project_out
+    and builds no CspdPair, on inputs with interior apexes, grid-stage
+    selections and points on obstacle faces."""
+    def per_pair(*args, **kwargs):
+        raise AssertionError("the builder took the per-pair path")
+
+    for name in ("candidate_points", "select_center", "project_out"):
+        monkeypatch.setattr(spanner, name, per_pair)
+    monkeypatch.setattr(Cspd, "pairs", property(per_pair))
     build_spanner(env)
-    assert any(moved)
 
 
 def test_nearest_members_matches_per_segment_reference():
@@ -269,16 +283,3 @@ def test_nearest_members_matches_per_segment_reference():
                            np.concatenate([m for m, _ in segments]),
                            np.array([len(m) for m, _ in segments]))
     assert got.tolist() == expected
-
-
-def test_add_edge_rejects_self_loop():
-    g = SpannerGraph(n=3)
-    with pytest.raises(ValueError):
-        g.add_edge(1, 1, 1.0)
-
-
-def test_dedup_keeps_first_emission():
-    g = SpannerGraph(n=3)
-    g.add_edge(2, 0, 5.0)
-    g.add_edge(0, 2, 7.0)
-    assert g.edges == {(0, 2): 5.0}

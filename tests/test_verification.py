@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from boxspan import verification
 from boxspan.geodesic import GeodesicSolver
 from boxspan.geometry import (AxisBox, Environment, Point3, bounding_box, l1_distance,
                               l2_distance)
@@ -15,10 +16,7 @@ from boxspan.verification import (STRETCH_BOUND_L1, VIA_DETOUR_FACTOR, check_via
 
 
 def _graph(n, edges):
-    g = SpannerGraph(n=n)
-    for i, j, w in edges:
-        g.add_edge(i, j, w)
-    return g
+    return SpannerGraph(n=n, edges={(i, j): w for i, j, w in edges})
 
 
 def test_graph_distances_single_edge():
@@ -47,7 +45,7 @@ def test_spanning_ratio_of_complete_geodesic_graph_is_one():
     g = SpannerGraph(n=env.n)
     for i in range(env.n):
         for j in range(i + 1, env.n):
-            g.add_edge(i, j, solver.distance(env.points[i], env.points[j]))
+            g.edges[(i, j)] = solver.distance(env.points[i], env.points[j])
     report = spanning_ratio(env, g, solver=solver)
     assert report.max_ratio == pytest.approx(1.0, abs=1e-12)
 
@@ -199,6 +197,17 @@ def test_norm_conversion_check_on_a_line(line):
     assert norm_conversion_check(env)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e9, 1e12])
+def test_norm_conversion_check_margin_is_relative(scale, monkeypatch):
+    """On a diagonal line the sandwich holds at every scale, and a ratio one
+    part in 1e9 below sqrt(3) makes it fail at every scale."""
+    ts = (-7.5, -1.0, 0.0, 0.125, 2.0, 3e3)
+    env = Environment([], [Point3(t * scale, t * scale, t * scale) for t in ts])
+    assert norm_conversion_check(env)
+    monkeypatch.setattr(verification, "NORM_RATIO", verification.NORM_RATIO * (1 - 1e-9))
+    assert not norm_conversion_check(env)
+
+
 def test_missing_edge_on_slab_instance_doubles_the_trip():
     """Dropping any edge of the complete graph forces a two-leg detour."""
     eps, s = 0.1, 2.1
@@ -207,12 +216,12 @@ def test_missing_edge_on_slab_instance_doubles_the_trip():
     full = SpannerGraph(n=env.n)
     for i in range(env.n):
         for j in range(i + 1, env.n):
-            full.add_edge(i, j, solver.distance(env.points[i], env.points[j]))
+            full.edges[(i, j)] = solver.distance(env.points[i], env.points[j])
     victim = (0, env.n - 1)
     pruned = SpannerGraph(n=env.n)
     for (i, j), w in full.edges.items():
         if (i, j) != victim:
-            pruned.add_edge(i, j, w)
+            pruned.edges[(i, j)] = w
     d = graph_distances(pruned, victim[0])[victim[1]]
     sigma = full.edges[victim]
     assert d >= 2 * s - 1e-9
