@@ -100,18 +100,50 @@ def _grid_csr(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
               links: list[np.ndarray]) -> csr_matrix:
     """The grid graph: one edge per link, from its lower node (numbered in C
     order) to the next node along the link's axis, weighted by its length."""
+    return _grid_graph(cuts, links, both_ways=False)
+
+
+def _grid_graph(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
+                links: list[np.ndarray], both_ways: bool) -> csr_matrix:
+    """The graph of :func:`_grid_csr`; with both_ways, also each edge back,
+    so that the graph is symmetric.
+
+    The CSR arrays are made directly.  A node u's neighbors along the links
+    are u - ny*nz, u - nz, u - 1, u + 1, u + nz and u + ny*nz, in increasing
+    order (two of them tie only on an axis with one cut, which has no
+    links).  So with one slot per direction in that order, the nonzero
+    slots taken in C order are each row's edges with sorted columns, and
+    indptr is the cumulative count of a node's slots.
+    """
     shape = tuple(len(c) for c in cuts)
-    n_nodes = shape[0] * shape[1] * shape[2]
-    strides = (shape[1] * shape[2], shape[2], 1)
-    rows, cols, weights = [], [], []
-    for axis in range(3):
-        idx = np.nonzero(links[axis])
-        u = np.ravel_multi_index(idx, shape)
-        rows.append(u)
-        cols.append(u + strides[axis])
-        weights.append(np.diff(cuts[axis])[idx[axis]])
-    return csr_matrix((np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n_nodes, n_nodes))
+    nx, ny, nz = shape
+    n_nodes = nx * ny * nz
+    k = 6 if both_ways else 3
+    steps = [np.diff(c) for c in cuts]
+    # Slots (-x, -y, -z) when both_ways, then (+z, +y, +x).
+    mask = np.zeros(shape + (k,), dtype=bool)
+    weight = np.zeros(shape + (k,))
+    up = k - 3
+    mask[:, :, :-1, up] = links[2]
+    mask[:, :-1, :, up + 1] = links[1]
+    mask[:-1, :, :, up + 2] = links[0]
+    weight[:, :, :-1, up] = steps[2]
+    weight[:, :-1, :, up + 1] = steps[1][:, None]
+    weight[:-1, :, :, up + 2] = steps[0][:, None, None]
+    if both_ways:
+        mask[1:, :, :, 0] = links[0]
+        mask[:, 1:, :, 1] = links[1]
+        mask[:, :, 1:, 2] = links[2]
+        weight[1:, :, :, 0] = steps[0][:, None, None]
+        weight[:, 1:, :, 1] = steps[1][:, None]
+        weight[:, :, 1:, 2] = steps[2]
+    index = np.int32 if k * n_nodes < 2 ** 31 else np.int64
+    offsets = np.array([-ny * nz, -nz, -1, 1, nz, ny * nz], dtype=index)[3 - up:]
+    slot = np.flatnonzero(mask)
+    indptr = np.zeros(n_nodes + 1, dtype=index)
+    np.cumsum(np.count_nonzero(mask.reshape(n_nodes, k), axis=1), out=indptr[1:])
+    indices = (slot // k).astype(index) + offsets[slot % k]
+    return csr_matrix((weight.reshape(-1)[slot], indices, indptr), shape=(n_nodes, n_nodes))
 
 
 class GeodesicSolver:
@@ -123,7 +155,7 @@ class GeodesicSolver:
     miss is a batch of one).  :meth:`classify` runs steps 1 and 2 below as
     numpy broadcasts over many pairs at a time and gives each pair a state:
     box-free, staircase-clear or grid stage.  :meth:`_settle` then resolves
-    the pairs one at a time in order: it reads and writes the cache, and only
+    the pairs in order: it reads and writes the cache, and only
     the grid-stage pairs it finds no answer for take the per-pair path, the
     grid stage :meth:`_sigma` (steps 3 and 4).
 
@@ -209,10 +241,11 @@ class GeodesicSolver:
 
         One call with a source row per target returns, and leaves in the
         cache, what one call per row in the same order would: :meth:`_settle`
-        resolves the rows one at a time in order either way, with each row's
-        own source, and the keys, the L1 and the classification of a row do
-        not depend on the other rows.  The builder asks its queries this way,
-        many (pair, exit) queries per call.
+        resolves the rows in order either way, with each row's own source,
+        and the keys, the L1 and the classification of a row do not depend
+        on the other rows.  The builder asks its queries this way, many
+        (pair, exit) queries per call, and so does the stretch scan, a block
+        of rows of pairs per call.
         """
         s = np.array(source.as_tuple()) if isinstance(source, Point3) else np.asarray(source)
         pts = targets if isinstance(targets, np.ndarray) else points_array(targets)
@@ -247,13 +280,7 @@ class GeodesicSolver:
         if len(self.obs_lo) == 0 or len(T) == 0:
             return states
         S = np.broadcast_to(np.asarray(S, dtype=float), T.shape)
-        step = max(1, _BOX_TEST_CHUNK // (3 * len(self.obs_lo)))
-        meets = []
-        for start in range(0, len(T), step):
-            s, t = S[start:start + step], T[start:start + step]
-            meets.append(np.nonzero(self.meets_obstacles(np.minimum(s, t), np.maximum(s, t)))[0]
-                         + start)
-        meets = np.concatenate(meets)
+        meets = np.flatnonzero(self.meets_obstacles(np.minimum(S, T), np.maximum(S, T)))
         states[meets] = GRID_STAGE
         for start in range(0, len(meets), _STAIRCASE_CHUNK):
             rows = meets[start:start + _STAIRCASE_CHUNK]
@@ -264,9 +291,20 @@ class GeodesicSolver:
     def meets_obstacles(self, blo: np.ndarray, bhi: np.ndarray) -> np.ndarray:
         """Per closed box [blo[k], bhi[k]], whether some obstacle's open
         interior meets it; where none does, every geodesic between two points
-        of the box is plain L1."""
-        return ((self.obs_lo[:, None, :] < bhi[None, :, :])
-                & (self.obs_hi[:, None, :] > blo[None, :, :])).all(axis=2).any(axis=0)
+        of the box is plain L1.  For a point, blo = bhi, it says whether the
+        point lies strictly inside an obstacle.
+
+        The boxes are tested in chunks whose temporaries hold at most
+        _BOX_TEST_CHUNK (boxes x obstacles x 3) elements.
+        """
+        out = np.zeros(len(blo), dtype=bool)
+        step = max(1, _BOX_TEST_CHUNK // (3 * max(len(self.obs_lo), 1)))
+        for start in range(0, len(blo), step):
+            lo, hi = blo[start:start + step], bhi[start:start + step]
+            out[start:start + step] = ((self.obs_lo[:, None, :] < hi[None, :, :])
+                                       & (self.obs_hi[:, None, :] > lo[None, :, :])
+                                       ).all(axis=2).any(axis=0)
+        return out
 
     # -- internals ---------------------------------------------------------
 
@@ -277,33 +315,42 @@ class GeodesicSolver:
 
     def _settle(self, S: np.ndarray, T: np.ndarray, out: np.ndarray, ask: np.ndarray,
                 states: np.ndarray) -> None:
-        """Answer and cache the pairs ask of (S, T), one at a time in order.
+        """Answer and cache the pairs ask of (S, T), in order.
 
         S holds one source row per pair, out holds each pair's L1 on entry,
         and states is :meth:`classify` of the asked pairs.  A box-free or
         staircase-clear pair is L1 in both orientations, so it is cached as
         L1 even when cached already: the value is the same.  Any other pair
         keeps its cached value or goes through the grid stage :meth:`_sigma`,
-        in this orientation.  The pairs are taken _STAIRCASE_CHUNK at a time,
-        which bounds the memory of the Python rows made for the keys.
+        in this orientation.
+
+        The pairs are taken _STAIRCASE_CHUNK at a time, which bounds the
+        memory of the Python rows made for the keys; a chunk's keys are made
+        in one pass.  Each run of L1 pairs between two grid-stage pairs is
+        written with one ``dict.update``, which writes its keys in the run's
+        order, as one assignment per pair would, and every grid-stage pair
+        is resolved after the run before it is written and before the run
+        after it.  So the values and the cache, entry for entry and in
+        insertion order, are those of resolving the pairs one at a time.
         """
         cache = self._cache
         # The keys share one tuple per distinct point.
         shared: dict[tuple, tuple] = {}
         for start in range(0, len(ask), _STAIRCASE_CHUNK):
             rows = ask[start:start + _STAIRCASE_CHUNK]
-            firsts = [shared.setdefault(a, a) for a in map(tuple, S[rows].tolist())]
-            seconds = [shared.setdefault(b, b) for b in map(tuple, T[rows].tolist())]
-            for i, a, b, l1, state in zip(rows.tolist(), firsts, seconds, out[rows].tolist(),
-                                          states[start:start + _STAIRCASE_CHUNK].tolist()):
-                key = _pair_key(a, b)
-                if state != GRID_STAGE:
-                    cache[key] = l1
-                    continue
-                d = cache.get(key)
+            keys = list(map(_pair_key,
+                            [shared.setdefault(a, a) for a in map(tuple, S[rows].tolist())],
+                            [shared.setdefault(b, b) for b in map(tuple, T[rows].tolist())]))
+            l1 = out[rows].tolist()
+            done = 0
+            for g in np.flatnonzero(states[start:start + _STAIRCASE_CHUNK] == GRID_STAGE).tolist():
+                cache.update(zip(keys[done:g], l1[done:g]))
+                i, done = rows[g], g + 1
+                d = cache.get(keys[g])
                 if d is None:
-                    d = cache[key] = self._sigma(S[i], T[i])
+                    d = cache[keys[g]] = self._sigma(S[i], T[i])
                 out[i] = d
+            cache.update(zip(keys[done:], l1[done:]))
 
     def _sigma(self, s: np.ndarray, t: np.ndarray) -> float:
         """Grid stage (steps 3 and 4) of one pair that :meth:`_settle` left
@@ -394,9 +441,18 @@ def _grid_distance(cuts: tuple[np.ndarray, np.ndarray, np.ndarray], links: list[
                    ends: np.ndarray) -> float:
     """Dijkstra distance from s to t on a grid of :meth:`GeodesicSolver._grid`:
     an upper bound on the geodesic distance, exact once the grid carries the
-    faces of every obstacle an optimal path touches."""
+    faces of every obstacle an optimal path touches.
+
+    The search runs directed on the symmetric graph, which spares scipy the
+    transpose an undirected search makes on every call.  The value is that
+    of an undirected search on the one-way graph, to the bit: the weights
+    are at least 0 and rounding is monotone, so every left-fold sum along a
+    path is at least that of its prefix, and Dijkstra's value at a node is
+    the least left-fold sum over the paths to it, whatever order it relaxes
+    the edges in.  Both searches see the same paths.
+    """
     source, target = np.ravel_multi_index(ends, tuple(len(c) for c in cuts))
-    dist = dijkstra(_grid_csr(cuts, links), directed=False, indices=int(source))
+    dist = dijkstra(_grid_graph(cuts, links, both_ways=True), directed=True, indices=int(source))
     return float(dist[target])
 
 

@@ -24,6 +24,10 @@ STRETCH_SLACK = 1e-6
 VIA_DETOUR_FACTOR = 4.0
 NORM_RATIO = math.sqrt(3.0)
 
+# Most point pairs one block of the stretch scan asks at once: its arrays
+# hold a few floats per pair.
+_STRETCH_BLOCK = 1 << 13
+
 
 @dataclass
 class StretchReport:
@@ -62,6 +66,16 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
                    solver: GeodesicSolver | None = None) -> StretchReport:
     """Max over all pairs of graph distance divided by geodesic distance.
 
+    The pairs (i, j), j > i, are taken in row-major order, in blocks of
+    whole rows of at most _STRETCH_BLOCK pairs (a longer row is a block of
+    its own).  Each block is one :meth:`GeodesicSolver.distances_from` call
+    with one source row per target.  That call returns, and leaves in the
+    cache, what one call per row would, in the same order, so sigma, the
+    grid-stage calls and the cache, entry for entry and in insertion order,
+    are those of asking row by row.  Row by row, each row's first argmax
+    replaces the best ratio only when it is strictly greater, so ``argmax``
+    is the first pair in row order with the largest ratio.
+
     Also records as ``understated`` the first pair, in row order, whose
     graph distance falls below (1 - STRETCH_SLACK) times its geodesic
     distance: no path amid the obstacles is shorter than the geodesic, so
@@ -74,24 +88,39 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
         raise ValueError("graph and environment disagree on the number of points")
     if solver is None:
         solver = GeodesicSolver(env)
-    if g.n < 2:
+    n = g.n
+    if n < 2:
         return StretchReport(max_ratio=1.0, argmax=None)
     dist_graph = dijkstra(_graph_csr(g), directed=False)
     P = points_array(env.points)
+    # Row i holds the pairs (i, i+1), ..., (i, n-1), at the row-major
+    # positions ends[i] - lengths[i] to ends[i] - 1, so the pair at position
+    # k has j = k - (ends[i] - n).
+    lengths = np.arange(n - 1, 0, -1)
+    ends = np.cumsum(lengths)
     best = 0.0
     arg: tuple[int, int] | None = None
     understated: tuple[int, int] | None = None
-    for i in range(g.n - 1):
-        sigma = solver.distances_from(P[i], P[i + 1:])
-        ratios = dist_graph[i, i + 1:] / sigma
-        j_rel = int(np.argmax(ratios))
-        if ratios[j_rel] > best:
-            best = float(ratios[j_rel])
-            arg = (i, i + 1 + j_rel)
+    first = 0
+    while first < n - 1:
+        done = ends[first] - lengths[first]
+        last = max(first + 1, int(np.searchsorted(ends, done + _STRETCH_BLOCK, side="right")))
+        rows = np.repeat(np.arange(first, last), lengths[first:last])
+        cols = np.arange(done, ends[last - 1]) - np.repeat(ends[first:last] - n, lengths[first:last])
+        ratios = dist_graph[rows, cols] / solver.distances_from(P[rows], P[cols])
+        start = 0
+        for i, length in zip(range(first, last), lengths[first:last].tolist()):
+            row = ratios[start:start + length]
+            j_rel = int(np.argmax(row))
+            if row[j_rel] > best:
+                best = float(row[j_rel])
+                arg = (i, i + 1 + j_rel)
+            start += length
         if understated is None:
-            below = np.nonzero(ratios < 1 - STRETCH_SLACK)[0]
+            below = np.flatnonzero(ratios < 1 - STRETCH_SLACK)
             if len(below):
-                understated = (i, i + 1 + int(below[0]))
+                understated = (int(rows[below[0]]), int(cols[below[0]]))
+        first = last
     return StretchReport(max_ratio=best, argmax=arg, understated=understated)
 
 
@@ -131,6 +160,21 @@ def via_triples(env: Environment, count: int,
     return triples
 
 
+def _check_via_points(solver: GeodesicSolver, P: np.ndarray, Q: np.ndarray,
+                      O: np.ndarray) -> None:
+    """Raise ValueError at the first triple (P[k], Q[k], O[k]) whose via
+    point lies outside the closed box of p and q, or with a point strictly
+    inside an obstacle; the message says which, the box test first."""
+    outside = ~((np.minimum(P, Q) <= O) & (O <= np.maximum(P, Q))).all(axis=1)
+    X = np.stack([P, Q, O], axis=1).reshape(-1, 3)
+    inside = solver.meets_obstacles(X, X).reshape(-1, 3).any(axis=1)
+    bad = np.flatnonzero(outside | inside)
+    if len(bad):
+        if outside[bad[0]]:
+            raise ValueError("via point must lie in the closed box of p and q")
+        raise ValueError("query points must lie outside obstacle interiors")
+
+
 def check_via_detour(env: Environment, p: Point3, q: Point3, o: Point3,
                      solver: GeodesicSolver | None = None) -> tuple[float, float, bool]:
     """Check sigma(p,o) + sigma(o,q) <= 4 * sigma(p,q) for o in the box of p and q.
@@ -138,16 +182,14 @@ def check_via_detour(env: Environment, p: Point3, q: Point3, o: Point3,
     Returns (lhs, rhs, holds).  The via point must lie in the closed box
     spanned by p and q, and all three points outside obstacle interiors.
     """
-    if not (min(p.x, q.x) <= o.x <= max(p.x, q.x)
-            and min(p.y, q.y) <= o.y <= max(p.y, q.y)
-            and min(p.z, q.z) <= o.z <= max(p.z, q.z)):
-        raise ValueError("via point must lie in the closed box of p and q")
-    for pt in (p, q, o):
-        for box in env.obstacles:
-            if box.contains_interior(pt):
-                raise ValueError("query points must lie outside obstacle interiors")
     if solver is None:
         solver = GeodesicSolver(env)
+    _check_via_points(solver, *(np.array([pt.as_tuple()]) for pt in (p, q, o)))
+    return _via_detour(solver, p, q, o)
+
+
+def _via_detour(solver: GeodesicSolver, p: Point3, q: Point3,
+                o: Point3) -> tuple[float, float, bool]:
     lhs = solver.distance(p, o) + solver.distance(o, q)
     rhs = VIA_DETOUR_FACTOR * solver.distance(p, q)
     return lhs, rhs, lhs <= rhs + EPS_GEOM
@@ -157,17 +199,23 @@ def check_via_triples(env: Environment, triples: list[tuple[Point3, Point3, Poin
                       solver: GeodesicSolver) -> tuple[int, float]:
     """Check every via triple (p, q, o); return (passes, worst 4 * lhs / rhs).
 
-    One :meth:`GeodesicSolver.pair_distances` call first settles all via
-    pairs in the order :func:`check_via_detour` asks them, (p, o), (o, q),
-    (p, q), so each check reads its three distances from the cache.  The
-    order matters above L1, where the orientation asked first fixes the
+    All triples are validated first, on arrays, as :func:`check_via_detour`
+    validates one: on the first bad triple it raises that function's
+    ValueError.  One :meth:`GeodesicSolver.pair_distances` call then settles
+    all via pairs in the order :func:`check_via_detour` asks them, (p, o),
+    (o, q), (p, q), so each check reads its three distances from the cache.
+    The order matters above L1, where the orientation asked first fixes the
     last bits of a cached value.
     """
-    solver.pair_distances(points_array([pt for p, q, o in triples for pt in (p, o, p)]),
-                          points_array([pt for p, q, o in triples for pt in (o, q, q)]))
+    if not triples:
+        return 0, 0.0
+    P, Q, O = (points_array(column) for column in zip(*triples))
+    _check_via_points(solver, P, Q, O)
+    solver.pair_distances(np.stack([P, O, P], axis=1).reshape(-1, 3),
+                          np.stack([O, Q, Q], axis=1).reshape(-1, 3))
     passes, worst = 0, 0.0
     for p, q, o in triples:
-        lhs, rhs, holds = check_via_detour(env, p, q, o, solver)
+        lhs, rhs, holds = _via_detour(solver, p, q, o)
         worst = max(worst, VIA_DETOUR_FACTOR * lhs / rhs)
         passes += holds
     return passes, worst

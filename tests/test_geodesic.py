@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -505,6 +506,38 @@ def test_grid_csr_matches_reference(monkeypatch):
         assert got.shape == expected.shape
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(expected, attr)), attr
+
+
+def test_grid_distance_matches_the_undirected_reference(monkeypatch):
+    """The symmetric graph of _grid_distance is the reference graph plus its
+    transpose, and its directed Dijkstra gives, to the bit, an undirected
+    Dijkstra on the reference graph, from s to every node: on every
+    Dijkstra grid of the certificate instances and on an oracle lattice."""
+    grids = []
+    for env in _certificate_instances():
+        solver = GeodesicSolver(env)
+        for s, t in itertools.combinations(points_array(env.points), 2):
+            over = solver._overlapping(np.minimum(s, t), np.maximum(s, t))
+            if len(over):
+                grids.append(solver._grid(s, t, over))
+    lattices = []
+    grid_csr = geodesic._grid_csr
+    monkeypatch.setattr(geodesic, "_grid_csr",
+                        lambda cuts, links: lattices.append((cuts, links)) or grid_csr(cuts, links))
+    env = Environment([UNIT_CUBE], [Point3(-0.5, 0.5, 0.5), Point3(1.5, 0.25, 0.5)])
+    oracle_fine_grid_distance(env, *env.points, resolution=1 / 8)
+    (cuts, links), = lattices
+    grids.append((cuts, links, np.array([np.searchsorted(c, (p, q)) for c, p, q
+                                         in zip(cuts, *(pt.as_tuple() for pt in env.points))])))
+    for cuts, links, ends in grids:
+        reference = reference_grid_csr(cuts, links)
+        both = geodesic._grid_graph(cuts, links, both_ways=True)
+        assert (both != reference + reference.T).nnz == 0
+        source, target = np.ravel_multi_index(ends, tuple(len(c) for c in cuts))
+        expected = dijkstra(reference, directed=False, indices=source)
+        assert np.array_equal(dijkstra(both, directed=True, indices=source), expected)
+        assert _grid_distance(cuts, links, ends) == expected[target]
+    assert len(grids) > 1000
 
 
 def test_grid_links_and_monotone_match_reference():

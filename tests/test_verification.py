@@ -1,18 +1,24 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
-from boxspan import verification
+from boxspan import geodesic, verification
 from boxspan.geodesic import GeodesicSolver
-from boxspan.geometry import (AxisBox, Environment, Point3, bounding_box, l1_distance,
-                              l2_distance)
+from boxspan.geometry import (EPS_GEOM, AxisBox, Environment, Point3, bounding_box,
+                              l1_distance, l2_distance, points_array)
 from boxspan.generators import GenConfig, random_instance, slab_instance
 from boxspan.spanner import SpannerGraph, build_spanner
-from boxspan.verification import (STRETCH_BOUND_L1, VIA_DETOUR_FACTOR, check_via_detour,
-                                  check_via_triples, graph_distances, norm_conversion_check,
-                                  scaling_sweep, spanning_ratio, via_triples)
+from boxspan.verification import (STRETCH_BOUND_L1, STRETCH_SLACK, VIA_DETOUR_FACTOR,
+                                  StretchReport, check_via_detour, check_via_triples,
+                                  graph_distances, norm_conversion_check, scaling_sweep,
+                                  spanning_ratio, via_triples)
+from test_spanner import _faces_instance
 
 
 def _graph(n, edges):
@@ -73,6 +79,88 @@ def test_spanning_ratio_of_built_spanner(tmp_path):
     assert report.l2_ratio_analytic == pytest.approx(math.sqrt(3) * report.max_ratio)
 
 
+def reference_spanning_ratio(env, g, solver):
+    """The stretch scan with one distances_from call per row, as a reference."""
+    dist_graph = dijkstra(verification._graph_csr(g), directed=False)
+    P = points_array(env.points)
+    best, arg, understated = 0.0, None, None
+    for i in range(g.n - 1):
+        sigma = solver.distances_from(P[i], P[i + 1:])
+        ratios = dist_graph[i, i + 1:] / sigma
+        j_rel = int(np.argmax(ratios))
+        if ratios[j_rel] > best:
+            best = float(ratios[j_rel])
+            arg = (i, i + 1 + j_rel)
+        if understated is None:
+            below = np.nonzero(ratios < 1 - STRETCH_SLACK)[0]
+            if len(below):
+                understated = (i, i + 1 + int(below[0]))
+    return StretchReport(max_ratio=best, argmax=arg, understated=understated)
+
+
+def _built(env):
+    return env, build_spanner(env, GeodesicSolver(env))
+
+
+def _understated(env):
+    env, g = _built(env)
+    victim = sorted(g.edges)[len(g.edges) // 2]
+    g.edges[victim] *= 0.5
+    return env, g
+
+
+def _disconnected(env):
+    """A path over the first half of the points, the rest isolated."""
+    solver = GeodesicSolver(env)
+    half = env.n // 2
+    return env, SpannerGraph(n=env.n, edges={
+        (i, i + 1): solver.distance(env.points[i], env.points[i + 1]) for i in range(half)})
+
+
+_MAZE = GenConfig(seed=0, n=32, m=40, placement="mixed", min_side=0.05, max_side=0.3,
+                  gap=0.01)
+
+
+@pytest.mark.parametrize("case, block", [
+    (lambda: _built(random_instance(GenConfig(seed=11, n=64, m=8))), None),
+    (lambda: _built(random_instance(_MAZE)), None),
+    (lambda: _built(_faces_instance()), None),
+    (lambda: _built(random_instance(GenConfig(seed=4, n=300, m=0))), 200),
+    (lambda: _disconnected(random_instance(GenConfig(seed=5, n=40, m=6, max_side=0.3))), 100),
+    (lambda: _understated(random_instance(GenConfig(seed=12, n=64, m=8))), 300),
+], ids=["scatter", "maze", "faces", "open-split", "disconnected", "understated"])
+def test_spanning_ratio_matches_the_per_row_scan(case, block, monkeypatch):
+    """The scan by blocks of rows gives the per-row scan's report, compared
+    with ==, and leaves the same cache in the same order.  It asks sigma
+    once per block, never once per row, unless a row fills a block alone."""
+    env, g = case()
+    if block is not None:
+        monkeypatch.setattr(verification, "_STRETCH_BLOCK", block)
+    solver, reference_solver = GeodesicSolver(env), GeodesicSolver(env)
+    calls = []
+    distances_from = solver.distances_from
+    solver.distances_from = lambda S, T: calls.append(len(T)) or distances_from(S, T)
+    got = spanning_ratio(env, g, solver)
+    expected = reference_spanning_ratio(env, g, reference_solver)
+    assert got == expected
+    assert list(solver._cache.items()) == list(reference_solver._cache.items())
+    assert sum(calls) == env.n * (env.n - 1) // 2
+    assert max(calls) <= max(verification._STRETCH_BLOCK, env.n - 1)
+    assert len(calls) == 1 if block is None else 1 < len(calls) < env.n - 1
+
+
+def test_spanning_ratio_scan_covers_the_edge_cases():
+    """The cases above exercise what they are named for."""
+    env, g = _disconnected(random_instance(GenConfig(seed=5, n=40, m=6, max_side=0.3)))
+    assert math.isinf(spanning_ratio(env, g).max_ratio)
+    env, g = _understated(random_instance(GenConfig(seed=12, n=64, m=8)))
+    assert spanning_ratio(env, g).understated is not None
+    env = random_instance(_MAZE)
+    states = GeodesicSolver(env).classify(*np.broadcast_arrays(
+        *(points_array(env.points)[k] for k in np.triu_indices(env.n, 1))))
+    assert (states == geodesic.GRID_STAGE).sum() > 100
+
+
 def test_spanning_ratio_checks_vertex_count():
     env = random_instance(GenConfig(seed=1, n=5, m=0))
     with pytest.raises(ValueError):
@@ -112,6 +200,128 @@ def test_via_detour_holds_amid_obstacles():
     passes, worst = check_via_triples(env, triples, solver)
     assert passes == 60
     assert worst <= VIA_DETOUR_FACTOR
+
+
+def reference_via_detour(env, p, q, o, solver):
+    """check_via_detour with its checks on Point3 and AxisBox, as a reference."""
+    if not (min(p.x, q.x) <= o.x <= max(p.x, q.x)
+            and min(p.y, q.y) <= o.y <= max(p.y, q.y)
+            and min(p.z, q.z) <= o.z <= max(p.z, q.z)):
+        raise ValueError("via point must lie in the closed box of p and q")
+    for pt in (p, q, o):
+        for box in env.obstacles:
+            if box.contains_interior(pt):
+                raise ValueError("query points must lie outside obstacle interiors")
+    lhs = solver.distance(p, o) + solver.distance(o, q)
+    rhs = VIA_DETOUR_FACTOR * solver.distance(p, q)
+    return lhs, rhs, lhs <= rhs + EPS_GEOM
+
+
+def _via_loop(env, triples, check):
+    """(passes, worst) of check called triple by triple on a fresh solver,
+    or the ValueError message it raises; and the cache it leaves."""
+    solver, passes, worst = GeodesicSolver(env), 0, 0.0
+    try:
+        for p, q, o in triples:
+            lhs, rhs, holds = check(env, p, q, o, solver)
+            worst = max(worst, VIA_DETOUR_FACTOR * lhs / rhs)
+            passes += holds
+    except ValueError as exc:
+        return str(exc), None
+    return (passes, worst), list(solver._cache.items())
+
+
+# Two boxes whose faces lie on the planes of a lattice: points of the
+# lattice sit on their faces, edges and corners, and via points drawn from
+# the same planes sit on the boundary of the box of p and q.
+_VIA_PLANES = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+_VIA_ENV = Environment(
+    [AxisBox(Point3(0.0, 0.0, 0.0), Point3(1.0, 1.0, 1.0)),
+     AxisBox(Point3(1.5, 0.0, 0.5), Point3(2.0, 2.0, 1.0))],
+    [Point3(*c) for c in itertools.product(_VIA_PLANES, repeat=3)
+     if not (0 < c[0] < 1 and 0 < c[1] < 1 and 0 < c[2] < 1)
+     and not (1.5 < c[0] < 2 and 0 < c[1] < 2 and 0.5 < c[2] < 1)])
+
+
+def _via_pairs():
+    """Index pairs of _VIA_ENV: those the grid stage settles, and those
+    whose box holds the unit cube's center."""
+    pts = points_array(_VIA_ENV.points)
+    i, j = np.triu_indices(len(pts), 1)
+    grid = GeodesicSolver(_VIA_ENV).classify(pts[i], pts[j]) == geodesic.GRID_STAGE
+    around = ((np.minimum(pts[i], pts[j]) < 0.5) & (np.maximum(pts[i], pts[j]) > 0.5)).all(axis=1)
+    return [list(zip(i[mask].tolist(), j[mask].tolist())) for mask in (grid, around)]
+
+
+_GRID_PAIRS, _AROUND_CENTER = _via_pairs()
+
+
+@st.composite
+def _via_triple(draw, kind):
+    """A triple (p, q, o) of the given kind: "valid"; "outside", with o
+    outside the box of p and q on one axis; "inside", with o at the center
+    of the unit cube.  Half the valid pairs need the grid stage."""
+    if kind == "inside":
+        i, j = draw(st.sampled_from(_AROUND_CENTER))
+    else:
+        index = st.integers(0, _VIA_ENV.n - 1)
+        i, j = draw(st.sampled_from(_GRID_PAIRS) | st.tuples(index, index).filter(
+            lambda ij: ij[0] != ij[1]))
+    p, q = _VIA_ENV.points[i], _VIA_ENV.points[j]
+    if draw(st.booleans()):
+        p, q = q, p
+    if kind == "inside":
+        return p, q, Point3(0.5, 0.5, 0.5)
+    coords = []
+    for a, b in zip(p.as_tuple(), q.as_tuple()):
+        lo, hi = min(a, b), max(a, b)
+        coords.append(draw(st.sampled_from([c for c in _VIA_PLANES if lo <= c <= hi])
+                           | st.floats(lo, hi)))
+    if kind == "outside":
+        axis = draw(st.integers(0, 2))
+        lo, hi = sorted((p.coord(axis), q.coord(axis)))
+        beyond = [c for c in _VIA_PLANES if not lo <= c <= hi]
+        assume(beyond)
+        coords[axis] = draw(st.sampled_from(beyond))
+    o = Point3(*coords)
+    assume(kind == "outside" or not any(box.contains_interior(o) for box in _VIA_ENV.obstacles))
+    return p, q, o
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_via_triple("valid"), max_size=12),
+       st.lists(st.sampled_from(["outside", "inside"]).flatmap(_via_triple), max_size=2),
+       st.data())
+def test_check_via_triples_matches_a_loop_of_checks(triples, bad, data):
+    """check_via_triples gives the (passes, worst) of checking the triples
+    one at a time, and leaves the same cache; with a triple whose via point
+    falls outside the box of p and q or inside an obstacle, it raises the
+    ValueError the loop raises at the first such triple."""
+    for triple in bad:
+        triples.insert(data.draw(st.integers(0, len(triples))), triple)
+    expected, cache = _via_loop(_VIA_ENV, triples, reference_via_detour)
+    assert _via_loop(_VIA_ENV, triples, check_via_detour) == (expected, cache)
+    solver = GeodesicSolver(_VIA_ENV)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            check_via_triples(_VIA_ENV, triples, solver)
+    else:
+        assert check_via_triples(_VIA_ENV, triples, solver) == expected
+        assert list(solver._cache.items()) == cache
+
+
+def test_check_via_triples_validates_without_point_tests(monkeypatch):
+    """The via checks make three distance calls per sample and no
+    per-point obstacle test."""
+    env = random_instance(GenConfig(seed=77, n=14, m=6))
+    triples = via_triples(env, 50, np.random.default_rng(7))
+    calls = []
+    distance = GeodesicSolver.distance
+    monkeypatch.setattr(GeodesicSolver, "distance",
+                        lambda self, p, q: calls.append(1) or distance(self, p, q))
+    monkeypatch.setattr(AxisBox, "contains_interior", None)
+    assert check_via_triples(env, triples, GeodesicSolver(env))[0] == 50
+    assert len(calls) == 3 * 50
 
 
 def reference_via_triples(env, count, rng):
