@@ -14,6 +14,7 @@ loop over the pairs would ask them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -30,8 +31,11 @@ class SpannerGraph:
     edges: dict[tuple[int, int], float] = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
 
-    def edge_list(self) -> list[tuple[int, int, float]]:
-        return [(i, j, self.edges[(i, j)]) for (i, j) in sorted(self.edges)]
+    def edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges as (i, j, weight) arrays, in insertion order."""
+        m = len(self.edges)
+        ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64, count=2 * m)
+        return ends[0::2], ends[1::2], np.fromiter(self.edges.values(), dtype=float, count=m)
 
     @property
     def edge_count(self) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -24,8 +25,8 @@ STRETCH_SLACK = 1e-6
 VIA_DETOUR_FACTOR = 4.0
 NORM_RATIO = math.sqrt(3.0)
 
-# Most point pairs one block of the stretch scan asks at once: its arrays
-# hold a few floats per pair.
+# Most point pairs in one block of the pair scans (the stretch scan and the
+# norm check): their arrays hold a few floats per pair.
 _STRETCH_BLOCK = 1 << 13
 
 
@@ -47,12 +48,27 @@ class StretchReport:
 
 
 def _graph_csr(g: SpannerGraph) -> csr_matrix:
-    if not g.edges:
-        return csr_matrix((g.n, g.n))
-    rows = np.fromiter((i for (i, _) in g.edges), dtype=np.int64, count=len(g.edges))
-    cols = np.fromiter((j for (_, j) in g.edges), dtype=np.int64, count=len(g.edges))
-    data = np.fromiter(g.edges.values(), dtype=float, count=len(g.edges))
+    rows, cols, data = g.edge_columns()
     return csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+
+
+def _pair_blocks(n: int) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
+    """The pairs (i, j), i < j < n, in row-major order, in blocks of whole
+    rows of at most _STRETCH_BLOCK pairs (a longer row is a block of its
+    own): per block, its rows and the i and j of its pairs."""
+    # Row i holds the pairs (i, i+1), ..., (i, n-1), at the row-major
+    # positions ends[i] - lengths[i] to ends[i] - 1, so the pair at position
+    # k has j = k - (ends[i] - n).
+    lengths = np.arange(n - 1, 0, -1)
+    ends = np.cumsum(lengths)
+    first = 0
+    while first < n - 1:
+        done = ends[first] - lengths[first]
+        last = max(first + 1, int(np.searchsorted(ends, done + _STRETCH_BLOCK, side="right")))
+        rows = np.repeat(np.arange(first, last), lengths[first:last])
+        cols = np.arange(done, ends[last - 1]) - np.repeat(ends[first:last] - n, lengths[first:last])
+        yield range(first, last), rows, cols
+        first = last
 
 
 def graph_distances(g: SpannerGraph, source: int) -> np.ndarray:
@@ -93,34 +109,23 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
         return StretchReport(max_ratio=1.0, argmax=None)
     dist_graph = dijkstra(_graph_csr(g), directed=False)
     P = points_array(env.points)
-    # Row i holds the pairs (i, i+1), ..., (i, n-1), at the row-major
-    # positions ends[i] - lengths[i] to ends[i] - 1, so the pair at position
-    # k has j = k - (ends[i] - n).
-    lengths = np.arange(n - 1, 0, -1)
-    ends = np.cumsum(lengths)
     best = 0.0
     arg: tuple[int, int] | None = None
     understated: tuple[int, int] | None = None
-    first = 0
-    while first < n - 1:
-        done = ends[first] - lengths[first]
-        last = max(first + 1, int(np.searchsorted(ends, done + _STRETCH_BLOCK, side="right")))
-        rows = np.repeat(np.arange(first, last), lengths[first:last])
-        cols = np.arange(done, ends[last - 1]) - np.repeat(ends[first:last] - n, lengths[first:last])
+    for block_rows, rows, cols in _pair_blocks(n):
         ratios = dist_graph[rows, cols] / solver.distances_from(P[rows], P[cols])
         start = 0
-        for i, length in zip(range(first, last), lengths[first:last].tolist()):
-            row = ratios[start:start + length]
+        for i in block_rows:
+            row = ratios[start:start + n - 1 - i]
             j_rel = int(np.argmax(row))
             if row[j_rel] > best:
                 best = float(row[j_rel])
                 arg = (i, i + 1 + j_rel)
-            start += length
+            start += len(row)
         if understated is None:
             below = np.flatnonzero(ratios < 1 - STRETCH_SLACK)
             if len(below):
                 understated = (int(rows[below[0]]), int(cols[below[0]]))
-        first = last
     return StretchReport(max_ratio=best, argmax=arg, understated=understated)
 
 
@@ -236,12 +241,15 @@ def norm_conversion_check(env: Environment) -> bool:
     about 7e-16, far below the margin, while a ratio off by more than the
     margin fails on a diagonal line.  This holds while the squares neither
     underflow nor overflow (differences between about 1e-154 and 1e154).
+
+    The pairs are taken in the stretch scan's blocks of whole rows, one
+    coordinate array at a time; the sums run x, y, z as on a row of three.
     """
-    pts = points_array(env.points)
-    for i in range(len(pts) - 1):
-        diff = np.abs(pts[i + 1:] - pts[i])
-        l1 = diff.sum(axis=1)
-        l2 = np.sqrt((diff * diff).sum(axis=1))
+    X, Y, Z = points_array(env.points).T
+    for _, rows, cols in _pair_blocks(env.n):
+        dx, dy, dz = np.abs(X[cols] - X[rows]), np.abs(Y[cols] - Y[rows]), np.abs(Z[cols] - Z[rows])
+        l1 = dx + dy + dz
+        l2 = np.sqrt(dx * dx + dy * dy + dz * dz)
         if not np.all((l1 / NORM_RATIO <= l2 * (1 + 1e-12)) & (l2 <= l1 * (1 + 1e-12))):
             return False
     return True

@@ -1,9 +1,14 @@
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxspan import cli, files, generators
 from boxspan.cli import main
@@ -357,9 +362,170 @@ def test_save_graph_writes_json_dump_bytes(tmp_path, n, edges):
     graph = SpannerGraph(n=n, edges=dict(edges))
     expected = str(tmp_path / "expected.json")
     with open(expected, "w") as fh:
-        json.dump({"n": n, "edges": [list(e) for e in graph.edge_list()],
+        json.dump({"n": n, "edges": [[i, j, w] for (i, j), w in sorted(graph.edges.items())],
                    "metric": files.GRAPH_METRIC}, fh, indent=2)
         fh.write("\n")
     files.save_graph(str(tmp_path / "graph.json"), graph)
     with open(expected, "rb") as fh, open(tmp_path / "graph.json", "rb") as gh:
         assert gh.read() == fh.read()
+
+
+def _json_dump_bytes(n, edges):
+    """What write_json_atomic writes for a graph: json.dump, indent=2, newline."""
+    buf = io.StringIO()
+    json.dump({"n": n, "edges": [[i, j, w] for (i, j), w in sorted(edges.items())],
+               "metric": files.GRAPH_METRIC}, buf, indent=2)
+    buf.write("\n")
+    return buf.getvalue().encode()
+
+
+_SPECIAL_WEIGHTS = (5e-324, 2.5e-310, 1e16, 1e-7, 0.1 + 0.2, float("nan"), float("inf"),
+                    float("-inf"), 1.0, 0.0, -0.0, 123456789.125)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_save_graph_blocks_write_json_dump_bytes(tmp_path_factory, data):
+    """Edge sets inserted in shuffled order, with block - 1, block, block + 1
+    and 2 * block + 1 edges, for small blocks and the writer's own, are
+    written as json.dump writes them."""
+    block = data.draw(st.sampled_from([1, 2, 3, 7, files._WRITE_BLOCK]), label="block")
+    count = data.draw(st.sampled_from([block - 1, block, block + 1, 2 * block + 1]),
+                      label="count")
+    least_n = next(n for n in range(count + 2) if n * (n - 1) // 2 >= count)
+    n = data.draw(st.integers(least_n, max(least_n, 300)), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    rows, cols = np.triu_indices(n, 1)
+    picked = rng.choice(len(rows), size=count, replace=False)  # a shuffled order
+    drawn = data.draw(st.lists(st.floats(), max_size=count), label="weights")
+    weights = drawn + [_SPECIAL_WEIGHTS[k] if k < len(_SPECIAL_WEIGHTS) else float(x)
+                       for k, x in zip(rng.integers(0, 2 * len(_SPECIAL_WEIGHTS),
+                                                    size=count - len(drawn)).tolist(),
+                                       rng.lognormal(0.0, 8.0, size=count - len(drawn)))]
+    edges = {(int(rows[k]), int(cols[k])): w for k, w in zip(picked.tolist(), weights)}
+    path = str(tmp_path_factory.mktemp("graph") / "graph.json")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(files, "_WRITE_BLOCK", block)
+        files.save_graph(path, SpannerGraph(n=n, edges=edges))
+    with open(path, "rb") as fh:
+        assert fh.read() == _json_dump_bytes(n, edges)
+
+
+def test_save_graph_rejects_weights_that_are_not_floats(tmp_path):
+    """json.dump would write an integer weight as 3 or true, but the writer
+    writes floats: like the writer that formatted one edge at a time, it
+    raises TypeError, and it writes nothing.  Endpoints outside 0..n-1 raise
+    ValueError."""
+    path = str(tmp_path / "graph.json")
+    for weight in (3, True, np.float32(1.5)):
+        with pytest.raises(TypeError):
+            files.save_graph(path, SpannerGraph(n=3, edges={(0, 1): 1.0, (1, 2): weight}))
+        assert os.listdir(tmp_path) == []
+    for key in ((0, 3), (-1, 2), (3, 4)):
+        with pytest.raises(ValueError):
+            files.save_graph(path, SpannerGraph(n=3, edges={(0, 1): 1.0, key: 2.0}))
+        assert os.listdir(tmp_path) == []
+    edges = {(0, 1): np.float64(1.5)}  # a float subclass is written as its float
+    files.save_graph(path, SpannerGraph(n=2, edges=edges))
+    with open(path, "rb") as fh:
+        assert fh.read() == _json_dump_bytes(2, edges)
+
+
+def reference_load_graph(path):
+    """load_graph as it checked one edge at a time with isinstance tests,
+    kept as the reference for the loader's messages and results."""
+    def is_int(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict) or not is_int(data.get("n")):
+        raise files.FormatError("graph file must be an object with an integer 'n'")
+    if not isinstance(data.get("edges", []), list):
+        raise files.FormatError("graph 'edges' must be a list")
+    n = data["n"]
+    graph = SpannerGraph(n=n)
+    for entry in data.get("edges", []):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise files.FormatError(f"edge must be [i, j, weight], got {entry!r}")
+        i, j, w = entry
+        if not is_int(i) or not is_int(j):
+            raise files.FormatError(f"edge endpoints must be integers, got {entry!r}")
+        if not 0 <= i < j < n:
+            raise files.FormatError(f"edge ({i},{j}) out of range or not i < j for n={n}")
+        if not isinstance(w, (int, float)) or isinstance(w, bool):
+            raise files.FormatError(f"edge ({i},{j}) weight must be a number, got {w!r}")
+        try:
+            w = float(w)
+        except OverflowError:
+            w = math.inf
+        if not (w > 0 and math.isfinite(w)):
+            raise files.FormatError(f"edge ({i},{j}) must have finite positive weight, got {w}")
+        if (i, j) in graph.edges:
+            raise files.FormatError(f"duplicate edge ({i},{j})")
+        graph.edges[(i, j)] = w
+    return graph
+
+
+# The corruptions of test_load_graph_rejects_bad_edges as edge texts, on
+# vertices 0..5 of a graph with n = 3 + _FILLER_N; "[0, 5, 1.0]" became an
+# endpoint equal to n.  The filler edges use vertices 10 and up.
+_FILLER_N = 40
+_BAD_EDGES = ("[0, 0, 1.0]", "[1, 0, 1.0]", f"[0, {3 + _FILLER_N}, 1.0]", "[0, 1, -2.0]",
+              "[0, 1, 1.0], [0, 1, 2.0]", "[0.5, 1, 1.0]", "[0, 1, null]", "[0, 1, [1.0]]",
+              '[0, 1, "1.5"]', "[true, 2, 1.0]", "[0, 1, false]", "[0, 1, NaN]",
+              "[0, 1, Infinity]", "[0, 1, 1e400]", "[0, 1, 1%s]" % ("0" * 400),
+              "[0, 1]", "[0, 1, 1.0, 2.0]", "7", '{"i": 0}', "[0, 1, 0]", "[0, 1, -Infinity]")
+
+
+def _filler_edges(rng, count):
+    rows, cols = np.triu_indices(3 + _FILLER_N, 1)
+    rows, cols = rows[rows >= 10], cols[rows >= 10]
+    picked = rng.choice(len(rows), size=count, replace=False)
+    weights = [1.5, 2, 1e-300, 10 ** 30, 0.1 + 0.2, 7.25e15]
+    return [f"[{rows[k]}, {cols[k]}, {weights[k % len(weights)]!r}]" for k in picked]
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_load_graph_messages_match_reference_loop(tmp_path, where):
+    """Each corruption, placed first, in the middle or last among valid
+    edges, raises the reference loop's FormatError message."""
+    path = str(tmp_path / "graph.json")
+    rng = np.random.default_rng(3)
+    for bad in _BAD_EDGES:
+        filler = _filler_edges(rng, 20)
+        at = {"first": 0, "middle": len(filler) // 2, "last": len(filler)}[where]
+        texts = filler[:at] + [bad] + filler[at:]
+        with open(path, "w") as fh:
+            fh.write('{"n": %d, "edges": [%s], "metric": "L1-geodesic"}'
+                     % (3 + _FILLER_N, ", ".join(texts)))
+        with pytest.raises(files.FormatError) as expected:
+            reference_load_graph(path)
+        with pytest.raises(files.FormatError) as got:
+            files.load_graph(path)
+        assert str(got.value) == str(expected.value), bad
+
+
+def test_load_graph_matches_reference_loop_on_valid_files(tmp_path):
+    """A valid file loads to the reference's dict: equal keys and float
+    values, in the same insertion order."""
+    path = str(tmp_path / "graph.json")
+    rng = np.random.default_rng(4)
+    for count in (0, 1, 25, 300):
+        with open(path, "w") as fh:
+            fh.write('{"n": %d, "edges": [%s]}' % (3 + _FILLER_N,
+                                                   ", ".join(_filler_edges(rng, count))))
+        expected = reference_load_graph(path)
+        got = files.load_graph(path)
+        assert got.n == expected.n
+        assert list(got.edges) == list(expected.edges)
+        assert all(type(w) is float for w in got.edges.values())
+        assert [w.hex() for w in got.edges.values()] == [w.hex() for w in expected.edges.values()]
+    for text in ('{"n": true, "edges": []}', '{"n": 8, "edges": 5}', '{"n": 2.0}', "[]"):
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(files.FormatError) as expected:
+            reference_load_graph(path)
+        with pytest.raises(files.FormatError) as got:
+            files.load_graph(path)
+        assert str(got.value) == str(expected.value)

@@ -23,7 +23,7 @@ def test_single_point_yields_empty_graph():
 def test_two_points_yield_direct_edge():
     env = Environment([UNIT_CUBE], [Point3(-0.5, 0.5, 0.5), Point3(1.5, 0.5, 0.5)])
     g = build_spanner(env)
-    assert g.edge_list() == [(0, 1, pytest.approx(3.0, abs=1e-12))]
+    assert sorted(g.edges.items()) == [((0, 1), pytest.approx(3.0, abs=1e-12))]
 
 
 def test_empty_environment_rejected():

@@ -418,6 +418,62 @@ def test_norm_conversion_check_margin_is_relative(scale, monkeypatch):
     assert not norm_conversion_check(env)
 
 
+def reference_norm_conversion_check(env):
+    """norm_conversion_check as it ran, one row of pairs per numpy call."""
+    pts = points_array(env.points)
+    for i in range(len(pts) - 1):
+        diff = np.abs(pts[i + 1:] - pts[i])
+        l1 = diff.sum(axis=1)
+        l2 = np.sqrt((diff * diff).sum(axis=1))
+        if not np.all((l1 / verification.NORM_RATIO <= l2 * (1 + 1e-12))
+                      & (l2 <= l1 * (1 + 1e-12))):
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(cloud=st.lists(st.tuples(*[st.floats(-1e3, 1e3, allow_subnormal=False)] * 3),
+                      min_size=0, max_size=40),
+       t=st.floats(1e-3, 1e3), s=st.floats(1e-3, 1e3),
+       tilt=st.tuples(*[st.integers(-30, 30).map(lambda k: k * 1e-9)] * 2),
+       where=st.sampled_from(["first", "middle", "last"]),
+       margin=st.sampled_from([0.0, 1e-12, 2e-12]),
+       block=st.sampled_from([1, 5, 64, verification._STRETCH_BLOCK]))
+def test_norm_check_blocks_match_per_row_loop(cloud, t, s, tilt, where, margin, block):
+    """A random cloud and one pair on or near the main diagonal, at the
+    bound (margin 0), at the 1e-12 margin, where rounding decides, or just
+    past it: the block check gives the per-row loop's verdict.  The tilt
+    makes the pair's coordinate differences unequal, so the order of the
+    sums can matter."""
+    points = [Point3(*c) for c in dict.fromkeys(cloud)]
+    pair = [Point3(t, t, t), Point3(-s, -s * (1 + tilt[0]), -s * (1 + tilt[1]))]
+    at = {"first": 0, "middle": len(points) // 2, "last": len(points)}[where]
+    points = points[:at] + pair + points[at:]
+    assume(len(set(points)) == len(points))
+    env = Environment([], points)
+    with pytest.MonkeyPatch.context() as mp:
+        # l1 / NORM_RATIO on a diagonal pair is l2 * (1 + margin), up to rounding
+        mp.setattr(verification, "NORM_RATIO", math.sqrt(3.0) / (1 + margin))
+        mp.setattr(verification, "_STRETCH_BLOCK", block)
+        expected = reference_norm_conversion_check(env)
+        assert norm_conversion_check(env) == expected
+    if margin == 2e-12 and tilt == (0.0, 0.0):
+        assert not expected
+
+
+def test_norm_check_matches_per_row_loop_at_the_margin(monkeypatch):
+    """Pairs within a few ulps of the lower bound's margin, where rounding
+    decides the verdict either way: each gives the per-row loop's verdict."""
+    monkeypatch.setattr(verification, "NORM_RATIO", math.sqrt(3.0) / (1 + 1e-12))
+    rng = np.random.default_rng(7)
+    verdicts = []
+    for t, s, tx, ty in zip(*rng.uniform(1e-3, 1e3, (2, 400)), *rng.uniform(-1e-8, 1e-8, (2, 400))):
+        env = Environment([], [Point3(t, t, t), Point3(-s, -s * (1 + tx), -s * (1 + ty))])
+        verdicts.append(reference_norm_conversion_check(env))
+        assert norm_conversion_check(env) == verdicts[-1]
+    assert 50 < sum(verdicts) < 350
+
+
 def test_missing_edge_on_slab_instance_doubles_the_trip():
     """Dropping any edge of the complete graph forces a two-leg detour."""
     eps, s = 0.1, 2.1
