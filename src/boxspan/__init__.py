@@ -7,15 +7,13 @@ O(n log^3 n) edges, plus the machinery to verify those bounds empirically.
 
 from .cspd import CONES, ConeId, Cspd, CspdPair, build_cspd, certify_cspd, classify
 from .generators import CrowdedRegionError, GenConfig, random_instance, slab_instance
-from .geodesic import (GeodesicSolver, GridTooLargeError, geodesic_distance,
-                       oracle_fine_grid_distance)
+from .geodesic import GeodesicSolver, GridTooLargeError, oracle_fine_grid_distance
 from .geometry import (EPS_GEOM, AxisBox, Environment, Point3, bounding_box,
                        l1_distance, l2_distance, project_out, validate_environment)
 from .spanner import SpannerGraph, build_spanner, candidate_points, select_center
 from .verification import (STRETCH_BOUND_L1, STRETCH_SLACK, VIA_DETOUR_FACTOR,
-                           StretchReport, check_via_detour, graph_distances,
-                           norm_conversion_check, scaling_sweep, spanning_ratio,
-                           via_triples)
+                           StretchReport, check_via_triples, norm_conversion_check,
+                           scaling_sweep, spanning_ratio, via_triples)
 
 __all__ = [
     "AxisBox", "CONES", "ConeId", "CrowdedRegionError", "Cspd", "CspdPair",
@@ -23,8 +21,7 @@ __all__ = [
     "GenConfig", "GeodesicSolver", "GridTooLargeError",
     "Point3", "SpannerGraph", "STRETCH_BOUND_L1", "STRETCH_SLACK", "StretchReport",
     "VIA_DETOUR_FACTOR", "bounding_box", "build_cspd", "build_spanner",
-    "candidate_points", "certify_cspd", "classify",
-    "check_via_detour", "geodesic_distance", "graph_distances", "l1_distance",
+    "candidate_points", "certify_cspd", "check_via_triples", "classify", "l1_distance",
     "l2_distance", "norm_conversion_check", "oracle_fine_grid_distance",
     "project_out", "random_instance", "scaling_sweep", "select_center",
     "slab_instance", "spanning_ratio", "validate_environment", "via_triples",

@@ -116,7 +116,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         solver = GeodesicSolver(env)
         report = spanning_ratio(env, graph, solver=solver)
         triples = via_triples(env, args.detour_samples, np.random.default_rng(args.seed))
-        passes, worst = check_via_triples(env, triples, solver)
+        passes, worst = check_via_triples(triples, solver)
     except GridTooLargeError as exc:
         return _fail(f"instance too large for the grid approach: {exc}")
     norm_ok = norm_conversion_check(env)

@@ -481,14 +481,6 @@ def _monotone_clear(links: list[np.ndarray], ends: np.ndarray) -> bool:
                                                      return_predecessors=False)
 
 
-def geodesic_distance(env: Environment, p: Point3, q: Point3) -> float:
-    """L1 geodesic distance between two points outside obstacle interiors."""
-    for box in env.obstacles:
-        if box.contains_interior(p) or box.contains_interior(q):
-            raise ValueError("query points must lie outside obstacle interiors")
-    return GeodesicSolver(env).distance(p, q)
-
-
 def oracle_fine_grid_distance(env: Environment, p: Point3, q: Point3,
                               resolution: float) -> float:
     """Validation oracle: shortest-path distance over a uniform lattice.

@@ -49,18 +49,15 @@ def candidate_points(pair: CspdPair, env: Environment) -> tuple[Point3, ...]:
 
 
 def select_center(pair: CspdPair, env: Environment, candidate: Point3,
-                  solver: GeodesicSolver | None = None,
-                  states: np.ndarray | None = None) -> int:
+                  solver: GeodesicSolver | None = None) -> int:
     """Member of A u B geodesically nearest to the candidate point.
 
-    Ties break to the smallest point index.  states, when given, is the
-    solver's classification of (candidate, member) for the members in index
-    order, computed earlier (see :meth:`GeodesicSolver.classify`).
+    Ties break to the smallest point index.
     """
     if solver is None:
         solver = GeodesicSolver(env)
     members = sorted(set(pair.a) | set(pair.b))
-    dists = solver.distances_from(candidate, [env.points[i] for i in members], states=states)
+    dists = solver.distances_from(candidate, [env.points[i] for i in members])
     return members[int(dists.argmin())]
 
 

@@ -52,10 +52,10 @@ def _graph_csr(g: SpannerGraph) -> csr_matrix:
     return csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
 
 
-def _pair_blocks(n: int) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
+def _pair_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The pairs (i, j), i < j < n, in row-major order, in blocks of whole
     rows of at most _STRETCH_BLOCK pairs (a longer row is a block of its
-    own): per block, its rows and the i and j of its pairs."""
+    own): per block, the i and the j of its pairs."""
     # Row i holds the pairs (i, i+1), ..., (i, n-1), at the row-major
     # positions ends[i] - lengths[i] to ends[i] - 1, so the pair at position
     # k has j = k - (ends[i] - n).
@@ -67,15 +67,8 @@ def _pair_blocks(n: int) -> Iterator[tuple[range, np.ndarray, np.ndarray]]:
         last = max(first + 1, int(np.searchsorted(ends, done + _STRETCH_BLOCK, side="right")))
         rows = np.repeat(np.arange(first, last), lengths[first:last])
         cols = np.arange(done, ends[last - 1]) - np.repeat(ends[first:last] - n, lengths[first:last])
-        yield range(first, last), rows, cols
+        yield rows, cols
         first = last
-
-
-def graph_distances(g: SpannerGraph, source: int) -> np.ndarray:
-    """Single-source shortest-path distances in the spanner; inf if unreachable."""
-    if not 0 <= source < g.n:
-        raise IndexError(f"source {source} out of range for {g.n} vertices")
-    return dijkstra(_graph_csr(g), directed=False, indices=source)
 
 
 def spanning_ratio(env: Environment, g: SpannerGraph,
@@ -88,9 +81,12 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
     with one source row per target.  That call returns, and leaves in the
     cache, what one call per row would, in the same order, so sigma, the
     grid-stage calls and the cache, entry for entry and in insertion order,
-    are those of asking row by row.  Row by row, each row's first argmax
-    replaces the best ratio only when it is strictly greater, so ``argmax``
-    is the first pair in row order with the largest ratio.
+    are those of asking row by row.  Block by block, the block's first
+    argmax in row-major order replaces the best ratio only when it is
+    strictly greater, so ``argmax`` is the first pair in row order with the
+    largest ratio, as a scan row by row finds it.  No ratio is NaN, which
+    np.argmax would pick: the points are distinct, so sigma is positive and
+    finite, and a graph distance is at least 0, or inf.
 
     Also records as ``understated`` the first pair, in row order, whose
     graph distance falls below (1 - STRETCH_SLACK) times its geodesic
@@ -112,16 +108,12 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
     best = 0.0
     arg: tuple[int, int] | None = None
     understated: tuple[int, int] | None = None
-    for block_rows, rows, cols in _pair_blocks(n):
+    for rows, cols in _pair_blocks(n):
         ratios = dist_graph[rows, cols] / solver.distances_from(P[rows], P[cols])
-        start = 0
-        for i in block_rows:
-            row = ratios[start:start + n - 1 - i]
-            j_rel = int(np.argmax(row))
-            if row[j_rel] > best:
-                best = float(row[j_rel])
-                arg = (i, i + 1 + j_rel)
-            start += len(row)
+        k = int(np.argmax(ratios))
+        if ratios[k] > best:
+            best = float(ratios[k])
+            arg = (int(rows[k]), int(cols[k]))
         if understated is None:
             below = np.flatnonzero(ratios < 1 - STRETCH_SLACK)
             if len(below):
@@ -180,37 +172,20 @@ def _check_via_points(solver: GeodesicSolver, P: np.ndarray, Q: np.ndarray,
         raise ValueError("query points must lie outside obstacle interiors")
 
 
-def check_via_detour(env: Environment, p: Point3, q: Point3, o: Point3,
-                     solver: GeodesicSolver | None = None) -> tuple[float, float, bool]:
-    """Check sigma(p,o) + sigma(o,q) <= 4 * sigma(p,q) for o in the box of p and q.
-
-    Returns (lhs, rhs, holds).  The via point must lie in the closed box
-    spanned by p and q, and all three points outside obstacle interiors.
-    """
-    if solver is None:
-        solver = GeodesicSolver(env)
-    _check_via_points(solver, *(np.array([pt.as_tuple()]) for pt in (p, q, o)))
-    return _via_detour(solver, p, q, o)
-
-
-def _via_detour(solver: GeodesicSolver, p: Point3, q: Point3,
-                o: Point3) -> tuple[float, float, bool]:
-    lhs = solver.distance(p, o) + solver.distance(o, q)
-    rhs = VIA_DETOUR_FACTOR * solver.distance(p, q)
-    return lhs, rhs, lhs <= rhs + EPS_GEOM
-
-
-def check_via_triples(env: Environment, triples: list[tuple[Point3, Point3, Point3]],
+def check_via_triples(triples: list[tuple[Point3, Point3, Point3]],
                       solver: GeodesicSolver) -> tuple[int, float]:
-    """Check every via triple (p, q, o); return (passes, worst 4 * lhs / rhs).
+    """Check sigma(p,o) + sigma(o,q) <= 4 * sigma(p,q) for every via triple
+    (p, q, o); return (passes, worst 4 * lhs / rhs), that is, the largest
+    lhs / sigma(p,q).
 
-    All triples are validated first, on arrays, as :func:`check_via_detour`
-    validates one: on the first bad triple it raises that function's
-    ValueError.  One :meth:`GeodesicSolver.pair_distances` call then settles
-    all via pairs in the order :func:`check_via_detour` asks them, (p, o),
-    (o, q), (p, q), so each check reads its three distances from the cache.
-    The order matters above L1, where the orientation asked first fixes the
-    last bits of a cached value.
+    Each via point must lie in the closed box spanned by p and q, and all
+    three points outside obstacle interiors: all triples are validated
+    first, on arrays, by :func:`_check_via_points`.  One
+    :meth:`GeodesicSolver.pair_distances` call then settles all via pairs in
+    the order the checks ask them, (p, o), (o, q), (p, q), so each check
+    reads its three distances from the cache, one
+    :meth:`GeodesicSolver.distance` call each.  The order matters above L1,
+    where the orientation asked first fixes the last bits of a cached value.
     """
     if not triples:
         return 0, 0.0
@@ -220,9 +195,10 @@ def check_via_triples(env: Environment, triples: list[tuple[Point3, Point3, Poin
                           np.stack([O, Q, Q], axis=1).reshape(-1, 3))
     passes, worst = 0, 0.0
     for p, q, o in triples:
-        lhs, rhs, holds = _via_detour(solver, p, q, o)
+        lhs = solver.distance(p, o) + solver.distance(o, q)
+        rhs = VIA_DETOUR_FACTOR * solver.distance(p, q)
         worst = max(worst, VIA_DETOUR_FACTOR * lhs / rhs)
-        passes += holds
+        passes += lhs <= rhs + EPS_GEOM
     return passes, worst
 
 
@@ -239,15 +215,21 @@ def norm_conversion_check(env: Environment) -> bool:
     (squares and additions 3u, halved by the root, plus u for it); l1 /
     NORM_RATIO within 4u.  Rounding thus moves a comparison by at most 6.5u,
     about 7e-16, far below the margin, while a ratio off by more than the
-    margin fails on a diagonal line.  This holds while the squares neither
-    underflow nor overflow (differences between about 1e-154 and 1e154).
+    margin fails on a diagonal line.  So that the squares neither overflow
+    nor underflow, each pair's differences are first scaled by the power of
+    two that brings the largest into [0.5, 1).  That is exact for normal
+    numbers, and every later step and both sides of each bound scale with
+    it, so the verdict is the unscaled arithmetic's wherever that stays in
+    range, and the same at any other scale.
 
     The pairs are taken in the stretch scan's blocks of whole rows, one
     coordinate array at a time; the sums run x, y, z as on a row of three.
     """
     X, Y, Z = points_array(env.points).T
-    for _, rows, cols in _pair_blocks(env.n):
+    for rows, cols in _pair_blocks(env.n):
         dx, dy, dz = np.abs(X[cols] - X[rows]), np.abs(Y[cols] - Y[rows]), np.abs(Z[cols] - Z[rows])
+        exponent = -np.frexp(np.maximum(np.maximum(dx, dy), dz))[1]
+        dx, dy, dz = np.ldexp(dx, exponent), np.ldexp(dy, exponent), np.ldexp(dz, exponent)
         l1 = dx + dy + dz
         l2 = np.sqrt(dx * dx + dy * dy + dz * dz)
         if not np.all((l1 / NORM_RATIO <= l2 * (1 + 1e-12)) & (l2 <= l1 * (1 + 1e-12))):

@@ -17,7 +17,7 @@ from boxspan.generators import GenConfig, random_instance, slab_instance
 from boxspan.geometry import Environment, Point3, l1_distance, l2_distance
 from boxspan.spanner import SpannerGraph, build_spanner
 from boxspan.verification import (STRETCH_BOUND_L1, STRETCH_SLACK, VIA_DETOUR_FACTOR,
-                                  graph_distances, spanning_ratio, via_triples)
+                                  scaling_sweep, spanning_ratio, via_triples)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -55,24 +55,11 @@ def test_criterion_1_stretch_bound(stretch_runs):
 
 
 def test_criterion_2_edge_count_scaling():
-    sizes = [16, 32, 64, 128, 256, 512]
-    trials = 3
-    normalized = []
-    worst_stretch = 0.0
-    for n in sizes:
-        edge_counts = []
-        for trial in range(trials):
-            seed = int(np.random.SeedSequence((20, n, trial)).generate_state(1)[0])
-            env = random_instance(GenConfig(seed=seed, n=n, m=8))
-            solver = GeodesicSolver(env)
-            graph = build_spanner(env, solver)
-            size_sum = sum(graph.stats["size_sums"].values())
-            assert graph.edge_count <= 6 * size_sum, (n, trial)
-            report = spanning_ratio(env, graph, solver=solver)
-            worst_stretch = max(worst_stretch, report.max_ratio)
-            assert report.max_ratio <= STRETCH_BOUND_L1 + STRETCH_SLACK
-            edge_counts.append(graph.edge_count)
-        normalized.append(float(np.median(edge_counts)) / (n * math.log2(n) ** 3))
+    # scaling_sweep raises unless every run keeps the 6x pair-size budget
+    # and the stretch bound
+    rows = scaling_sweep([16, 32, 64, 128, 256, 512], trials=3, seed=20, m=8)
+    normalized = [row.normalized_edges for row in rows]
+    worst_stretch = max(row.max_stretch for row in rows)
     ratios = [b / a for a, b in zip(normalized, normalized[1:])]
     ok = all(r <= 2.0 for r in ratios)
     _announce(2, "edges within 6x pair-size budget, n log^3 n scaling", ok,
@@ -142,8 +129,10 @@ def test_criterion_5_slab_lower_bound():
         for edge, w in complete.edges.items():
             if edge != victim:
                 pruned.edges[edge] = w
-        detour = graph_distances(pruned, victim[0])[victim[1]]
-        worst_ratio = min(worst_ratio, detour / complete.edges[victim])
+        # every other pair keeps its edge, so the dropped one sets the stretch
+        report = spanning_ratio(env, pruned, solver)
+        assert report.argmax == victim
+        worst_ratio = min(worst_ratio, report.max_ratio)
     ok = worst_ratio > 2 - eps
     _announce(5, "dropping any edge forces ratio above 2 - eps", ok,
               f"min ratio {worst_ratio:.4f} > {2 - eps}")

@@ -247,6 +247,22 @@ def test_cli_verify_norm_sandwich_at_large_coordinates(tmp_path, capsys):
     assert "norm sandwich ok" in capsys.readouterr().out
 
 
+def test_cli_verify_norm_sandwich_at_a_huge_scale(tmp_path, capsys):
+    """An instance with obstacles scaled by 2**520, where sums of squared
+    coordinate differences overflow a float: build and verify pass."""
+    def scaled(p):
+        return Point3(*np.ldexp(p.as_tuple(), 520).tolist())
+
+    env = random_instance(GenConfig(seed=3, n=12, m=4))
+    inst, graph = str(tmp_path / "inst.json"), str(tmp_path / "graph.json")
+    files.save_instance(inst, Environment(
+        [AxisBox(scaled(box.lo), scaled(box.hi)) for box in env.obstacles],
+        [scaled(p) for p in env.points]))
+    assert main(["build", "--in", inst, "--out", graph]) == 0
+    assert main(["verify", "--instance", inst, "--graph", graph]) == 0
+    assert "norm sandwich ok" in capsys.readouterr().out
+
+
 def test_cli_verify_rejects_understated_weights(tmp_path, capsys):
     """A graph shorter than the geodesic distances breaks the bounds: a star
     of tiny weights and the real spanner with every weight scaled down both

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from boxspan import geodesic
 from boxspan.geodesic import (GeodesicSolver, GridTooLargeError, _grid_csr, _grid_distance,
-                              _grid_links, _monotone_clear, geodesic_distance,
-                              oracle_fine_grid_distance)
+                              _grid_links, _monotone_clear, oracle_fine_grid_distance)
 from boxspan.generators import GenConfig, random_instance
 from boxspan.geometry import (AxisBox, Environment, Point3, l1_distance, points_array,
                               validate_environment)
@@ -220,26 +219,20 @@ def test_track_graph_node_cap(monkeypatch):
 
 def test_geodesic_distance_free_space():
     env = Environment([], [Point3(0, 0, 0), Point3(1, 2, 3)])
-    assert geodesic_distance(env, *env.points) == 6.0
+    assert GeodesicSolver(env).distance(*env.points) == 6.0
 
 
 def test_geodesic_distance_detour_and_symmetry():
     env = Environment([UNIT_CUBE], [Point3(-0.5, 0.5, 0.5), Point3(1.5, 0.5, 0.5)])
     p, q = env.points
-    assert geodesic_distance(env, p, q) == pytest.approx(3.0, abs=1e-12)
-    assert geodesic_distance(env, q, p) == pytest.approx(3.0, abs=1e-12)
+    assert GeodesicSolver(env).distance(p, q) == pytest.approx(3.0, abs=1e-12)
+    assert GeodesicSolver(env).distance(q, p) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_geodesic_distance_surface_travel():
     # opposite faces of the cube: the route runs along the surface, never inside
     env = Environment([UNIT_CUBE], [Point3(0, 0.5, 0.5), Point3(1, 0.5, 0.5)])
-    assert geodesic_distance(env, *env.points) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_geodesic_distance_rejects_interior_query():
-    env = Environment([UNIT_CUBE], [Point3(-1, 0, 0)])
-    with pytest.raises(ValueError):
-        geodesic_distance(env, Point3(0.5, 0.5, 0.5), Point3(-1, 0, 0))
+    assert GeodesicSolver(env).distance(*env.points) == pytest.approx(2.0, abs=1e-12)
 
 
 def _random_env(rng, n, m, max_side=0.4):
@@ -722,7 +715,7 @@ def test_oracle_identity():
 def test_oracle_monotone_and_brackets_engine():
     env = Environment([UNIT_CUBE], [Point3(-0.5, 0.5, 0.5), Point3(1.5, 0.5, 0.5)])
     p, q = env.points
-    engine = geodesic_distance(env, p, q)
+    engine = GeodesicSolver(env).distance(p, q)
     values = [oracle_fine_grid_distance(env, p, q, r) for r in (1 / 8, 1 / 16, 1 / 32)]
     assert values[0] >= values[1] >= values[2] >= engine - 1e-9
     assert abs(engine - values[2]) <= 6 / 32

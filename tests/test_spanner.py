@@ -5,7 +5,7 @@ import pytest
 
 from boxspan import spanner
 from boxspan.cspd import CONES, ConeId, Cspd, CspdPair, build_cspd
-from boxspan.geodesic import GeodesicSolver, geodesic_distance, oracle_fine_grid_distance
+from boxspan.geodesic import GeodesicSolver, oracle_fine_grid_distance
 from boxspan.geometry import (AxisBox, Environment, Point3, bounding_box, l1_distance,
                               points_array)
 from boxspan.generators import GenConfig, random_instance
@@ -69,7 +69,7 @@ def test_select_center_obstacle_flips_winner():
     env = Environment([wall], [Point3(0.3, 0, 0), Point3(-0.5, 0, 0)])
     candidate = Point3(0, 0, 0)
     pair = CspdPair(ConeId(1, 1), (1,), (0,), candidate)
-    sigma = [geodesic_distance(env, candidate, p) for p in env.points]
+    sigma = [GeodesicSolver(env).distance(candidate, p) for p in env.points]
     assert l1_distance(candidate, env.points[0]) < l1_distance(candidate, env.points[1])
     assert sigma[1] < sigma[0]
     assert select_center(pair, env, candidate) == int(np.argmin(sigma))

@@ -15,34 +15,13 @@ from boxspan.geometry import (EPS_GEOM, AxisBox, Environment, Point3, bounding_b
 from boxspan.generators import GenConfig, random_instance, slab_instance
 from boxspan.spanner import SpannerGraph, build_spanner
 from boxspan.verification import (STRETCH_BOUND_L1, STRETCH_SLACK, VIA_DETOUR_FACTOR,
-                                  StretchReport, check_via_detour, check_via_triples,
-                                  graph_distances, norm_conversion_check, scaling_sweep,
-                                  spanning_ratio, via_triples)
+                                  StretchReport, check_via_triples, norm_conversion_check,
+                                  scaling_sweep, spanning_ratio, via_triples)
 from test_spanner import _faces_instance
 
 
 def _graph(n, edges):
     return SpannerGraph(n=n, edges={(i, j): w for i, j, w in edges})
-
-
-def test_graph_distances_single_edge():
-    d = graph_distances(_graph(2, [(0, 1, 2.5)]), 0)
-    assert d[0] == 0 and d[1] == 2.5
-
-
-def test_graph_distances_triangle_shortcut():
-    d = graph_distances(_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)]), 0)
-    assert d[2] == 2.0
-
-
-def test_graph_distances_disconnected_is_infinite():
-    d = graph_distances(_graph(3, [(0, 1, 1.0)]), 0)
-    assert math.isinf(d[2])
-
-
-def test_graph_distances_range_check():
-    with pytest.raises(IndexError):
-        graph_distances(_graph(2, []), 5)
 
 
 def test_spanning_ratio_of_complete_geodesic_graph_is_one():
@@ -61,10 +40,11 @@ def test_spanning_ratio_of_built_spanner(tmp_path):
     solver = GeodesicSolver(env)
     g = build_spanner(env, solver)
     report = spanning_ratio(env, g, solver=solver)
+    dist_graph = dijkstra(verification._graph_csr(g), directed=False)
     ratios = {}
     for i in range(env.n - 1):
         sigma = solver.distances_from(env.points[i], env.points[i + 1:])
-        for k, r in enumerate(graph_distances(g, i)[i + 1:] / sigma):
+        for k, r in enumerate(dist_graph[i, i + 1:] / sigma):
             ratios[(i, i + 1 + k)] = float(r)
     assert report.within_bound()
     assert report.max_ratio >= 1.0
@@ -117,6 +97,14 @@ def _disconnected(env):
         (i, i + 1): solver.distance(env.points[i], env.points[i + 1]) for i in range(half)})
 
 
+def _tied_path():
+    """40 points on a line, joined in a path of unit edges but for three of
+    weight 3.0: the ratio 3.0 is reached by (4, 5), (4, 6) and (5, 6), within
+    one block of 100 pairs, and again by (30, 31), in a later block."""
+    env = Environment([], [Point3(float(x), 0.0, 0.0) for x in range(40)])
+    return env, _graph(40, [(i, i + 1, 3.0 if i in (4, 5, 30) else 1.0) for i in range(39)])
+
+
 _MAZE = GenConfig(seed=0, n=32, m=40, placement="mixed", min_side=0.05, max_side=0.3,
                   gap=0.01)
 
@@ -128,7 +116,8 @@ _MAZE = GenConfig(seed=0, n=32, m=40, placement="mixed", min_side=0.05, max_side
     (lambda: _built(random_instance(GenConfig(seed=4, n=300, m=0))), 200),
     (lambda: _disconnected(random_instance(GenConfig(seed=5, n=40, m=6, max_side=0.3))), 100),
     (lambda: _understated(random_instance(GenConfig(seed=12, n=64, m=8))), 300),
-], ids=["scatter", "maze", "faces", "open-split", "disconnected", "understated"])
+    (_tied_path, 100),
+], ids=["scatter", "maze", "faces", "open-split", "disconnected", "understated", "tied"])
 def test_spanning_ratio_matches_the_per_row_scan(case, block, monkeypatch):
     """The scan by blocks of rows gives the per-row scan's report, compared
     with ==, and leaves the same cache in the same order.  It asks sigma
@@ -155,6 +144,18 @@ def test_spanning_ratio_scan_covers_the_edge_cases():
     assert math.isinf(spanning_ratio(env, g).max_ratio)
     env, g = _understated(random_instance(GenConfig(seed=12, n=64, m=8)))
     assert spanning_ratio(env, g).understated is not None
+    env, g = _tied_path()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "_STRETCH_BLOCK", 100)
+        blocks = [set(zip(rows.tolist(), cols.tolist()))
+                  for rows, cols in verification._pair_blocks(env.n)]
+        report = spanning_ratio(env, g)
+    tied = [(4, 5), (4, 6), (5, 6), (30, 31)]
+    dist = dijkstra(verification._graph_csr(g), directed=False)
+    assert [dist[i, j] / (j - i) for i, j in tied] == [3.0] * 4
+    at = [k for pair in tied for k, block in enumerate(blocks) if pair in block]
+    assert at[0] == at[1] == at[2] < at[3]
+    assert report == StretchReport(max_ratio=3.0, argmax=(4, 5))
     env = random_instance(_MAZE)
     states = GeodesicSolver(env).classify(*np.broadcast_arrays(
         *(points_array(env.points)[k] for k in np.triu_indices(env.n, 1))))
@@ -170,24 +171,23 @@ def test_spanning_ratio_checks_vertex_count():
 def test_via_detour_free_space_is_tight_at_one():
     env = Environment([], [Point3(0, 0, 0), Point3(1, 1, 1)])
     p, q = env.points
-    lhs, rhs, holds = check_via_detour(env, p, q, Point3(0.3, 0.8, 0.1))
-    assert holds
     # inside the box with no obstacles the two legs add up to the direct trip
-    assert lhs == pytest.approx(3.0, abs=1e-12)
-    assert rhs == pytest.approx(4 * 3.0, abs=1e-12)
+    passes, worst = check_via_triples([(p, q, Point3(0.3, 0.8, 0.1))], GeodesicSolver(env))
+    assert passes == 1
+    assert worst == pytest.approx(1.0, abs=1e-12)
 
 
 def test_via_detour_identity_endpoint():
     env = Environment([], [Point3(0, 0, 0), Point3(2, 1, 0)])
     p, q = env.points
-    lhs, rhs, holds = check_via_detour(env, p, q, p)
-    assert holds and lhs == pytest.approx(3.0, abs=1e-12)
+    passes, worst = check_via_triples([(p, q, p)], GeodesicSolver(env))
+    assert passes == 1 and worst == 1.0
 
 
 def test_via_detour_rejects_outside_box():
     env = Environment([], [Point3(0, 0, 0), Point3(1, 1, 1)])
-    with pytest.raises(ValueError):
-        check_via_detour(env, env.points[0], env.points[1], Point3(2, 0, 0))
+    with pytest.raises(ValueError, match="via point must lie in the closed box"):
+        check_via_triples([(*env.points, Point3(2, 0, 0))], GeodesicSolver(env))
 
 
 def test_via_detour_holds_amid_obstacles():
@@ -197,13 +197,14 @@ def test_via_detour_holds_amid_obstacles():
     assert len(triples) == 60
     assert all(p != q for p, q, _ in triples)
     # raises unless each o is in the box of p and q and outside every obstacle
-    passes, worst = check_via_triples(env, triples, solver)
+    passes, worst = check_via_triples(triples, solver)
     assert passes == 60
     assert worst <= VIA_DETOUR_FACTOR
 
 
 def reference_via_detour(env, p, q, o, solver):
-    """check_via_detour with its checks on Point3 and AxisBox, as a reference."""
+    """One via check, validated on Point3 and AxisBox, as a reference:
+    (lhs, rhs, holds) of sigma(p,o) + sigma(o,q) <= 4 * sigma(p,q)."""
     if not (min(p.x, q.x) <= o.x <= max(p.x, q.x)
             and min(p.y, q.y) <= o.y <= max(p.y, q.y)
             and min(p.z, q.z) <= o.z <= max(p.z, q.z)):
@@ -300,13 +301,12 @@ def test_check_via_triples_matches_a_loop_of_checks(triples, bad, data):
     for triple in bad:
         triples.insert(data.draw(st.integers(0, len(triples))), triple)
     expected, cache = _via_loop(_VIA_ENV, triples, reference_via_detour)
-    assert _via_loop(_VIA_ENV, triples, check_via_detour) == (expected, cache)
     solver = GeodesicSolver(_VIA_ENV)
     if isinstance(expected, str):
         with pytest.raises(ValueError, match=re.escape(expected)):
-            check_via_triples(_VIA_ENV, triples, solver)
+            check_via_triples(triples, solver)
     else:
-        assert check_via_triples(_VIA_ENV, triples, solver) == expected
+        assert check_via_triples(triples, solver) == expected
         assert list(solver._cache.items()) == cache
 
 
@@ -320,7 +320,7 @@ def test_check_via_triples_validates_without_point_tests(monkeypatch):
     monkeypatch.setattr(GeodesicSolver, "distance",
                         lambda self, p, q: calls.append(1) or distance(self, p, q))
     monkeypatch.setattr(AxisBox, "contains_interior", None)
-    assert check_via_triples(env, triples, GeodesicSolver(env))[0] == 50
+    assert check_via_triples(triples, GeodesicSolver(env))[0] == 50
     assert len(calls) == 3 * 50
 
 
@@ -419,10 +419,12 @@ def test_norm_conversion_check_margin_is_relative(scale, monkeypatch):
 
 
 def reference_norm_conversion_check(env):
-    """norm_conversion_check as it ran, one row of pairs per numpy call."""
+    """norm_conversion_check as it ran, one row of pairs per numpy call,
+    with each pair's differences scaled by a power of two as it now does."""
     pts = points_array(env.points)
     for i in range(len(pts) - 1):
         diff = np.abs(pts[i + 1:] - pts[i])
+        diff = np.ldexp(diff, -np.frexp(diff.max(axis=1))[1][:, None])
         l1 = diff.sum(axis=1)
         l2 = np.sqrt((diff * diff).sum(axis=1))
         if not np.all((l1 / verification.NORM_RATIO <= l2 * (1 + 1e-12))
@@ -474,6 +476,23 @@ def test_norm_check_matches_per_row_loop_at_the_margin(monkeypatch):
     assert 50 < sum(verdicts) < 350
 
 
+@pytest.mark.parametrize("exponent", [-600, -560, 512, 600])
+def test_norm_conversion_check_holds_where_squares_leave_the_float_range(exponent):
+    """Scaled by 2**exponent, the sum of squares of some pair's coordinate
+    differences overflows (positive exponents) or falls below the normal
+    range (negative ones); the sandwich still holds, as it does unscaled."""
+    env = random_instance(GenConfig(seed=3, n=64, m=0))
+    scaled = Environment([], [Point3(*np.ldexp(p.as_tuple(), exponent).tolist())
+                              for p in env.points])
+    diff = np.subtract(*(points_array(scaled.points)[k] for k in np.triu_indices(env.n, 1)))
+    with np.errstate(over="ignore", under="ignore"):
+        squares = (diff * diff).sum(axis=1)
+    assert not (np.isfinite(squares) & (squares >= np.finfo(float).tiny)).all()
+    assert norm_conversion_check(env)
+    assert norm_conversion_check(scaled)
+    assert reference_norm_conversion_check(scaled)
+
+
 def test_missing_edge_on_slab_instance_doubles_the_trip():
     """Dropping any edge of the complete graph forces a two-leg detour."""
     eps, s = 0.1, 2.1
@@ -488,10 +507,11 @@ def test_missing_edge_on_slab_instance_doubles_the_trip():
     for (i, j), w in full.edges.items():
         if (i, j) != victim:
             pruned.edges[(i, j)] = w
-    d = graph_distances(pruned, victim[0])[victim[1]]
+    report = spanning_ratio(env, pruned, solver)
+    assert report.argmax == victim
     sigma = full.edges[victim]
-    assert d >= 2 * s - 1e-9
-    assert d / sigma > 2 - eps
+    assert report.max_ratio * sigma >= 2 * s - 1e-9
+    assert report.max_ratio > 2 - eps
 
 
 def test_scaling_sweep_smoke():
