@@ -16,7 +16,7 @@ import numpy as np
 from . import files
 from .generators import CrowdedRegionError, GenConfig, random_instance, slab_instance
 from .geodesic import GeodesicSolver, GridTooLargeError
-from .geometry import Environment, points_array, validate_environment
+from .geometry import Environment, validate_environment
 from .spanner import build_spanner
 from .verification import (NORM_RATIO, STRETCH_BOUND_L1, VIA_DETOUR_FACTOR,
                            check_via_triples, norm_conversion_check,
@@ -54,8 +54,7 @@ def _load_valid_instance(path: str) -> Environment:
     env = files.load_instance(path)
     if env.n == 0:
         raise files.FormatError("instance has no points")
-    corners = points_array([*env.points,
-                            *(c for box in env.obstacles for c in (box.lo, box.hi))])
+    corners = np.concatenate([env.point_coords, env.obstacle_lo, env.obstacle_hi])
     with np.errstate(over="ignore", invalid="ignore"):
         span = float((corners.max(axis=0) - corners.min(axis=0)).sum())
     if not np.isfinite(span):

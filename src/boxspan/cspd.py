@@ -177,7 +177,7 @@ def _median_trees(start: np.ndarray, stop: np.ndarray,
     return root[order], start[order], stop[order]
 
 
-def build_cspd(points: Sequence[Point3], cone: ConeId) -> Cspd:
+def build_cspd(points: Sequence[Point3] | np.ndarray, cone: ConeId) -> Cspd:
     """Decompose all cone-related ordered pairs via three nested median splits.
 
     Level 1 splits by a median plane on the signed x-axis, level 2 on the
@@ -201,7 +201,7 @@ def build_cspd(points: Sequence[Point3], cone: ConeId) -> Cspd:
     n = len(points)
     if n < 2:
         raise ValueError("decomposition needs at least 2 points")
-    P = points_array(points)
+    P = points if isinstance(points, np.ndarray) else points_array(points)
     order = np.lexsort((np.arange(n), P[:, 0], P[:, 1], P[:, 2]))
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)

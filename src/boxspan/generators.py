@@ -63,7 +63,7 @@ def random_instance(cfg: GenConfig) -> Environment:
 
     obstacles: list[AxisBox] = []
     # Corners of the placed boxes; a candidate is kept when its largest axis
-    # gap to each of them (geometry.separation) is at least cfg.gap.
+    # gap to each of them is at least cfg.gap.
     placed_lo = np.empty((cfg.m, 3))
     placed_hi = np.empty((cfg.m, 3))
     tries = 0

@@ -198,8 +198,7 @@ class GeodesicSolver:
     """
 
     def __init__(self, env: Environment):
-        self.obs_lo = points_array([box.lo for box in env.obstacles])
-        self.obs_hi = points_array([box.hi for box in env.obstacles])
+        self.obs_lo, self.obs_hi = env.obstacle_lo, env.obstacle_hi
         self._cache: dict[tuple, float] = {}
 
     def distance(self, p: Point3, q: Point3) -> float:

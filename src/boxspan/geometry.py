@@ -1,19 +1,21 @@
 """Exact-semantics geometric primitives: points, axis-parallel boxes, obstacle environments.
 
-All predicates compare stored coordinates exactly.  The tolerance ``EPS_GEOM``
-is used only as a validation margin (obstacle disjointness) and as slack in
-verification checks, never in combinatorial decisions.
+All predicates compare stored coordinates exactly, obstacle disjointness as
+closed sets included: a float difference has the sign of the exact one, so
+that test is exact at every scale.  The tolerance ``EPS_GEOM`` is only slack
+in the via-point check, which compares sums of computed distances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
-EPS_GEOM = 1e-9
+import numpy as np
 
-AXES = (0, 1, 2)
+EPS_GEOM = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,9 +75,6 @@ class AxisBox:
                 and self.lo.y < pt.y < self.hi.y
                 and self.lo.z < pt.z < self.hi.z)
 
-    def extent(self, axis: int) -> float:
-        return self.hi.coord(axis) - self.lo.coord(axis)
-
     def sides(self) -> tuple[float, float, float]:
         return (self.hi.x - self.lo.x, self.hi.y - self.lo.y, self.hi.z - self.lo.z)
 
@@ -94,6 +93,8 @@ class Environment:
 
     Construction normalizes the fields to tuples but does not validate;
     call :func:`validate_environment` to check the instance invariants.
+    Read-only coordinate arrays, packed on first use and kept out of ==, hash
+    and repr: point_coords (n x 3), obstacle_lo and obstacle_hi (m x 3).
     """
 
     obstacles: tuple[AxisBox, ...]
@@ -107,45 +108,52 @@ class Environment:
     def n(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def point_coords(self) -> np.ndarray:
+        return _read_only(points_array(self.points))
 
-def separation(a: AxisBox, b: AxisBox) -> float:
-    """Largest axis gap between two boxes; > 0 iff disjoint as closed sets."""
-    best = -math.inf
-    for axis in AXES:
-        gap = max(b.lo.coord(axis) - a.hi.coord(axis), a.lo.coord(axis) - b.hi.coord(axis))
-        best = max(best, gap)
-    return best
+    @cached_property
+    def obstacle_lo(self) -> np.ndarray:
+        return _read_only(points_array([box.lo for box in self.obstacles]))
+
+    @cached_property
+    def obstacle_hi(self) -> np.ndarray:
+        return _read_only(points_array([box.hi for box in self.obstacles]))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def validate_environment(env: Environment) -> list[str]:
     """Report all violated instance invariants; an empty list means valid.
 
-    Checks: obstacles pairwise disjoint with margin EPS_GEOM (they may not
-    even touch), strictly positive obstacle extents, no point strictly inside
-    an obstacle, points pairwise distinct.
+    Checks, messages in this order: strictly positive obstacle extents;
+    obstacles pairwise disjoint as closed sets (the largest axis gap, the
+    separation, is > 0), so they may not even touch; no point strictly
+    inside an obstacle; points pairwise distinct (0.0 equals -0.0).
     """
-    violations: list[str] = []
-    for i, box in enumerate(env.obstacles):
-        for axis in AXES:
-            if box.extent(axis) <= 0.0:
-                violations.append(f"obstacle {i} has non-positive extent on axis {axis}")
-    for i in range(len(env.obstacles)):
-        for j in range(i + 1, len(env.obstacles)):
-            sep = separation(env.obstacles[i], env.obstacles[j])
-            if sep <= EPS_GEOM:
-                violations.append(f"obstacles {i} and {j} touch or overlap (separation {sep:.3g})")
-    for k, pt in enumerate(env.points):
-        for i, box in enumerate(env.obstacles):
-            if box.contains_interior(pt):
-                violations.append(f"point {k} lies strictly inside obstacle {i}")
-    seen: dict[tuple[float, float, float], int] = {}
-    for k, pt in enumerate(env.points):
-        key = pt.as_tuple()
-        if key in seen:
-            violations.append(f"points {seen[key]} and {k} coincide")
-        else:
-            seen[key] = k
-    return violations
+    P, lo, hi = env.point_coords, env.obstacle_lo, env.obstacle_hi
+    with np.errstate(over="ignore"):  # a difference past the float range is an infinity
+        extent = hi - lo
+        gap = np.maximum(lo[None] - hi[:, None], lo[:, None] - hi[None]).max(axis=2)
+    inside = ((lo < P[:, None]) & (P[:, None] < hi)).all(axis=2)
+    # Equal rows (-0.0 equals 0.0) are adjacent in a stable sort, in index
+    # order, so each run of them starts at its first occurrence.
+    order = np.lexsort(P.T)
+    starts = np.ones(len(P), dtype=bool)
+    starts[1:] = (P[order[1:]] != P[order[:-1]]).any(axis=1)
+    first = np.empty_like(order)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    repeats = np.flatnonzero(first != np.arange(len(P)))
+    return ([f"obstacle {i} has non-positive extent on axis {axis}"
+             for i, axis in np.argwhere(extent <= 0.0).tolist()]
+            + [f"obstacles {i} and {j} touch or overlap (separation {gap[i, j] + 0.0:.3g})"
+               for i, j in np.argwhere(np.triu(gap <= 0.0, k=1)).tolist()]
+            + [f"point {k} lies strictly inside obstacle {i}"
+               for k, i in np.argwhere(inside).tolist()]
+            + [f"points {first[k]} and {k} coincide" for k in repeats.tolist()])
 
 
 def project_out(o: Point3, env: Environment) -> tuple[Point3, Point3, Point3, Point3, Point3, Point3]:
@@ -169,13 +177,6 @@ def project_out(o: Point3, env: Environment) -> tuple[Point3, Point3, Point3, Po
     return (o, o, o, o, o, o)
 
 
-def points_array(points: Sequence[Point3]):
+def points_array(points: Sequence[Point3]) -> np.ndarray:
     """Pack points into an (n, 3) float array for vectorized work."""
-    import numpy as np
-
-    out = np.empty((len(points), 3), dtype=float)
-    for i, p in enumerate(points):
-        out[i, 0] = p.x
-        out[i, 1] = p.y
-        out[i, 2] = p.z
-    return out
+    return np.array([(p.x, p.y, p.z) for p in points], dtype=float).reshape(-1, 3)

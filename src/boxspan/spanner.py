@@ -20,7 +20,7 @@ import numpy as np
 
 from .cspd import CONES, Cspd, CspdPair, build_cspd
 from .geodesic import BOX_FREE, GRID_STAGE, GeodesicSolver
-from .geometry import Environment, Point3, points_array, project_out
+from .geometry import Environment, Point3, project_out
 
 
 @dataclass
@@ -57,7 +57,7 @@ def select_center(pair: CspdPair, env: Environment, candidate: Point3,
     if solver is None:
         solver = GeodesicSolver(env)
     members = sorted(set(pair.a) | set(pair.b))
-    dists = solver.distances_from(candidate, [env.points[i] for i in members])
+    dists = solver.distances_from(candidate, env.point_coords[members])
     return members[int(dists.argmin())]
 
 
@@ -90,10 +90,10 @@ def build_spanner(env: Environment, solver: GeodesicSolver | None = None) -> Spa
         return graph
     if solver is None:
         solver = GeodesicSolver(env)
-    P = points_array(env.points)
+    P = env.point_coords
     keys, edge_weights = [], []
     for cone in CONES:
-        decomposition = build_cspd(env.points, cone)
+        decomposition = build_cspd(P, cone)
         code = cone.code()
         graph.stats["pair_counts"][code] = len(decomposition)
         graph.stats["size_sums"][code] = decomposition.size_sum

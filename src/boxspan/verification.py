@@ -104,7 +104,7 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
     if n < 2:
         return StretchReport(max_ratio=1.0, argmax=None)
     dist_graph = dijkstra(_graph_csr(g), directed=False)
-    P = points_array(env.points)
+    P = env.point_coords
     best = 0.0
     arg: tuple[int, int] | None = None
     understated: tuple[int, int] | None = None
@@ -132,8 +132,8 @@ def via_triples(env: Environment, count: int,
     n = env.n
     if n < 2:
         return []
-    coords = [p.as_tuple() for p in env.points]
-    boxes = [b.lo.as_tuple() + b.hi.as_tuple() for b in env.obstacles]
+    coords = env.point_coords.tolist()
+    boxes = np.hstack([env.obstacle_lo, env.obstacle_hi]).tolist()
     triples = []
     for _ in range(count):
         i = int(rng.integers(n))
@@ -225,7 +225,7 @@ def norm_conversion_check(env: Environment) -> bool:
     The pairs are taken in the stretch scan's blocks of whole rows, one
     coordinate array at a time; the sums run x, y, z as on a row of three.
     """
-    X, Y, Z = points_array(env.points).T
+    X, Y, Z = env.point_coords.T
     for rows, cols in _pair_blocks(env.n):
         dx, dy, dz = np.abs(X[cols] - X[rows]), np.abs(Y[cols] - Y[rows]), np.abs(Z[cols] - Z[rows])
         exponent = -np.frexp(np.maximum(np.maximum(dx, dy), dz))[1]

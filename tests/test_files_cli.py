@@ -263,6 +263,35 @@ def test_cli_verify_norm_sandwich_at_a_huge_scale(tmp_path, capsys):
     assert "norm sandwich ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+def test_cli_accepts_an_instance_at_any_power_of_two_scale(tmp_path, seed):
+    """Scaled by 2**k, a valid instance stays valid: obstacles are disjoint
+    exactly, not by an absolute margin.  The builder gives the same edges in
+    the same order with each weight scaled exactly, and build and verify
+    report the unscaled edge count and stretch."""
+    env = random_instance(GenConfig(seed=seed, n=24, m=6))
+    unscaled = build_spanner(env)
+    inst, graph = str(tmp_path / "inst.json"), str(tmp_path / "graph.json")
+    build_report, verify_report = str(tmp_path / "build.json"), str(tmp_path / "verify.json")
+    outcomes = set()
+    for k in (0, -30, -100, -300, 300):
+        def scaled(p):
+            return Point3(*(math.ldexp(c, k) for c in p.as_tuple()))
+
+        env_k = Environment([AxisBox(scaled(box.lo), scaled(box.hi)) for box in env.obstacles],
+                            [scaled(p) for p in env.points])
+        edges = build_spanner(env_k).edges
+        assert list(edges) == list(unscaled.edges), k
+        assert list(edges.values()) == [math.ldexp(w, k) for w in unscaled.edges.values()], k
+        files.save_instance(inst, env_k)
+        assert main(["build", "--in", inst, "--out", graph, "--report", build_report]) == 0, k
+        assert main(["verify", "--instance", inst, "--graph", graph,
+                     "--report", verify_report]) == 0, k
+        with open(build_report) as fh, open(verify_report) as gh:
+            outcomes.add((json.load(fh)["edge_count"], json.load(gh)["max_stretch_l1"]))
+    assert len(outcomes) == 1
+
+
 def test_cli_verify_rejects_understated_weights(tmp_path, capsys):
     """A graph shorter than the geodesic distances breaks the bounds: a star
     of tiny weights and the real spanner with every weight scaled down both

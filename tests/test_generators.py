@@ -5,7 +5,8 @@ import pytest
 
 from boxspan.geodesic import GeodesicSolver
 from boxspan.generators import CrowdedRegionError, GenConfig, random_instance, slab_instance
-from boxspan.geometry import AxisBox, Point3, separation, validate_environment
+from boxspan.geometry import AxisBox, Point3, validate_environment
+from test_geometry import separation
 
 
 def test_same_seed_reproduces_identical_instance():
@@ -40,7 +41,7 @@ def test_mixed_placement_snaps_points_to_faces():
 
 def reference_obstacles(cfg):
     """The obstacle loop of random_instance, testing each candidate against
-    each placed box with geometry.separation."""
+    each placed box with the tests' separation."""
     rng = np.random.default_rng(cfg.seed)
     scale = cfg.extent
     obstacles = []
