@@ -106,7 +106,30 @@ def _grid_csr(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
 def _grid_graph(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
                 links: list[np.ndarray], both_ways: bool) -> csr_matrix:
     """The graph of :func:`_grid_csr`; with both_ways, also each edge back,
-    so that the graph is symmetric.
+    so that the graph is symmetric.  Its pattern is :func:`_grid_pattern`'s;
+    each slot's weight is the length of its step."""
+    shape = tuple(len(c) for c in cuts)
+    slot, indptr, indices = _grid_pattern(shape, links, both_ways)
+    k = 6 if both_ways else 3
+    up = k - 3
+    steps = [np.diff(c) for c in cuts]
+    weight = np.zeros(shape + (k,))
+    weight[:, :, :-1, up] = steps[2]
+    weight[:, :-1, :, up + 1] = steps[1][:, None]
+    weight[:-1, :, :, up + 2] = steps[0][:, None, None]
+    if both_ways:
+        weight[1:, :, :, 0] = steps[0][:, None, None]
+        weight[:, 1:, :, 1] = steps[1][:, None]
+        weight[:, :, 1:, 2] = steps[2]
+    n_nodes = len(indptr) - 1
+    return csr_matrix((weight.reshape(-1)[slot], indices, indptr), shape=(n_nodes, n_nodes))
+
+
+def _grid_pattern(shape: tuple[int, int, int], links: list[np.ndarray],
+                  both_ways: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR pattern of :func:`_grid_graph` on a grid of the given shape,
+    as (slot, indptr, indices): slot holds, per stored edge, its position in
+    the (nodes x directions) slot array described below.
 
     The CSR arrays are made directly.  A node u's neighbors along the links
     are u - ny*nz, u - nz, u - 1, u + 1, u + nz and u + ny*nz, in increasing
@@ -115,35 +138,26 @@ def _grid_graph(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
     slots taken in C order are each row's edges with sorted columns, and
     indptr is the cumulative count of a node's slots.
     """
-    shape = tuple(len(c) for c in cuts)
     nx, ny, nz = shape
     n_nodes = nx * ny * nz
     k = 6 if both_ways else 3
-    steps = [np.diff(c) for c in cuts]
     # Slots (-x, -y, -z) when both_ways, then (+z, +y, +x).
     mask = np.zeros(shape + (k,), dtype=bool)
-    weight = np.zeros(shape + (k,))
     up = k - 3
     mask[:, :, :-1, up] = links[2]
     mask[:, :-1, :, up + 1] = links[1]
     mask[:-1, :, :, up + 2] = links[0]
-    weight[:, :, :-1, up] = steps[2]
-    weight[:, :-1, :, up + 1] = steps[1][:, None]
-    weight[:-1, :, :, up + 2] = steps[0][:, None, None]
     if both_ways:
         mask[1:, :, :, 0] = links[0]
         mask[:, 1:, :, 1] = links[1]
         mask[:, :, 1:, 2] = links[2]
-        weight[1:, :, :, 0] = steps[0][:, None, None]
-        weight[:, 1:, :, 1] = steps[1][:, None]
-        weight[:, :, 1:, 2] = steps[2]
     index = np.int32 if k * n_nodes < 2 ** 31 else np.int64
     offsets = np.array([-ny * nz, -nz, -1, 1, nz, ny * nz], dtype=index)[3 - up:]
     slot = np.flatnonzero(mask)
+    node = slot // k
     indptr = np.zeros(n_nodes + 1, dtype=index)
-    np.cumsum(np.count_nonzero(mask.reshape(n_nodes, k), axis=1), out=indptr[1:])
-    indices = (slot // k).astype(index) + offsets[slot % k]
-    return csr_matrix((weight.reshape(-1)[slot], indices, indptr), shape=(n_nodes, n_nodes))
+    np.cumsum(np.bincount(node, minlength=n_nodes), out=indptr[1:])
+    return slot, indptr, node.astype(index) + offsets[slot % k]
 
 
 class GeodesicSolver:
@@ -461,7 +475,9 @@ def _monotone_clear(links: list[np.ndarray], ends: np.ndarray) -> bool:
     the obstacles that overlap the pair's box.
 
     The test is a breadth-first search on the sub-grid between s and t, each
-    axis reversed where s > t, so that every link points away from s.  It is
+    axis reversed where s > t, so that every link points away from s.  The
+    search reads no weights, so the graph is only :func:`_grid_pattern`'s
+    links, with no step lengths.  It is
     exact because any monotone avoiding path stays in the pair's closed box
     and can be slid onto the planes of s, t and the overlapping obstacles'
     faces clipped to that box, and:
@@ -475,9 +491,12 @@ def _monotone_clear(links: list[np.ndarray], ends: np.ndarray) -> bool:
     flip = tuple(slice(None, None, -1 if i > j else 1) for i, j in ends)
     sub = [links[axis][tuple(slice(lo[a], hi[a] + (a != axis)) for a in range(3))][flip]
            for axis in range(3)]
-    graph = _grid_csr(tuple(np.arange(n, dtype=float) for n in hi - lo + 1), sub)
-    return graph.shape[0] - 1 in breadth_first_order(graph, 0, directed=True,
-                                                     return_predecessors=False)
+    _, indptr, indices = _grid_pattern(tuple(hi - lo + 1), sub, both_ways=False)
+    n_nodes = len(indptr) - 1
+    graph = csr_matrix((np.ones(len(indices)), indices, indptr),
+                       shape=(n_nodes, n_nodes))
+    return n_nodes - 1 in breadth_first_order(graph, 0, directed=True,
+                                              return_predecessors=False)
 
 
 def oracle_fine_grid_distance(env: Environment, p: Point3, q: Point3,

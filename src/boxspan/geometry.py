@@ -2,8 +2,7 @@
 
 All predicates compare stored coordinates exactly, obstacle disjointness as
 closed sets included: a float difference has the sign of the exact one, so
-that test is exact at every scale.  The tolerance ``EPS_GEOM`` is only slack
-in the via-point check, which compares sums of computed distances.
+that test is exact at every scale.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-
-EPS_GEOM = 1e-9
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,17 +17,23 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .geodesic import GeodesicSolver
-from .geometry import EPS_GEOM, Environment, Point3, points_array
+from .geometry import Environment, Point3, points_array
 from .spanner import SpannerGraph, build_spanner
 
 STRETCH_BOUND_L1 = 8.0
 STRETCH_SLACK = 1e-6
 VIA_DETOUR_FACTOR = 4.0
 NORM_RATIO = math.sqrt(3.0)
+# Relative slack of the via check, sized in check_via_triples.
+VIA_SLACK = 1e-9
 
 # Most point pairs in one block of the pair scans (the stretch scan and the
 # norm check): their arrays hold a few floats per pair.
 _STRETCH_BLOCK = 1 << 13
+
+# Most floats in the temporaries of one fold of neighbours into a row's
+# two-hop bounds.
+_FOLD_FLOATS = 1 << 16
 
 
 @dataclass
@@ -71,6 +77,38 @@ def _pair_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         first = last
 
 
+def _l1(P: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The L1 distances of the points P[i] and P[j], summed x, y, z as the
+    solver sums them, one coordinate array at a time."""
+    out = np.abs(P[j, 0] - P[i, 0])
+    out += np.abs(P[j, 1] - P[i, 1])
+    out += np.abs(P[j, 2] - P[i, 2])
+    return out
+
+
+def _two_hop_bounds(W: np.ndarray, first: int, last: int) -> np.ndarray:
+    """The two-hop bounds U(i, j) of the rows first <= i < last, pairs
+    (i, j), j > i, in row-major order: U(i, j) = min(W[i, j], min over
+    common neighbours c of W[i, c] + W[c, j]) on the dense weight matrix W,
+    inf where no path of at most two edges joins i and j.
+
+    A row's neighbours are folded in at most _FOLD_FLOATS // n at a time,
+    so a fold's temporaries hold at most _FOLD_FLOATS floats.
+    """
+    chunk = max(1, _FOLD_FLOATS // len(W))
+    out = []
+    for i in range(first, last):
+        u = W[i, i + 1:].copy()
+        nbrs = np.flatnonzero(W[i] < np.inf)
+        for start in range(0, len(nbrs), chunk):
+            c = nbrs[start:start + chunk]
+            hops = W[c, i + 1:]
+            hops += W[i, c][:, None]
+            np.minimum(u, hops.min(axis=0), out=u)
+        out.append(u)
+    return np.concatenate(out)
+
+
 def spanning_ratio(env: Environment, g: SpannerGraph,
                    solver: GeodesicSolver | None = None) -> StretchReport:
     """Max over all pairs of graph distance divided by geodesic distance.
@@ -88,6 +126,27 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
     np.argmax would pick: the points are distinct, so sigma is positive and
     finite, and a graph distance is at least 0, or inf.
 
+    Graph distances come from single-source Dijkstra runs on the rows that
+    need them, not from all pairs.  Every other pair is settled by its
+    two-hop bound U(i, j) = min(w(i, j), min over common neighbours c of
+    w(i, c) + w(c, j)), taken on the dense matrix of the graph Dijkstra
+    sees, with the smaller weight where both directions are stored
+    (:func:`_two_hop_bounds`).  The Dijkstra distance d satisfies d <= U to
+    the bit: Dijkstra from i reaches c at most at 0 + w(i, c) = w(i, c),
+    relaxes c's edge to j from there, and rounding is monotone, so d <=
+    fl(w(i, c) + w(c, j)).  Dividing by sigma keeps the order, so each
+    pair's ratio is at most its bound fl(U / sigma).  A row whose largest
+    bound is at most the best ratio of the earlier blocks, which a new best
+    must exceed, or below the largest exact ratio found so far in its block,
+    which the block's first argmax must reach, changes neither.  So within
+    a block the candidate rows go exact best-first, largest bound first, in
+    batches of one, two, four... rows, each batch one
+    ``dijkstra(..., indices=rows)`` call, until no candidate is left; every
+    other pair keeps its bound in the block's ratios, where it can be
+    neither the new best nor the argmax.  A graph the bound cannot certify,
+    such as a disconnected one, where U is inf, sends rows exact in the
+    same loop.
+
     Also records as ``understated`` the first pair, in row order, whose
     graph distance falls below (1 - STRETCH_SLACK) times its geodesic
     distance: no path amid the obstacles is shorter than the geodesic, so
@@ -95,6 +154,21 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
     sigma(q, p) can differ by an ulp (see :class:`GeodesicSolver`), and the
     builder's solver may have met a pair in the other orientation, so an
     edge weight can sit an ulp off the sigma here; STRETCH_SLACK covers it.
+    Until such a pair is found, the rows that might hold one go exact too,
+    in the block's first batch.  Let l be the L1 distance of two points,
+    summed x, y, z as sigma's L1 is (:func:`_l1`), and u = 2**-53.  Each l
+    is within a factor (1 +- u)**3 of the exact L1: three rounded
+    differences, two additions.  When every stored weight is at least the l
+    of its ends, a graph distance d, the left-fold sum of the k <= n - 1
+    weights of a path, is at least (1 - u)**(k - 1) times their exact sum,
+    and the exact L1 obeys the triangle inequality, so d >= l * (1 - (n +
+    4)u).  A pair with sigma <= fl(l * (1 + STRETCH_SLACK / 2)) then has a
+    computed ratio of at least (1 - (n + 7)u) / (1 + STRETCH_SLACK / 2),
+    which exceeds 1 - STRETCH_SLACK while (n + 7)u < STRETCH_SLACK / 2,
+    that is, for any n below 4 * 10**9.  So only rows holding a pair whose
+    sigma exceeds l by more than that go exact for this check; where sigma
+    is L1, as on obstacle-free instances, none do.  If some weight falls
+    below its l, every row goes exact until the pair is found.
     """
     if g.n != env.n:
         raise ValueError("graph and environment disagree on the number of points")
@@ -103,13 +177,43 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
     n = g.n
     if n < 2:
         return StretchReport(max_ratio=1.0, argmax=None)
-    dist_graph = dijkstra(_graph_csr(g), directed=False)
+    csr = _graph_csr(g)
     P = env.point_coords
+    tails = np.repeat(np.arange(n), np.diff(csr.indptr))
+    above_l1 = bool(np.all(csr.data >= _l1(P, tails, csr.indices)))
+    W = np.full((n, n), np.inf)
+    np.minimum.at(W, (tails, csr.indices), csr.data)
+    np.minimum.at(W, (csr.indices, tails), csr.data)
+    del tails
     best = 0.0
     arg: tuple[int, int] | None = None
     understated: tuple[int, int] | None = None
     for rows, cols in _pair_blocks(n):
-        ratios = dist_graph[rows, cols] / solver.distances_from(P[rows], P[cols])
+        sigma = solver.distances_from(P[rows], P[cols])
+        first, last = int(rows[0]), int(rows[-1]) + 1
+        lengths = n - 1 - np.arange(first, last)
+        starts = np.cumsum(lengths) - lengths
+        ratios = _two_hop_bounds(W, first, last) / sigma
+        row_bound = np.maximum.reduceat(ratios, starts)
+        if understated is None and above_l1:
+            wide = sigma > _l1(P, rows, cols) * (1 + STRETCH_SLACK / 2)
+            batch = np.flatnonzero(np.logical_or.reduceat(wide, starts))
+        else:
+            batch = np.arange(last - first) if understated is None else np.empty(0, int)
+        exact = np.zeros(last - first, dtype=bool)
+        block_best, size = -np.inf, 1
+        while True:
+            open_rows = np.flatnonzero(~exact & (row_bound > best) & (row_bound >= block_best))
+            pick = open_rows[np.argsort(-row_bound[open_rows], kind="stable")[:size]]
+            batch = np.union1d(batch, pick)
+            if not len(batch):
+                break
+            for r, dist in zip(batch, dijkstra(csr, directed=False, indices=first + batch)):
+                at = slice(starts[r], starts[r] + lengths[r])
+                ratios[at] = dist[first + r + 1:] / sigma[at]
+                block_best = max(block_best, ratios[at].max())
+            exact[batch] = True
+            batch, size = batch[:0], 2 * size
         k = int(np.argmax(ratios))
         if ratios[k] > best:
             best = float(ratios[k])
@@ -186,6 +290,17 @@ def check_via_triples(triples: list[tuple[Point3, Point3, Point3]],
     reads its three distances from the cache, one
     :meth:`GeodesicSolver.distance` call each.  The order matters above L1,
     where the orientation asked first fixes the last bits of a cached value.
+
+    A check passes when lhs <= rhs * (1 + VIA_SLACK), a slack relative to
+    the distances, so the check means the same at every scale.  Each sigma
+    is a left-fold sum of the step lengths of one path (the L1, three
+    steps, when no grid is needed), each step one rounded coordinate
+    difference; with u = 2**-53, a sum of k steps is within 2ku of its
+    exact value, to first order.  So where the exact distances meet the
+    inequality, rounding (the addition on the left included) moves the
+    computed sides apart by at most (4k + 1)u relative, for paths of at
+    most k steps: below VIA_SLACK = 1e-9 for k up to 2**21.  A violation by
+    more than 1e-9 relative fails at any scale.
     """
     if not triples:
         return 0, 0.0
@@ -198,7 +313,7 @@ def check_via_triples(triples: list[tuple[Point3, Point3, Point3]],
         lhs = solver.distance(p, o) + solver.distance(o, q)
         rhs = VIA_DETOUR_FACTOR * solver.distance(p, q)
         worst = max(worst, VIA_DETOUR_FACTOR * lhs / rhs)
-        passes += lhs <= rhs + EPS_GEOM
+        passes += lhs <= rhs * (1 + VIA_SLACK)
     return passes, worst
 
 

@@ -462,17 +462,14 @@ def test_classify_matches_per_pair_decisions_and_is_symmetric(instance):
 
 
 def test_grid_csr_matches_reference(monkeypatch):
-    """The strided _grid_csr gives the reference's CSR arrays on the Dijkstra
-    and monotone grids of the certificate instances, on an oracle lattice and
-    on grids with no links or a one-node axis."""
-    grids = []
-    grid_csr = geodesic._grid_csr
-
-    def recording_csr(cuts, links):
-        grids.append((cuts, links))
-        return grid_csr(cuts, links)
-
-    monkeypatch.setattr(geodesic, "_grid_csr", recording_csr)
+    """The strided _grid_csr gives the reference's CSR arrays on the grids of
+    the certificate instances, on the monotone sub-grids whose pattern
+    _monotone_clear searches, on an oracle lattice and on grids with no
+    links or a one-node axis."""
+    grids, patterns = [], []
+    grid_csr, grid_pattern = geodesic._grid_csr, geodesic._grid_pattern
+    monkeypatch.setattr(geodesic, "_grid_pattern", lambda shape, links, both_ways:
+                        patterns.append((shape, links)) or grid_pattern(shape, links, both_ways))
     kinds = set()
     for env in _certificate_instances():
         solver = GeodesicSolver(env)
@@ -481,11 +478,16 @@ def test_grid_csr_matches_reference(monkeypatch):
             over = solver._overlapping(np.minimum(s, t), np.maximum(s, t))
             if len(over):
                 cuts, links, ends = solver._grid(s, t, over)
+                grids.append((cuts, links))
                 _monotone_clear(links, ends)
-                _grid_distance(cuts, links, ends)
                 kinds.add(len(over) > 1)
     assert kinds == {True, False}
+    assert patterns
+    grids += [(tuple(np.arange(n, dtype=float) for n in shape), links)
+              for shape, links in patterns]
     lattice = len(grids)
+    monkeypatch.setattr(geodesic, "_grid_csr",
+                        lambda cuts, links: grids.append((cuts, links)) or grid_csr(cuts, links))
     env = Environment([UNIT_CUBE], [Point3(-0.5, 0.5, 0.5), Point3(1.5, 0.25, 0.5)])
     oracle_fine_grid_distance(env, *env.points, resolution=1 / 8)
     assert len(grids) == lattice + 1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from boxspan import files
 from boxspan.generators import GenConfig, random_instance
-from boxspan.geometry import (EPS_GEOM, AxisBox, Environment, Point3, bounding_box,
+from boxspan.geometry import (AxisBox, Environment, Point3, bounding_box,
                               l1_distance, l2_distance, project_out, validate_environment)
 
 SQRT3 = math.sqrt(3.0)
@@ -294,6 +294,3 @@ def test_boundary_contact_is_allowed():
     env = Environment([AxisBox(Point3(0, 0, 0), Point3(1, 1, 1))], [Point3(0, 0.5, 0.5)])
     assert validate_environment(env) == []
 
-
-def test_eps_geom_is_tiny():
-    assert 0 < EPS_GEOM < 1e-6

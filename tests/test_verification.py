@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ from scipy.sparse.csgraph import dijkstra
 
 from boxspan import geodesic, verification
 from boxspan.geodesic import GeodesicSolver
-from boxspan.geometry import (EPS_GEOM, AxisBox, Environment, Point3, bounding_box,
+from boxspan.geometry import (AxisBox, Environment, Point3, bounding_box,
                               l1_distance, l2_distance, points_array)
 from boxspan.generators import GenConfig, random_instance, slab_instance
 from boxspan.spanner import SpannerGraph, build_spanner
 from boxspan.verification import (STRETCH_BOUND_L1, STRETCH_SLACK, VIA_DETOUR_FACTOR,
-                                  StretchReport, check_via_triples, norm_conversion_check,
+                                  VIA_SLACK, StretchReport, check_via_triples, norm_conversion_check,
                                   scaling_sweep, spanning_ratio, via_triples)
 from test_spanner import _faces_instance
 
@@ -168,6 +169,214 @@ def test_spanning_ratio_checks_vertex_count():
         spanning_ratio(env, SpannerGraph(n=4))
 
 
+# -- the certified scan: two-hop bounds, exact rows only where they can matter
+
+def _sigma_graph(env, pairs):
+    """The graph on env's points with the given edges, each weighted by its
+    geodesic distance."""
+    solver = GeodesicSolver(env)
+    return SpannerGraph(n=env.n, edges={
+        (i, j): solver.distance(env.points[i], env.points[j]) for i, j in pairs})
+
+
+def _exact_rows(monkeypatch):
+    """The sources of the scan's single-source Dijkstra runs, as recorded
+    by a wrapper of verification.dijkstra."""
+    rows = []
+    run = verification.dijkstra
+    monkeypatch.setattr(verification, "dijkstra", lambda graph, directed, indices:
+                        rows.extend(np.atleast_1d(indices).tolist())
+                        or run(graph, directed=directed, indices=indices))
+    return rows
+
+
+def _scan_matches_reference(env, g, block=None):
+    """The scan's report, compared with ==, and its cache, entry for entry,
+    are the per-row reference scan's; returns the report."""
+    solver, reference_solver = GeodesicSolver(env), GeodesicSolver(env)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(verification, "_STRETCH_BLOCK", block)
+        got = spanning_ratio(env, g, solver)
+    assert got == reference_spanning_ratio(env, g, reference_solver)
+    assert list(solver._cache.items()) == list(reference_solver._cache.items())
+    return got
+
+
+_SCAN_INSTANCES = {
+    "maze": lambda seed: random_instance(GenConfig(
+        seed=seed, n=20, m=24, placement="mixed", min_side=0.05, max_side=0.3, gap=0.01)),
+    "faces": lambda seed: _faces_instance(),
+    "lattice": lambda seed: Environment(_VIA_ENV.obstacles, [
+        _VIA_ENV.points[k] for k in
+        np.sort(np.random.default_rng(seed).choice(_VIA_ENV.n, 24, replace=False))]),
+    "slab": lambda seed: slab_instance(4 + seed % 7, 0.1, 2.1, 1e-3),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_SCAN_INSTANCES)), st.integers(0, 40),
+       st.sampled_from(["built", "thinned", "scaled", "star", "path"]),
+       st.sampled_from([None, 1, 37]), st.data())
+def test_certified_scan_matches_the_all_pairs_reference(kind, seed, graph, block, data):
+    """On maze, faces, lattice and slab instances, with built spanners,
+    spanners with edges dropped or one weight scaled, stars and paths, the
+    scan gives the report and the cache of the per-row scan on all-pairs
+    Dijkstra distances, also with blocks of one row and of 37 pairs."""
+    env = _SCAN_INSTANCES[kind](seed)
+    if graph in ("built", "thinned", "scaled"):
+        g = build_spanner(env, GeodesicSolver(env))
+        edges = sorted(g.edges)
+        if graph == "thinned":
+            drop = data.draw(st.sets(st.sampled_from(edges), max_size=len(edges) // 2))
+            g = SpannerGraph(n=env.n, edges={e: w for e, w in g.edges.items() if e not in drop})
+        elif graph == "scaled":
+            victim = data.draw(st.sampled_from(edges))
+            g.edges[victim] *= data.draw(st.sampled_from([0.5, 1 - 2.0 ** -40, 1.5])
+                                         | st.floats(0.1, 4.0))
+    elif graph == "star":
+        center = data.draw(st.integers(0, env.n - 1))
+        g = _sigma_graph(env, [(center, j) for j in range(env.n) if j != center])
+    else:
+        order = data.draw(st.permutations(range(env.n)))
+        g = _sigma_graph(env, list(zip(order, order[1:])))
+    _scan_matches_reference(env, g, block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]), st.integers(0, 3)))), st.sampled_from([None, 1, 5]))
+def test_certified_scan_breaks_ties_as_the_reference(graph, block):
+    """Points on a line at the integers, edges of weight their length plus
+    0 to 3, stored in either orientation: small integer ratios tie often,
+    and two-hop bounds are often loose or inf, yet the scan picks the
+    reference's pair."""
+    n, extra = graph
+    env = Environment([], [Point3(float(x), 0.0, 0.0) for x in range(n)])
+    g = _graph(n, [(i, j, float(abs(i - j) + w)) for (i, j), w in extra.items()])
+    _scan_matches_reference(env, g, block)
+
+
+def _edge_below_l1():
+    """A built spanner with one weight 2**-40 relative below the L1 of its
+    ends: no pair is understated, but the L1 lower bound fails."""
+    env, g = _built(random_instance(GenConfig(seed=12, n=64, m=8)))
+    i, j = victim = sorted(g.edges)[len(g.edges) // 2]
+    g.edges[victim] = l1_distance(env.points[i], env.points[j]) * (1 - 2.0 ** -40)
+    return env, g
+
+
+def _understated_at_l1():
+    """Six points and a thin box in their way, so that geodesics past it
+    exceed L1 by 2e-4; every weight is at least the L1 of its ends, and
+    (2, 3) has that L1.  (0, 3) is the first understated pair, at 1 - 6e-5
+    over a path of three edges, but its two-hop bound is its own edge, at
+    ratio 1; (1, 3) comes later, with a bound of 1 - 9e-5.  Row 4 holds the
+    max, 2, at (4, 5), so only the search for understated pairs makes row 0
+    go exact, and only if a geodesic 6e-5 above L1 counts as wide."""
+    env = Environment([AxisBox(Point3(0.0, -1e-4, -1.0), Point3(1.0, 1e-4, 1.0))],
+                      [Point3(-2.1, 0.0, 0.0), Point3(-1.1, 0.0, 0.0), Point3(-0.1, 0.0, 0.0),
+                       Point3(1.1, 0.0, 0.0), Point3(5.0, 5.0, 0.0), Point3(6.0, 5.0, 0.0)])
+    g = _sigma_graph(env, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5)])
+    g.edges[(2, 3)] = l1_distance(env.points[2], env.points[3])
+    g.edges[(4, 5)] = 2.0
+    return env, g
+
+
+def _tied_bound():
+    """Seven points on a line.  (0, 1) has the two-hop bound 16, through 6,
+    but a path of 12 through 4 and 3; (1, 2) has no two-hop path and the
+    ratio 16.  Row 1 goes exact first, and row 0, whose bound only ties the
+    best ratio, must go exact too for the argmax to be (1, 2)."""
+    env = Environment([], [Point3(float(x), 0.0, 0.0) for x in range(7)])
+    return env, _graph(7, [(0, 2, 4.0), (0, 4, 7.0), (0, 5, 5.0), (0, 6, 9.0), (1, 3, 3.0),
+                           (1, 6, 7.0), (3, 4, 2.0), (3, 6, 3.0), (4, 5, 4.0), (4, 6, 5.0)])
+
+
+def _missing_edges():
+    """A built spanner with point 0 left on one edge, to its nearest
+    neighbour: a path of three edges joins it to some points, but none of
+    at most two, so their two-hop bound is inf."""
+    env, g = _built(random_instance(GenConfig(seed=11, n=64, m=8)))
+    keep = min((e for e in g.edges if 0 in e), key=g.edges.get)
+    return env, SpannerGraph(n=env.n, edges={
+        e: w for e, w in g.edges.items() if 0 not in e or e == keep})
+
+
+def _star():
+    env = random_instance(GenConfig(seed=13, n=48, m=6))
+    return env, _sigma_graph(env, [(7, j) for j in range(env.n) if j != 7])
+
+
+def _path():
+    env = random_instance(GenConfig(seed=14, n=48, m=6))
+    return env, _sigma_graph(env, [(i, i + 1) for i in range(env.n - 1)])
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _understated(random_instance(GenConfig(seed=12, n=64, m=8))),
+    _understated_at_l1, _edge_below_l1, _missing_edges,
+    lambda: _disconnected(random_instance(GenConfig(seed=5, n=40, m=6, max_side=0.3))),
+    _star, _path, _tied_path, _tied_bound,
+], ids=["understated", "understated-at-l1", "below-l1", "missing-edges", "disconnected",
+        "star", "path", "tied", "tied-bound"])
+def test_certified_scan_fixed_cases(case, monkeypatch):
+    """Graphs the two-hop bound certifies poorly or not at all give the
+    reference's report and cache, with blocks of 300 pairs; the rows that
+    must go exact do."""
+    env, g = case()
+    rows = _exact_rows(monkeypatch)
+    report = _scan_matches_reference(env, g, block=300)
+    assert len(rows) == len(set(rows))
+    if case is _understated_at_l1:
+        assert (report.max_ratio, report.argmax, report.understated) == (2.0, (4, 5), (0, 3))
+    if case is _tied_bound:
+        assert (report.max_ratio, report.argmax) == (16.0, (1, 2))
+    if case is _edge_below_l1:
+        # the weight is not understated, but only exact rows can tell
+        assert report.understated is None
+        assert sorted(rows) == list(range(env.n - 1))
+    if case is _missing_edges:
+        assert 0 in rows
+    if case in (_star, _path):
+        assert report.max_ratio > 1.5
+
+
+@pytest.fixture(scope="module")
+def open_768():
+    env = random_instance(GenConfig(seed=1, n=768, m=0))
+    return env, build_spanner(env, GeodesicSolver(env))
+
+
+def test_certified_scan_on_open_needs_few_exact_rows(open_768, monkeypatch):
+    """On an obstacle-free n=768 spanner the scan gives the reference's
+    report with fewer than n/8 exact rows, so a silent fall-back to all
+    rows fails here."""
+    env, g = open_768
+    rows = _exact_rows(monkeypatch)
+    report = spanning_ratio(env, g, GeodesicSolver(env))
+    assert report == reference_spanning_ratio(env, g, GeodesicSolver(env))
+    assert report.understated is None and report.max_ratio > 1.0
+    assert 0 < len(set(rows)) < env.n / 8
+
+
+def test_certified_scan_memory_is_one_dense_matrix(open_768):
+    """The scan's traced peak on an n=768 instance stays near one n x n float
+    matrix plus block temporaries: no per-pair arrays over all pairs and no
+    second n x n copy."""
+    env, g = open_768
+    env.point_coords
+    solver = GeodesicSolver(env)
+    tracemalloc.start()
+    try:
+        spanning_ratio(env, g, solver)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * env.n ** 2 + 3_000_000
+
+
 def test_via_detour_free_space_is_tight_at_one():
     env = Environment([], [Point3(0, 0, 0), Point3(1, 1, 1)])
     p, q = env.points
@@ -202,6 +411,37 @@ def test_via_detour_holds_amid_obstacles():
     assert worst <= VIA_DETOUR_FACTOR
 
 
+class _PlantedSolver(GeodesicSolver):
+    """A solver whose distance() answers from a table of planted values,
+    keyed by the unordered pair."""
+
+    def __init__(self, env, table):
+        super().__init__(env)
+        self.table = table
+
+    def distance(self, p, q):
+        return self.table[frozenset((p, q))]
+
+
+@pytest.mark.parametrize("k", [-300, -40, 0, 40, 300])
+def test_via_check_slack_is_relative(k):
+    """At every scale 2**k, a triple whose detour exceeds 4 sigma(p, q) by
+    2**-20 relative fails, and one that exceeds it by 2**-40, the size of
+    rounding, passes: the slack scales with the distances.  An absolute
+    1e-9 let the bad triple pass at 2**-40 and failed the good one at
+    2**40."""
+    s = 2.0 ** k
+    env = Environment([], [Point3(0.0, 0.0, 0.0), Point3(2 * s, s, 0.0)])
+    (p, q), o = env.points, Point3(s, 0.0, 0.0)
+    for excess, holds in [(2.0 ** -40, True), (2.0 ** -20, False)]:
+        leg = 6 * s * (1 + excess)
+        solver = _PlantedSolver(env, {frozenset((p, q)): 3 * s, frozenset((p, o)): leg,
+                                      frozenset((o, q)): leg})
+        assert check_via_triples([(p, q, o)], solver) == (int(holds), 4 * (1 + excess))
+        lhs, rhs, ok = reference_via_detour(env, p, q, o, solver)
+        assert (lhs / rhs, ok) == (1 + excess, holds)
+
+
 def reference_via_detour(env, p, q, o, solver):
     """One via check, validated on Point3 and AxisBox, as a reference:
     (lhs, rhs, holds) of sigma(p,o) + sigma(o,q) <= 4 * sigma(p,q)."""
@@ -215,7 +455,7 @@ def reference_via_detour(env, p, q, o, solver):
                 raise ValueError("query points must lie outside obstacle interiors")
     lhs = solver.distance(p, o) + solver.distance(o, q)
     rhs = VIA_DETOUR_FACTOR * solver.distance(p, q)
-    return lhs, rhs, lhs <= rhs + EPS_GEOM
+    return lhs, rhs, lhs <= rhs * (1 + VIA_SLACK)
 
 
 def _via_loop(env, triples, check):
