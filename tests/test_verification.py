@@ -315,16 +315,13 @@ def _path():
 
 
 @pytest.mark.parametrize("case", [
-    lambda: _understated(random_instance(GenConfig(seed=12, n=64, m=8))),
-    _understated_at_l1, _edge_below_l1, _missing_edges,
-    lambda: _disconnected(random_instance(GenConfig(seed=5, n=40, m=6, max_side=0.3))),
-    _star, _path, _tied_path, _tied_bound,
-], ids=["understated", "understated-at-l1", "below-l1", "missing-edges", "disconnected",
-        "star", "path", "tied", "tied-bound"])
+    _understated_at_l1, _edge_below_l1, _missing_edges, _star, _path, _tied_bound,
+], ids=["understated-at-l1", "below-l1", "missing-edges", "star", "path", "tied-bound"])
 def test_certified_scan_fixed_cases(case, monkeypatch):
     """Graphs the two-hop bound certifies poorly or not at all give the
     reference's report and cache, with blocks of 300 pairs; the rows that
-    must go exact do."""
+    must go exact do.  An understated edge, a disconnected graph and the
+    tied path are cases of the per-row scan test above."""
     env, g = case()
     rows = _exact_rows(monkeypatch)
     report = _scan_matches_reference(env, g, block=300)
