@@ -367,7 +367,22 @@ class GeodesicSolver:
 
     def _sigma(self, s: np.ndarray, t: np.ndarray) -> float:
         """Grid stage (steps 3 and 4) of one pair that :meth:`_settle` left
-        open: its box meets an obstacle and all six staircases are blocked."""
+        open: its box meets an obstacle and all six staircases are blocked.
+
+        The second grid keeps every obstacle whose computed through-detour
+        is at most d1 * (1 + 1e-12).  In exact arithmetic the test would be
+        detour <= D1, the exact length of d1's grid path, which keeps every
+        obstacle an optimal path touches.  With u = 2**-53: d1 is a
+        left-fold sum of the k steps of that path, each a rounded difference
+        of two cut coordinates, so d1 >= D1 * (1 - k*u) to first order
+        (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4); a
+        detour sums six rounded nonnegative terms at most three additions
+        deep, so it is within 4u of its exact value.  A detour <= D1 thus
+        passes while (k + 4)u <= 1e-12, for paths of up to 9,000 grid steps.
+        The slack is relative, and scaling by a power of two commutes with
+        every rounding short of overflow and underflow, so the kept set, and
+        with it the second grid, is the same at every such scale.
+        """
         l1 = float(np.abs(s - t).sum())
         over = self._overlapping(np.minimum(s, t), np.maximum(s, t))
         cuts, links, ends = self._grid(s, t, over)
@@ -377,7 +392,7 @@ class GeodesicSolver:
             return l1
         d1 = _grid_distance(cuts, links, ends)
         detours = self._min_detours(s, t)
-        keep = np.nonzero(detours <= d1 + 1e-12)[0]
+        keep = np.nonzero(detours <= d1 * (1 + 1e-12))[0]
         if not np.setdiff1d(keep, over, assume_unique=False).size:
             return max(d1, l1)
         d2 = _grid_distance(*self._grid(s, t, keep))

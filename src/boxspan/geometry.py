@@ -34,16 +34,6 @@ class Point3:
         return (self.x, self.y, self.z)[axis]
 
 
-def l1_distance(p: Point3, q: Point3) -> float:
-    """Manhattan distance |dx| + |dy| + |dz|."""
-    return abs(p.x - q.x) + abs(p.y - q.y) + abs(p.z - q.z)
-
-
-def l2_distance(p: Point3, q: Point3) -> float:
-    """Euclidean distance; satisfies l1/sqrt(3) <= l2 <= l1."""
-    return math.hypot(p.x - q.x, p.y - q.y, p.z - q.z)
-
-
 @dataclass(frozen=True, slots=True)
 class AxisBox:
     """Axis-parallel box [lo, hi]; degenerate extents are allowed.
@@ -74,14 +64,6 @@ class AxisBox:
 
     def sides(self) -> tuple[float, float, float]:
         return (self.hi.x - self.lo.x, self.hi.y - self.lo.y, self.hi.z - self.lo.z)
-
-
-def bounding_box(p: Point3, q: Point3) -> AxisBox:
-    """The box with p and q as opposite corners (componentwise min/max)."""
-    return AxisBox(
-        Point3(min(p.x, q.x), min(p.y, q.y), min(p.z, q.z)),
-        Point3(max(p.x, q.x), max(p.y, q.y), max(p.z, q.z)),
-    )
 
 
 @dataclass(frozen=True)

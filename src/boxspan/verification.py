@@ -86,27 +86,65 @@ def _l1(P: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return out
 
 
-def _two_hop_bounds(W: np.ndarray, first: int, last: int) -> np.ndarray:
-    """The two-hop bounds U(i, j) of the rows first <= i < last, pairs
-    (i, j), j > i, in row-major order: U(i, j) = min(W[i, j], min over
-    common neighbours c of W[i, c] + W[c, j]) on the dense weight matrix W,
-    inf where no path of at most two edges joins i and j.
+def _weight_matrix(n: int, tails: np.ndarray, heads: np.ndarray,
+                   weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """The dense float32 weight matrix W of the graph Dijkstra sees, scaled
+    and rounded up, and the factor widen that reads a two-hop bound of W
+    back as an upper bound in float64 (see :func:`spanning_ratio`).
 
-    A row's neighbours are folded in at most _FOLD_FLOATS // n at a time,
-    so a fold's temporaries hold at most _FOLD_FLOATS floats.
+    W[i, j] is the smaller weight where both directions are stored, inf
+    where no edge joins i and j.  Each weight w is scaled by 2**-E, which
+    brings the largest into [0.5, 1) (E clipped to [-1021, 1023], so that
+    widen is a normal float64), rounded up to float32 where the nearest
+    float32 falls below it, and raised to 2**-126 where smaller, so W[i, j]
+    >= w * 2**-E and every entry and two-hop sum is a normal float32 below
+    4.  widen = (1 + 2**-20) * 2**E.
+    """
+    exponent = int(np.clip(np.frexp(weights.max(initial=0.0))[1], -1021, 1023))
+    scaled = np.ldexp(weights, -exponent)
+    w32 = scaled.astype(np.float32)
+    low = w32 < scaled
+    w32[low] = np.nextafter(w32[low], np.float32(np.inf))
+    np.maximum(w32, np.float32(2.0 ** -126), out=w32)
+    W = np.full((n, n), np.inf, dtype=np.float32)
+    np.minimum.at(W, (tails, heads), w32)
+    np.minimum.at(W, (heads, tails), w32)
+    return W, math.ldexp(1 + 2.0 ** -20, exponent)
+
+
+def _two_hop_bounds(W: np.ndarray, widen: float, order: np.ndarray, sigma: np.ndarray,
+                    first: int, last: int, best: float) -> np.ndarray:
+    """Upper bounds on the ratios of the rows first <= i < last, pairs
+    (i, j), j > i, in row-major order, against their geodesic distances
+    sigma: fl64(fl64(U * widen) / sigma), with U(i, j) = min(W[i, j], min
+    over common neighbours c of W[i, c] + W[c, j]) on the matrix W and
+    factor widen of :func:`_weight_matrix`, inf where no path of at most two
+    edges joins i and j.
+
+    A row's neighbours are folded in the order ``order``, at most
+    _FOLD_FLOATS // n at a time, so a fold's temporaries hold at most
+    _FOLD_FLOATS floats.  After each fold but the last the row stops,
+    keeping the bounds it has, once none exceeds best: a min over some of
+    the common neighbours is still at least the graph distance.
     """
     chunk = max(1, _FOLD_FLOATS // len(W))
     out = []
+    at = 0
     for i in range(first, last):
+        s = sigma[at:at + len(W) - 1 - i]
+        at += len(s)
         u = W[i, i + 1:].copy()
-        nbrs = np.flatnonzero(W[i] < np.inf)
+        nbrs = order[W[i, order] < np.inf]
         for start in range(0, len(nbrs), chunk):
             c = nbrs[start:start + chunk]
             hops = W[c, i + 1:]
             hops += W[i, c][:, None]
             np.minimum(u, hops.min(axis=0), out=u)
+            if (start + chunk < len(nbrs)
+                    and (np.multiply(u, widen, dtype=np.float64) / s).max() <= best):
+                break
         out.append(u)
-    return np.concatenate(out)
+    return np.multiply(np.concatenate(out), widen, dtype=np.float64) / sigma
 
 
 def spanning_ratio(env: Environment, g: SpannerGraph,
@@ -127,25 +165,39 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
     finite, and a graph distance is at least 0, or inf.
 
     Graph distances come from single-source Dijkstra runs on the rows that
-    need them, not from all pairs.  Every other pair is settled by its
-    two-hop bound U(i, j) = min(w(i, j), min over common neighbours c of
-    w(i, c) + w(c, j)), taken on the dense matrix of the graph Dijkstra
-    sees, with the smaller weight where both directions are stored
-    (:func:`_two_hop_bounds`).  The Dijkstra distance d satisfies d <= U to
-    the bit: Dijkstra from i reaches c at most at 0 + w(i, c) = w(i, c),
-    relaxes c's edge to j from there, and rounding is monotone, so d <=
-    fl(w(i, c) + w(c, j)).  Dividing by sigma keeps the order, so each
-    pair's ratio is at most its bound fl(U / sigma).  A row whose largest
+    need them, not from all pairs.  Every other pair is settled by a bound
+    from its two-hop paths w(i, c) + w(c, j), over the common neighbours c,
+    and its edge w(i, j), if any, on the graph Dijkstra sees, with the
+    smaller weight where both directions are stored.  The Dijkstra distance
+    d satisfies d <= fl64(w(i, c) + w(c, j)) to the bit: Dijkstra from i
+    reaches c at most at 0 + w(i, c) = w(i, c), relaxes c's edge to j from
+    there, and rounding is monotone.  The bounds are screened in float32
+    (:func:`_weight_matrix`, :func:`_two_hop_bounds`): W holds each weight
+    w scaled by 2**-E and rounded up, a two-hop sum U32 = fl32(W[i, c] +
+    W[c, j]) is a normal float32, within 2**-24 relative of W[i, c] +
+    W[c, j], and the bound is read back as fl64(fl64(U32 * widen) / sigma),
+    with widen = (1 + 2**-20) * 2**E.  With w = w(i, c), w' = w(c, j):
+
+        d <= fl64(w + w') <= (w + w')(1 + 2**-53)
+          <= U32 * 2**E * (1 + 2**-53) / (1 - 2**-24) <= U32 * widen,
+
+    the last because (1 + 2**-53) / (1 - 2**-24) < 1 + 2**-20.  d is a
+    float64 no greater than the exact product, so rounding, monotone, keeps
+    d <= fl64(U32 * widen); the direct edge, unrounded, bounds d the same
+    way, and so does the min over all of them.  Dividing by sigma keeps the
+    order, so each pair's ratio is at most its bound.  A row whose largest
     bound is at most the best ratio of the earlier blocks, which a new best
     must exceed, or below the largest exact ratio found so far in its block,
-    which the block's first argmax must reach, changes neither.  So within
-    a block the candidate rows go exact best-first, largest bound first, in
-    batches of one, two, four... rows, each batch one
+    which the block's first argmax must reach, changes neither.  So a row
+    stops folding in neighbours, largest degree first, once its bounds are
+    at most that best: a min over fewer neighbours is still a bound.
+    Within a block the candidate rows go exact best-first, largest bound
+    first, in batches of one, two, four... rows, each batch one
     ``dijkstra(..., indices=rows)`` call, until no candidate is left; every
     other pair keeps its bound in the block's ratios, where it can be
     neither the new best nor the argmax.  A graph the bound cannot certify,
-    such as a disconnected one, where U is inf, sends rows exact in the
-    same loop.
+    such as a disconnected one, where the bound is inf, sends rows exact in
+    the same loop.
 
     Also records as ``understated`` the first pair, in row order, whose
     graph distance falls below (1 - STRETCH_SLACK) times its geodesic
@@ -167,8 +219,11 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
     which exceeds 1 - STRETCH_SLACK while (n + 7)u < STRETCH_SLACK / 2,
     that is, for any n below 4 * 10**9.  So only rows holding a pair whose
     sigma exceeds l by more than that go exact for this check; where sigma
-    is L1, as on obstacle-free instances, none do.  If some weight falls
-    below its l, every row goes exact until the pair is found.
+    is L1, as on obstacle-free instances, none do.  A block whose points
+    lie in a closed box that no obstacle meets has sigma = l on every pair
+    (step 1 of :class:`GeodesicSolver`), so it skips the comparison.  If
+    some weight falls below its l, every row goes exact until the pair is
+    found.
     """
     if g.n != env.n:
         raise ValueError("graph and environment disagree on the number of points")
@@ -181,23 +236,27 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
     P = env.point_coords
     tails = np.repeat(np.arange(n), np.diff(csr.indptr))
     above_l1 = bool(np.all(csr.data >= _l1(P, tails, csr.indices)))
-    W = np.full((n, n), np.inf)
-    np.minimum.at(W, (tails, csr.indices), csr.data)
-    np.minimum.at(W, (csr.indices, tails), csr.data)
+    W, widen = _weight_matrix(n, tails, csr.indices, csr.data)
     del tails
+    order = np.argsort(-np.count_nonzero(W < np.inf, axis=1), kind="stable")
     best = 0.0
     arg: tuple[int, int] | None = None
     understated: tuple[int, int] | None = None
     for rows, cols in _pair_blocks(n):
-        sigma = solver.distances_from(P[rows], P[cols])
+        sigma = solver.distances_from(P.take(rows, axis=0), P.take(cols, axis=0))
         first, last = int(rows[0]), int(rows[-1]) + 1
         lengths = n - 1 - np.arange(first, last)
         starts = np.cumsum(lengths) - lengths
-        ratios = _two_hop_bounds(W, first, last) / sigma
+        ratios = _two_hop_bounds(W, widen, order, sigma, first, last, best)
         row_bound = np.maximum.reduceat(ratios, starts)
         if understated is None and above_l1:
-            wide = sigma > _l1(P, rows, cols) * (1 + STRETCH_SLACK / 2)
-            batch = np.flatnonzero(np.logical_or.reduceat(wide, starts))
+            # The block's points are first, ..., n - 1.
+            box = P[first:]
+            batch = np.empty(0, int)
+            if solver.meets_obstacles(box.min(axis=0, keepdims=True),
+                                      box.max(axis=0, keepdims=True))[0]:
+                wide = sigma > _l1(P, rows, cols) * (1 + STRETCH_SLACK / 2)
+                batch = np.flatnonzero(np.logical_or.reduceat(wide, starts))
         else:
             batch = np.arange(last - first) if understated is None else np.empty(0, int)
         exact = np.zeros(last - first, dtype=bool)

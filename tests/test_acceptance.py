@@ -14,10 +14,11 @@ import pytest
 from boxspan.cspd import CONES, build_cspd, certify_cspd
 from boxspan.geodesic import GeodesicSolver, oracle_fine_grid_distance
 from boxspan.generators import GenConfig, random_instance, slab_instance
-from boxspan.geometry import Environment, Point3, l1_distance, l2_distance
+from boxspan.geometry import Environment, Point3
 from boxspan.spanner import SpannerGraph, build_spanner
 from boxspan.verification import (STRETCH_BOUND_L1, STRETCH_SLACK, VIA_DETOUR_FACTOR,
                                   scaling_sweep, spanning_ratio, via_triples)
+from test_geometry import l1_distance, l2_distance
 
 SQRT3 = math.sqrt(3.0)
 

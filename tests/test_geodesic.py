@@ -14,9 +14,9 @@ from boxspan import geodesic
 from boxspan.geodesic import (GeodesicSolver, GridTooLargeError, _grid_csr, _grid_distance,
                               _grid_links, _monotone_clear, oracle_fine_grid_distance)
 from boxspan.generators import GenConfig, random_instance
-from boxspan.geometry import (AxisBox, Environment, Point3, l1_distance, points_array,
-                              validate_environment)
+from boxspan.geometry import AxisBox, Environment, Point3, points_array, validate_environment
 from boxspan.verification import via_triples
+from test_geometry import l1_distance
 
 UNIT_CUBE = AxisBox(Point3(0, 0, 0), Point3(1, 1, 1))
 
@@ -354,6 +354,32 @@ def test_single_obstacle_pairs_skip_the_monotone_grid(monkeypatch):
                 assert got == pytest.approx(brute_sigma(env, env.points[i], env.points[j]),
                                             abs=1e-9)
     assert blocked > 0
+
+
+def test_grid_stage_pruning_keeps_a_tied_detour_at_every_scale(monkeypatch):
+    """A pair on a line through box A, whose first grid distance d1 is 5:
+    box O lies outside the pair's box with a through-detour of exactly 5,
+    and box F far away, with 54.  At every scale 2**k the second grid is
+    cut by A and O, never by F, and sigma is 5 * 2**k."""
+    def env_at(k):
+        def at(*c):
+            return Point3(*(math.ldexp(x, k) for x in c))
+        return Environment([AxisBox(at(1, 0, 0), at(3, 2, 1)), AxisBox(at(3.2, 0, 1), at(3.8, 1, 2)),
+                            AxisBox(at(10, 10, 10), at(11, 11, 11))],
+                           [at(0, 0.5, 0.5), at(4, 0.5, 0.5)])
+
+    grid = GeodesicSolver._grid
+    for k in (-300, -60, -40, 0, 40, 300):
+        env = env_at(k)
+        solver = GeodesicSolver(env)
+        cut_sets = []
+        monkeypatch.setattr(GeodesicSolver, "_grid", lambda self, s, t, cut_set: cut_sets.append(
+            np.atleast_1d(cut_set).tolist()) or grid(self, s, t, cut_set))
+        sigma = solver.distance(*env.points)
+        s, t = env.point_coords
+        assert solver._min_detours(s, t).tolist() == [math.ldexp(d, k) for d in (4, 5, 54)], k
+        assert sigma == math.ldexp(5.0, k), k
+        assert cut_sets == [[0], [0, 1]], k
 
 
 def test_settle_runs_the_staircase_once_per_chunk(monkeypatch):

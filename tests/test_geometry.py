@@ -7,10 +7,30 @@ from hypothesis import strategies as st
 
 from boxspan import files
 from boxspan.generators import GenConfig, random_instance
-from boxspan.geometry import (AxisBox, Environment, Point3, bounding_box,
-                              l1_distance, l2_distance, project_out, validate_environment)
+from boxspan.geometry import AxisBox, Environment, Point3, project_out, validate_environment
 
 SQRT3 = math.sqrt(3.0)
+
+
+# -- reference helpers, also used by the other test modules
+
+def l1_distance(p, q):
+    """Manhattan distance |dx| + |dy| + |dz|."""
+    return abs(p.x - q.x) + abs(p.y - q.y) + abs(p.z - q.z)
+
+
+def l2_distance(p, q):
+    """Euclidean distance; satisfies l1/sqrt(3) <= l2 <= l1."""
+    return math.hypot(p.x - q.x, p.y - q.y, p.z - q.z)
+
+
+def bounding_box(p, q):
+    """The box with p and q as opposite corners (componentwise min/max)."""
+    return AxisBox(
+        Point3(min(p.x, q.x), min(p.y, q.y), min(p.z, q.z)),
+        Point3(max(p.x, q.x), max(p.y, q.y), max(p.z, q.z)),
+    )
+
 
 coords = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 points = st.builds(Point3, coords, coords, coords)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from boxspan import spanner
 from boxspan.cspd import CONES, ConeId, Cspd, CspdPair, build_cspd
 from boxspan.geodesic import GeodesicSolver, oracle_fine_grid_distance
-from boxspan.geometry import (AxisBox, Environment, Point3, bounding_box, l1_distance,
-                              points_array)
+from boxspan.geometry import AxisBox, Environment, Point3, points_array
 from boxspan.generators import GenConfig, random_instance
 from boxspan.spanner import (SpannerGraph, _nearest_members, build_spanner, candidate_points,
                              select_center)
+from test_geometry import bounding_box, l1_distance
 
 UNIT_CUBE = AxisBox(Point3(0, 0, 0), Point3(1, 1, 1))
 
@@ -283,3 +284,26 @@ def test_nearest_members_matches_per_segment_reference():
                            np.concatenate([m for m, _ in segments]),
                            np.array([len(m) for m, _ in segments]))
     assert got.tolist() == expected
+
+
+def _scaled(env, k):
+    """env with every coordinate scaled by 2**k, which is exact."""
+    def scaled(p):
+        return Point3(*(math.ldexp(c, k) for c in p.as_tuple()))
+
+    return Environment([AxisBox(scaled(box.lo), scaled(box.hi)) for box in env.obstacles],
+                       [scaled(p) for p in env.points])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_maze_build_scales_exactly(seed):
+    """Maze instances, where many pairs reach the grid stage, built at 2**k
+    give the same edges in the same order, each weight exactly the unscaled
+    one times 2**k: the grid stage's pruning slack is relative."""
+    env = random_instance(GenConfig(seed=seed, n=32, m=40, placement="mixed", min_side=0.05,
+                                    max_side=0.3, gap=0.01))
+    unscaled = build_spanner(env)
+    for k in (-300, -60, -40, 0, 40, 300):
+        edges = build_spanner(_scaled(env, k)).edges
+        assert list(edges) == list(unscaled.edges), k
+        assert list(edges.values()) == [math.ldexp(w, k) for w in unscaled.edges.values()], k

@@ -11,13 +11,13 @@ from scipy.sparse.csgraph import dijkstra
 
 from boxspan import geodesic, verification
 from boxspan.geodesic import GeodesicSolver
-from boxspan.geometry import (AxisBox, Environment, Point3, bounding_box,
-                              l1_distance, l2_distance, points_array)
+from boxspan.geometry import AxisBox, Environment, Point3, points_array
 from boxspan.generators import GenConfig, random_instance, slab_instance
 from boxspan.spanner import SpannerGraph, build_spanner
 from boxspan.verification import (STRETCH_BOUND_L1, STRETCH_SLACK, VIA_DETOUR_FACTOR,
                                   VIA_SLACK, StretchReport, check_via_triples, norm_conversion_check,
                                   scaling_sweep, spanning_ratio, via_triples)
+from test_geometry import bounding_box, l1_distance, l2_distance
 from test_spanner import _faces_instance
 
 
@@ -340,6 +340,63 @@ def test_certified_scan_fixed_cases(case, monkeypatch):
         assert report.max_ratio > 1.5
 
 
+def _scaled_spanner(env, k):
+    """env with every coordinate scaled by 2**k, and its spanner built
+    unscaled with every weight scaled by 2**k; both are exact."""
+    g = build_spanner(env, GeodesicSolver(env))
+
+    def scaled(p):
+        return Point3(*(math.ldexp(c, k) for c in p.as_tuple()))
+
+    return (Environment([AxisBox(scaled(box.lo), scaled(box.hi)) for box in env.obstacles],
+                        [scaled(p) for p in env.points]),
+            SpannerGraph(n=env.n, edges={e: math.ldexp(w, k) for e, w in g.edges.items()}))
+
+
+@pytest.mark.parametrize("k", [-300, -126, 0, 300])
+@pytest.mark.parametrize("kind", ["maze", "scatter"])
+def test_certified_scan_matches_the_reference_at_any_scale(kind, k):
+    """Spanners scaled by 2**k, weights and coordinates alike, give the
+    reference's report and cache: the float32 matrix of the two-hop bounds
+    is scaled by a power of two of the largest weight."""
+    env = (_SCAN_INSTANCES["maze"](3) if kind == "maze"
+           else random_instance(GenConfig(seed=15, n=48, m=8)))
+    for block in (None, 37):
+        report = _scan_matches_reference(*_scaled_spanner(env, k), block)
+        assert 1.0 < report.max_ratio < STRETCH_BOUND_L1
+
+
+def test_certified_scan_floors_tiny_weights():
+    """Points on a line with gaps from 2**-140 to 3, joined in a path and a
+    few longer edges, two of them a quarter above their length: the weights
+    span more than 2**130, so the smallest fall below 2**-126 once scaled
+    for the float32 matrix and are raised to it, and the scan still gives
+    the reference's report and cache."""
+    xs = [0.0, 2.0 ** -140, 3 * 2.0 ** -140, 1.0, 2.0, 2.5, 4.0, 7.0]
+    env = Environment([], [Point3(float(x), 0.0, 0.0) for x in xs])
+    edges = [(i, i + 1) for i in range(env.n - 1)] + [(0, 2), (1, 4), (2, 6), (3, 7)]
+    g = _graph(env.n, [(i, j, (xs[j] - xs[i]) * (1.25 if i in (3, 5) else 1.0))
+                       for i, j in edges])
+    weights = np.array(list(g.edges.values()))
+    assert weights.max() / weights.min() > 2.0 ** 130
+    csr = verification._graph_csr(g)
+    W, _ = verification._weight_matrix(
+        env.n, np.repeat(np.arange(env.n), np.diff(csr.indptr)), csr.indices, csr.data)
+    assert W.min() == np.float32(2.0 ** -126)
+    for block in (None, 3):
+        report = _scan_matches_reference(env, g, block)
+        assert report.max_ratio > 1.0 and report.understated is None
+
+
+def test_certified_scan_of_a_graph_without_edges():
+    """With no edge every graph distance is inf: the first pair holds the
+    max, inf, as in the reference."""
+    env = random_instance(GenConfig(seed=16, n=24, m=4))
+    for block in (None, 40):
+        report = _scan_matches_reference(env, SpannerGraph(n=env.n), block)
+        assert (report.max_ratio, report.argmax, report.understated) == (math.inf, (0, 1), None)
+
+
 @pytest.fixture(scope="module")
 def open_768():
     env = random_instance(GenConfig(seed=1, n=768, m=0))
@@ -359,9 +416,9 @@ def test_certified_scan_on_open_needs_few_exact_rows(open_768, monkeypatch):
 
 
 def test_certified_scan_memory_is_one_dense_matrix(open_768):
-    """The scan's traced peak on an n=768 instance stays near one n x n float
-    matrix plus block temporaries: no per-pair arrays over all pairs and no
-    second n x n copy."""
+    """The scan's traced peak on an n=768 instance stays near one n x n
+    float32 matrix plus block temporaries: no per-pair arrays over all pairs,
+    no float64 matrix and no second n x n copy."""
     env, g = open_768
     env.point_coords
     solver = GeodesicSolver(env)
@@ -371,7 +428,7 @@ def test_certified_scan_memory_is_one_dense_matrix(open_768):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * env.n ** 2 + 3_000_000
+    assert peak < 4 * env.n ** 2 + 3_000_000
 
 
 def test_via_detour_free_space_is_tight_at_one():
