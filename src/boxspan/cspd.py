@@ -37,42 +37,6 @@ class ConeId:
 CONES: tuple[ConeId, ...] = (ConeId(1, 1), ConeId(1, -1), ConeId(-1, 1), ConeId(-1, -1))
 
 
-def _lex_less(p: Point3, q: Point3) -> bool:
-    return (p.z, p.y, p.x) < (q.z, q.y, q.x)
-
-
-def _direction(p: Point3, q: Point3, axis: int) -> int:
-    """Signed direction from p to q on one axis, ties resolved by (z,y,x) order."""
-    a, b = p.coord(axis), q.coord(axis)
-    if a < b:
-        return 1
-    if a > b:
-        return -1
-    return 1 if _lex_less(p, q) else -1
-
-
-def classify(p: Point3, q: Point3) -> tuple[ConeId, bool]:
-    """The unique signed octant of q relative to p.
-
-    Returns (cone, reflected).  When reflected is False, q lies in the
-    cone translated to p; when True, p lies in that cone translated to q,
-    so the ordered pair is covered as (q, p).
-    """
-    if p == q:
-        raise ValueError("classify requires two distinct points")
-    dx = _direction(p, q, 0)
-    dy = _direction(p, q, 1)
-    dz = _direction(p, q, 2)
-    if dz > 0:
-        return ConeId(dx, dy), False
-    return ConeId(-dx, -dy), True
-
-
-def in_cone(p: Point3, q: Point3, cone: ConeId) -> bool:
-    """Whether q lies in the given cone translated to p (half-open convention)."""
-    return classify(p, q) == (cone, False)
-
-
 @dataclass(frozen=True)
 class CspdPair:
     """One pair (A, B) of a decomposition, with the apex separating them.
@@ -257,48 +221,63 @@ def build_cspd(points: Sequence[Point3] | np.ndarray, cone: ConeId) -> Cspd:
     return Cspd(cone, apex, len_a[emit], len_b[emit], members)
 
 
-def certify_cspd(points: Sequence[Point3], cone: ConeId, cspd: Cspd) -> list[str]:
+def certify_cspd(points: Sequence[Point3] | np.ndarray, cone: ConeId, cspd: Cspd) -> list[str]:
     """Brute-force certification of a decomposition; empty list means certified.
 
     Checks, over all O(n^2) ordered pairs, that every cone-related pair is
     covered by exactly one emitted pair and no unrelated pair is covered
     (uniqueness), that every cross pair of every emitted pair is cone-related
     (the separation condition), and that each apex sits between its sides
-    componentwise in the cone's signs.
+    componentwise in the cone's signs.  Each pair's violations come in pair
+    order (empty side, shared members, cross pairs A-major, apex against A,
+    B against apex), then the coverage errors in row order.
+
+    q is in the cone at p when, on each axis, p's coordinate is smaller than
+    q's in the cone's sign, ties going to the point first in the (z, y, x,
+    index) order.  The test runs on whole n x n arrays, O(n^2) memory, and
+    shares no code with the median splits of :func:`build_cspd`.
     """
-    violations: list[str] = []
-    coverage: dict[tuple[int, int], int] = {}
-    for pid, pair in enumerate(cspd.pairs):
-        if not pair.a or not pair.b:
-            violations.append(f"pair {pid}: empty side")
-        if set(pair.a) & set(pair.b):
-            violations.append(f"pair {pid}: sides not disjoint")
-        for i in pair.a:
-            for j in pair.b:
-                coverage[(i, j)] = coverage.get((i, j), 0) + 1
-                if not in_cone(points[i], points[j], cone):
-                    violations.append(
-                        f"pair {pid}: cross pair ({i},{j}) not cone-related")
-        for i in pair.a:
-            for axis, sign in ((0, cone.sx), (1, cone.sy), (2, 1)):
-                d = sign * (pair.apex.coord(axis) - points[i].coord(axis))
-                if d < 0:
-                    violations.append(f"pair {pid}: apex does not dominate point {i}")
-                    break
-        for j in pair.b:
-            for axis, sign in ((0, cone.sx), (1, cone.sy), (2, 1)):
-                d = sign * (points[j].coord(axis) - pair.apex.coord(axis))
-                if d < 0:
-                    violations.append(f"pair {pid}: point {j} does not dominate apex")
-                    break
-    n = len(points)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            expected = 1 if in_cone(points[i], points[j], cone) else 0
-            got = coverage.get((i, j), 0)
-            if got != expected:
-                violations.append(
-                    f"ordered pair ({i},{j}) covered {got} times, expected {expected}")
-    return violations
+    P = points if isinstance(points, np.ndarray) else points_array(points)
+    n = len(P)
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.lexsort((np.arange(n), P[:, 0], P[:, 1], P[:, 2]))] = np.arange(n)
+    # key[axis, i] < key[axis, j]: i precedes j on that axis in the cone's sign
+    key = np.empty((3, n), dtype=np.intp)
+    for axis, s in enumerate((cone.sx, cone.sy)):
+        key[axis, np.lexsort((rank, P[:, axis]))] = s * np.arange(n)
+    key[2] = rank
+    related = np.logical_and.reduce(key[:, :, None] < key[:, None, :])
+
+    start, stop = cspd.offsets[:-1], cspd.offsets[1:]
+    mid = start + cspd.len_a
+    a_pair, a_pos = _ranges(start, mid)
+    b_pair, b_pos = _ranges(mid, stop)
+    a, b = cspd.members[a_pos], cspd.members[b_pos]
+    row, at = _ranges(mid[a_pair], stop[a_pair])  # each A member against its B
+    i, j, cross_pair = a[row], cspd.members[at], a_pair[row]
+    covered = np.bincount(i * n + j, minlength=n * n).reshape(n, n)
+    np.fill_diagonal(covered, 0)
+    cover_i, cover_j = np.nonzero(covered != related)
+
+    sign = np.array([cone.sx, cone.sy, 1])
+    empty = np.flatnonzero((cspd.len_a == 0) | (cspd.len_b == 0))
+    shared = np.unique(np.intersect1d(a_pair * n + a, b_pair * n + b) // n)
+    apart = np.flatnonzero(~related[i, j])
+    above = np.flatnonzero((sign * (cspd.apex[a_pair] - P[a]) < 0).any(axis=1))
+    below = np.flatnonzero((sign * (P[b] - cspd.apex[b_pair]) < 0).any(axis=1))
+    kinds = [  # per kind of violation, in report order: its pairs, message and fields
+        (empty, "pair {}: empty side"),
+        (shared, "pair {}: sides not disjoint"),
+        (cross_pair[apart], "pair {}: cross pair ({},{}) not cone-related", i[apart], j[apart]),
+        (a_pair[above], "pair {}: apex does not dominate point {}", a[above]),
+        (b_pair[below], "pair {}: point {} does not dominate apex", b[below]),
+    ]
+    messages = [text.format(*v) for pair, text, *fields in kinds
+                for v in zip(pair.tolist(), *(f.tolist() for f in fields))]
+    # a stable sort on the pair keeps each pair's kinds, and each kind's
+    # members, in the order listed
+    order = np.argsort(np.concatenate([k[0] for k in kinds]), kind="stable")
+    return [messages[t] for t in order.tolist()] + [
+        f"ordered pair ({p},{q}) covered {c} times, expected {e}" for p, q, c, e in
+        zip(cover_i.tolist(), cover_j.tolist(), covered[cover_i, cover_j].tolist(),
+            related[cover_i, cover_j].astype(int).tolist())]

@@ -382,6 +382,12 @@ class GeodesicSolver:
         The slack is relative, and scaling by a power of two commutes with
         every rounding short of overflow and underflow, so the kept set, and
         with it the second grid, is the same at every such scale.
+
+        The value is max(d2, l1) even where d1 < d2: the second grid can sum
+        the same path in another order, 1-2 ulps above d1.  Returning
+        min(d1, d2) would move those edge weights in the last bit, as
+        canonicalizing the pair's orientation would; STRETCH_SLACK and
+        VIA_SLACK cover 2 ulps.
         """
         l1 = float(np.abs(s - t).sum())
         over = self._overlapping(np.minimum(s, t), np.maximum(s, t))

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxspan.cspd import (CONES, ConeId, Cspd, CspdPair, build_cspd, certify_cspd,
-                          classify, in_cone)
-from boxspan.geometry import Point3
+from boxspan.cspd import CONES, ConeId, Cspd, CspdPair, build_cspd, certify_cspd
+from boxspan.geometry import Point3, points_array
 
 # coordinates from a small pool to exercise ties on every axis
 tied_coord = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0])
@@ -32,6 +31,86 @@ def _as_cspd(cone, pairs):
                 np.array([len(p.a) for p in pairs], dtype=int),
                 np.array([len(p.b) for p in pairs], dtype=int),
                 np.array([i for p in pairs for i in p.a + p.b], dtype=int))
+
+
+# -- reference: cone membership and certification, one pair at a time --------
+#
+# certify_cspd must return exactly reference_certify_cspd's list.
+
+def _lex_less(p, q):
+    return (p.z, p.y, p.x) < (q.z, q.y, q.x)
+
+
+def _direction(p, q, axis):
+    """Signed direction from p to q on one axis, ties resolved by (z,y,x) order."""
+    a, b = p.coord(axis), q.coord(axis)
+    if a < b:
+        return 1
+    if a > b:
+        return -1
+    return 1 if _lex_less(p, q) else -1
+
+
+def classify(p, q):
+    """The unique signed octant of q relative to p.
+
+    Returns (cone, reflected).  When reflected is False, q lies in the
+    cone translated to p; when True, p lies in that cone translated to q,
+    so the ordered pair is covered as (q, p).
+    """
+    if p == q:
+        raise ValueError("classify requires two distinct points")
+    dx = _direction(p, q, 0)
+    dy = _direction(p, q, 1)
+    dz = _direction(p, q, 2)
+    if dz > 0:
+        return ConeId(dx, dy), False
+    return ConeId(-dx, -dy), True
+
+
+def in_cone(p, q, cone):
+    """Whether q lies in the given cone translated to p (half-open convention)."""
+    return classify(p, q) == (cone, False)
+
+
+def reference_certify_cspd(points, cone, cspd):
+    """certify_cspd as a loop over the pairs and over every ordered point pair."""
+    violations = []
+    coverage = {}
+    for pid, pair in enumerate(cspd.pairs):
+        if not pair.a or not pair.b:
+            violations.append(f"pair {pid}: empty side")
+        if set(pair.a) & set(pair.b):
+            violations.append(f"pair {pid}: sides not disjoint")
+        for i in pair.a:
+            for j in pair.b:
+                coverage[(i, j)] = coverage.get((i, j), 0) + 1
+                if not in_cone(points[i], points[j], cone):
+                    violations.append(
+                        f"pair {pid}: cross pair ({i},{j}) not cone-related")
+        for i in pair.a:
+            for axis, sign in ((0, cone.sx), (1, cone.sy), (2, 1)):
+                d = sign * (pair.apex.coord(axis) - points[i].coord(axis))
+                if d < 0:
+                    violations.append(f"pair {pid}: apex does not dominate point {i}")
+                    break
+        for j in pair.b:
+            for axis, sign in ((0, cone.sx), (1, cone.sy), (2, 1)):
+                d = sign * (points[j].coord(axis) - pair.apex.coord(axis))
+                if d < 0:
+                    violations.append(f"pair {pid}: point {j} does not dominate apex")
+                    break
+    n = len(points)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            expected = 1 if in_cone(points[i], points[j], cone) else 0
+            got = coverage.get((i, j), 0)
+            if got != expected:
+                violations.append(
+                    f"ordered pair ({i},{j}) covered {got} times, expected {expected}")
+    return violations
 
 
 # -- reference: the decomposition as three nested recursions -----------------
@@ -189,7 +268,8 @@ def _random_points(rng, n, pool_size=None):
     return [Point3(rng.random(), rng.random(), rng.random()) for _ in range(n)]
 
 
-@pytest.mark.parametrize("n,pool", [(10, None), (10, 4), (50, None), (50, 8)])
+@pytest.mark.parametrize("n,pool", [(10, None), (10, 4), (50, None), (50, 8),
+                                    (1000, None), (1000, 16)])
 def test_certified_on_random_sets(n, pool):
     rng = random.Random(1000 + n + (pool or 0))
     pts = _random_points(rng, n, pool)
@@ -248,6 +328,57 @@ def test_certify_flags_missing_coverage():
     empty = _as_cspd(cone, ())
     report = certify_cspd(pts, cone, empty)
     assert any("covered 0 times, expected 1" in v for v in report)
+
+
+def test_certify_reports_shared_member():
+    """A member on both sides of a pair is a violation, not an error."""
+    pts = [Point3(0, 0, 0), Point3(1, 1, 1), Point3(2, 2, 2)]
+    cone = ConeId(1, 1)
+    pairs = build_cspd(pts, cone).pairs
+    first = pairs[0]
+    shared = CspdPair(cone, first.a, first.b + (first.a[0],), first.apex)
+    report = certify_cspd(pts, cone, _as_cspd(cone, (shared,) + pairs[1:]))
+    assert "pair 0: sides not disjoint" in report
+
+
+def _move_to_a(pairs, k, cone):
+    p = pairs[k]
+    return pairs[:k] + (CspdPair(cone, p.a + p.b[:1], p.b[1:], p.apex),) + pairs[k + 1:]
+
+
+def _shift_apex(pairs, k, cone, axis, by):
+    p = pairs[k]
+    apex = list(p.apex.as_tuple())
+    apex[axis] += by
+    return pairs[:k] + (CspdPair(cone, p.a, p.b, Point3(*apex)),) + pairs[k + 1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(tied_point, min_size=2, max_size=16), st.sampled_from(CONES),
+       st.lists(st.sampled_from(["move", "drop", "apex"]), max_size=3), st.data())
+def test_certify_matches_reference(raw, cone, corruptions, data):
+    """The same messages in the same order as the loop, on built
+    decompositions and on ones with up to three corruptions, from points or
+    from their array."""
+    pts = distinct_points(raw)
+    if len(pts) < 2:
+        return
+    pairs = build_cspd(pts, cone).pairs
+    for corruption in corruptions:
+        if not pairs:
+            break
+        k = data.draw(st.integers(0, len(pairs) - 1))
+        if corruption == "move":
+            pairs = _move_to_a(pairs, k, cone)
+        elif corruption == "drop":
+            pairs = pairs[:k] + pairs[k + 1:]
+        else:
+            pairs = _shift_apex(pairs, k, cone, data.draw(st.integers(0, 2)),
+                                data.draw(st.sampled_from([-4.0, -0.5, 0.5, 4.0])))
+    cspd = _as_cspd(cone, pairs)
+    expected = reference_certify_cspd(pts, cone, cspd)
+    assert certify_cspd(pts, cone, cspd) == expected
+    assert certify_cspd(points_array(pts), cone, cspd) == expected
 
 
 def test_apex_between_sides_componentwise():

@@ -18,6 +18,11 @@ from boxspan.geometry import AxisBox, Environment, Point3
 from boxspan.spanner import SpannerGraph, build_spanner
 
 
+def _load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def test_instance_round_trip(tmp_path):
     env = random_instance(GenConfig(seed=13, n=15, m=4))
     path = str(tmp_path / "inst.json")
@@ -72,7 +77,7 @@ def test_load_graph_rejects_bad_edges(tmp_path):
 def test_atomic_write_leaves_no_temp(tmp_path):
     path = str(tmp_path / "out.json")
     files.write_json_atomic(path, {"ok": True})
-    assert json.load(open(path)) == {"ok": True}
+    assert _load_json(path) == {"ok": True}
     assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
 
 
@@ -86,7 +91,7 @@ def test_cli_pipeline_round_trip(tmp_path):
                  "--report", str(tmp_path / "build.json")]) == 0
     assert main(["verify", "--instance", inst, "--graph", graph,
                  "--detour-samples", "200", "--report", report]) == 0
-    payload = json.load(open(report))
+    payload = _load_json(report)
     assert payload["bounds_hold"] is True
     assert payload["max_stretch_l1"] <= 8 + 1e-6
     assert payload["stretch_l2_analytic"] == pytest.approx(
@@ -96,14 +101,14 @@ def test_cli_pipeline_round_trip(tmp_path):
     # the file pipeline and the in-memory pipeline build identical graphs
     env = random_instance(GenConfig(seed=7, n=20, m=3))
     g = build_spanner(env)
-    stored = json.load(open(graph))
+    stored = _load_json(graph)
     assert stored["n"] == g.n
     assert stored["metric"] == "L1-geodesic"
     assert [(i, j) for i, j, _ in stored["edges"]] == sorted(g.edges)
     for i, j, w in stored["edges"]:
         assert w == g.edges[(i, j)]
 
-    build_report = json.load(open(str(tmp_path / "build.json")))
+    build_report = _load_json(str(tmp_path / "build.json"))
     assert build_report["edge_count"] == g.edge_count
     assert build_report["edge_count"] <= 6 * sum(build_report["pair_size_sums"].values())
 
@@ -112,7 +117,7 @@ def test_cli_generate_slabs(tmp_path):
     inst = str(tmp_path / "slabs.json")
     assert main(["generate", "--mode", "slabs", "--n", "10", "--eps", "0.1",
                  "--s", "2.1", "--delta", "1e-3", "--out", inst]) == 0
-    payload = json.load(open(inst))
+    payload = _load_json(inst)
     assert len(payload["obstacles"]) == 9
     assert len(payload["points"]) == 10
 
@@ -223,7 +228,7 @@ def test_cli_verify_single_point(tmp_path):
     assert main(["generate", "--n", "1", "--seed", "1", "--out", inst]) == 0
     assert main(["build", "--in", inst, "--out", graph]) == 0
     assert main(["verify", "--instance", inst, "--graph", graph, "--report", report]) == 0
-    assert json.load(open(report))["detour_samples"] == 0
+    assert _load_json(report)["detour_samples"] == 0
 
 
 def test_cli_verify_flags_bound_violation(tmp_path):
@@ -318,14 +323,15 @@ def test_cli_bench(tmp_path):
     report = str(tmp_path / "bench.json")
     assert main(["bench", "--sizes", "8,16", "--trials", "1", "--seed", "2",
                  "--m", "2", "--report", report]) == 0
-    rows = json.load(open(report))["rows"]
+    rows = _load_json(report)["rows"]
     assert [r["n"] for r in rows] == [8, 16]
     assert all(r["max_stretch"] <= 8 + 1e-6 for r in rows)
 
     csv_report = str(tmp_path / "bench.csv")
     assert main(["bench", "--sizes", "8", "--trials", "1", "--seed", "2",
                  "--m", "0", "--report", csv_report]) == 0
-    header = open(csv_report).readline().strip().split(",")
+    with open(csv_report) as fh:
+        header = fh.readline().strip().split(",")
     assert "normalized_edges" in header
 
 

@@ -286,13 +286,16 @@ def test_nearest_members_matches_per_segment_reference():
     assert got.tolist() == expected
 
 
-def _scaled(env, k):
-    """env with every coordinate scaled by 2**k, which is exact."""
-    def scaled(p):
-        return Point3(*(math.ldexp(c, k) for c in p.as_tuple()))
+def _scaled_point(p, k):
+    """p with every coordinate scaled by 2**k, which is exact."""
+    return Point3(*(math.ldexp(c, k) for c in p.as_tuple()))
 
-    return Environment([AxisBox(scaled(box.lo), scaled(box.hi)) for box in env.obstacles],
-                       [scaled(p) for p in env.points])
+
+def _scaled(env, k):
+    """env with every coordinate scaled by 2**k."""
+    return Environment([AxisBox(_scaled_point(box.lo, k), _scaled_point(box.hi, k))
+                        for box in env.obstacles],
+                       [_scaled_point(p, k) for p in env.points])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

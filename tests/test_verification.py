@@ -18,7 +18,7 @@ from boxspan.verification import (STRETCH_BOUND_L1, STRETCH_SLACK, VIA_DETOUR_FA
                                   VIA_SLACK, StretchReport, check_via_triples, norm_conversion_check,
                                   scaling_sweep, spanning_ratio, via_triples)
 from test_geometry import bounding_box, l1_distance, l2_distance
-from test_spanner import _faces_instance
+from test_spanner import _faces_instance, _scaled, _scaled_point
 
 
 def _graph(n, edges):
@@ -344,13 +344,8 @@ def _scaled_spanner(env, k):
     """env with every coordinate scaled by 2**k, and its spanner built
     unscaled with every weight scaled by 2**k; both are exact."""
     g = build_spanner(env, GeodesicSolver(env))
-
-    def scaled(p):
-        return Point3(*(math.ldexp(c, k) for c in p.as_tuple()))
-
-    return (Environment([AxisBox(scaled(box.lo), scaled(box.hi)) for box in env.obstacles],
-                        [scaled(p) for p in env.points]),
-            SpannerGraph(n=env.n, edges={e: math.ldexp(w, k) for e, w in g.edges.items()}))
+    return _scaled(env, k), SpannerGraph(n=env.n, edges={e: math.ldexp(w, k)
+                                                         for e, w in g.edges.items()})
 
 
 @pytest.mark.parametrize("k", [-300, -126, 0, 300])
@@ -467,14 +462,15 @@ def test_via_detour_holds_amid_obstacles():
 
 class _PlantedSolver(GeodesicSolver):
     """A solver whose distance() answers from a table of planted values,
-    keyed by the unordered pair."""
+    keyed by the unordered pair, and as the engine does for other pairs."""
 
     def __init__(self, env, table):
         super().__init__(env)
         self.table = table
 
     def distance(self, p, q):
-        return self.table[frozenset((p, q))]
+        key = frozenset((p, q))
+        return self.table[key] if key in self.table else super().distance(p, q)
 
 
 @pytest.mark.parametrize("k", [-300, -40, 0, 40, 300])
@@ -494,6 +490,34 @@ def test_via_check_slack_is_relative(k):
         assert check_via_triples([(p, q, o)], solver) == (int(holds), 4 * (1 + excess))
         lhs, rhs, ok = reference_via_detour(env, p, q, o, solver)
         assert (lhs / rhs, ok) == (1 + excess, holds)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_via_check_on_maze_scales_exactly(seed):
+    """On maze instances scaled by 2**k, via_triples draws the scaled
+    triples, and the via check gives the same passes and bit for bit the
+    same worst ratio.  A planted triple whose pair (p, q) needs the grid
+    stage, with sigma(p, o) set 2**-20 relative above 4 sigma(p, q), fails
+    at every k."""
+    env = random_instance(GenConfig(seed=seed, n=32, m=40, placement="mixed", min_side=0.05,
+                                    max_side=0.3, gap=0.01))
+    triples = via_triples(env, 100, np.random.default_rng(seed))
+    P, Q = (points_array(column) for column in list(zip(*triples))[:2])
+    grid = GeodesicSolver(env).classify(P, Q) == geodesic.GRID_STAGE
+    bad = next(t for t, g in zip(triples, grid) if g and t[2] not in t[:2])
+    results = []
+    for k in (-300, -40, 0, 40, 300):
+        scaled = _scaled(env, k)
+        drawn = via_triples(scaled, 100, np.random.default_rng(seed))
+        assert drawn == [tuple(_scaled_point(x, k) for x in t) for t in triples], k
+        solver = GeodesicSolver(scaled)
+        results.append(check_via_triples(drawn, solver))
+        p, q, o = (_scaled_point(x, k) for x in bad)
+        planted = _PlantedSolver(scaled, {
+            frozenset((p, o)): VIA_DETOUR_FACTOR * solver.distance(p, q) * (1 + 2.0 ** -20)})
+        assert check_via_triples([(p, q, o)], planted)[0] == 0, k
+    assert results[0][0] == 100
+    assert results == [results[0]] * len(results)
 
 
 def reference_via_detour(env, p, q, o, solver):
