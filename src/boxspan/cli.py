@@ -91,6 +91,7 @@ def cmd_build(args: argparse.Namespace) -> int:
                 "apex_free": graph.stats["apex_free"],
                 "apex_interior": graph.stats["apex_interior"],
                 "emissions": graph.stats["emissions"],
+                "grid_stage_runs": solver.grid_stage_runs,
                 "build_seconds": elapsed,
             })
     except OSError as exc:

@@ -209,11 +209,15 @@ class GeodesicSolver:
     travel order, so sigma(p, q) and sigma(q, p) can differ by an ulp, and
     two solvers that meet a pair in opposite orientations, such as the
     builder's and the verifier's, can disagree that much.
+
+    ``grid_stage_runs`` counts the pairs this solver has sent through the
+    grid stage, cache misses only.
     """
 
     def __init__(self, env: Environment):
         self.obs_lo, self.obs_hi = env.obstacle_lo, env.obstacle_hi
         self._cache: dict[tuple, float] = {}
+        self.grid_stage_runs = 0
 
     def distance(self, p: Point3, q: Point3) -> float:
         a, b = p.as_tuple(), q.as_tuple()
@@ -362,6 +366,7 @@ class GeodesicSolver:
                 d = cache.get(keys[g])
                 if d is None:
                     d = cache[keys[g]] = self._sigma(S[i], T[i])
+                    self.grid_stage_runs += 1
                 out[i] = d
             cache.update(zip(keys[done:], l1[done:]))
 
@@ -398,10 +403,10 @@ class GeodesicSolver:
             return l1
         d1 = _grid_distance(cuts, links, ends)
         detours = self._min_detours(s, t)
-        keep = np.nonzero(detours <= d1 * (1 + 1e-12))[0]
-        if not np.setdiff1d(keep, over, assume_unique=False).size:
-            return max(d1, l1)
-        d2 = _grid_distance(*self._grid(s, t, keep))
+        kept = detours <= d1 * (1 + 1e-12)
+        if np.count_nonzero(kept) == np.count_nonzero(kept[over]):
+            return max(d1, l1)  # every kept obstacle already cuts the first grid
+        d2 = _grid_distance(*self._grid(s, t, np.flatnonzero(kept)))
         if not np.isfinite(d2):
             raise RuntimeError("geodesic query found no route; free space "
                                "amid disjoint bounded boxes is connected")
@@ -461,11 +466,17 @@ class GeodesicSolver:
     def _grid(self, s: np.ndarray, t: np.ndarray, cut_set: np.ndarray) -> tuple:
         """The grid cut by the faces of the given obstacles plus s and t, as
         (cuts, links, ends).  Links are tested against every obstacle, so each
-        grid path is feasible; ends[axis] holds the indices of s and t on that axis."""
-        cuts = tuple(np.unique(np.concatenate([[s[axis], t[axis]],
-                                               self.obs_lo[cut_set, axis],
-                                               self.obs_hi[cut_set, axis]]))
-                     for axis in range(3))
+        grid path is feasible; ends[axis] holds the indices of s and t on that axis.
+
+        One sort of the stacked cut values, all three axes at once, gives each
+        axis its distinct values in order, the first of each run of equal
+        ones; where -0.0 and 0.0 meet, either may stay, and no step, link or
+        end index tells them apart."""
+        values = np.sort(np.concatenate([[s, t], self.obs_lo[cut_set], self.obs_hi[cut_set]]),
+                         axis=0)
+        fresh = np.ones(values.shape, dtype=bool)
+        fresh[1:] = values[1:] != values[:-1]
+        cuts = tuple(values[fresh[:, axis], axis] for axis in range(3))
         links = _grid_links(cuts, self.obs_lo, self.obs_hi)
         ends = np.array([np.searchsorted(c, (s[axis], t[axis])) for axis, c in enumerate(cuts)])
         return cuts, links, ends

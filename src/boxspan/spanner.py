@@ -52,13 +52,35 @@ def select_center(pair: CspdPair, env: Environment, candidate: Point3,
                   solver: GeodesicSolver | None = None) -> int:
     """Member of A u B geodesically nearest to the candidate point.
 
-    Ties break to the smallest point index.
+    Ties break to the smallest point index.  The solver is asked only for
+    the grid-stage members whose L1 can still beat the best distance found
+    (:func:`_nearest_center`), or for every grid-stage member when the
+    candidate is a data point.  That picks the member a scan of all members
+    picks, and leaves the solver's later answers as that scan would:
+
+    - sigma >= L1 to the bit.  The grid stage returns its L1 or max(d, L1),
+      with L1 the float expression distances_from evaluates (the axes
+      summed in order, and |a - b| is symmetric); a cached value is sigma in
+      some orientation, so it is at least that L1 too.  So a member whose
+      (L1, index) is not below the best (sigma, index) found cannot be the
+      first argmin, and neither can any member after it in (L1, index)
+      order.
+    - A skipped member leaves no cache entry.  Selection distances never
+      become edge weights; a missing entry changes a later answer only
+      through the orientation asked first, which fixes a pair's last bits
+      (see :class:`GeodesicSolver`).  A later query asks (member, candidate)
+      the other way round only with the candidate as its target, and every
+      target is a data point.  Candidates at data points are scanned in
+      full, so their entries are the full scan's.
     """
     if solver is None:
         solver = GeodesicSolver(env)
-    members = sorted(set(pair.a) | set(pair.b))
-    dists = solver.distances_from(candidate, env.point_coords[members])
-    return members[int(dists.argmin())]
+    members = np.array(sorted(set(pair.a) | set(pair.b)))
+    T = env.point_coords[members]
+    S = np.broadcast_to(np.array(candidate.as_tuple()), T.shape)
+    at_point = bool((env.point_coords == S[0]).all(axis=1).any())
+    return _nearest_center(solver, S, T, members, np.abs(T - S).sum(axis=1),
+                           solver.classify(S, T), at_point)
 
 
 def build_spanner(env: Environment, solver: GeodesicSolver | None = None) -> SpannerGraph:
@@ -127,12 +149,15 @@ def _emissions(P: np.ndarray, decomposition: Cspd, solver: GeodesicSolver, stats
     :meth:`GeodesicSolver.classify` call classifies them all.  The center
     is provisional: the first L1-nearest member (:func:`_nearest_members`).
 
-    The solver then resolves the rows in order, box-free rows left out, as
-    many rows per :meth:`GeodesicSolver.distances_from` call as possible
-    with a source row per target.  At a query with a grid-stage selection
-    row the run ends after its selection rows, and :func:`_nearest_members`
-    picks the center from their distances; if that is another member, the
-    query's weight rows are made and classified again.
+    The solver then resolves the weight rows in order, box-free rows left
+    out, as many rows per :meth:`GeodesicSolver.distances_from` call as
+    possible with a source row per target.  At a query with a grid-stage
+    selection row the run ends before its selection rows, and
+    :func:`_nearest_center` picks the center, asking the solver only for
+    the grid-stage members whose L1 can still beat the best distance found,
+    or for all of them when the exit is a data point; if the center is
+    another member, the query's weight rows are made and classified again.
+    Selection rows never reach the solver otherwise.
 
     This is exactly what the per-pair loop of :func:`build_spanner` does:
 
@@ -140,13 +165,19 @@ def _emissions(P: np.ndarray, decomposition: Cspd, solver: GeodesicSolver, stats
       in bulk changes no state and no answer;
     - when no selection row is grid stage, every selection distance is L1
       (box-free and staircase-clear pairs are), so :func:`select_center`
-      would pick the provisional center; otherwise its distances are the
-      ones the solver gives here, and its argmin, ties to the smallest
-      index, is the :func:`_nearest_members` pick;
+      would pick the provisional center without asking the solver;
+      otherwise it calls :func:`_nearest_center` on the same rows, which
+      asks the solver what it asks here;
     - the solver is asked the same rows, in the same order and orientation,
       so the values, the grid-stage calls and the cache entries, in
       insertion order, are the loop's.  A box-free row writes no cache
       entry, so leaving it out changes nothing either;
+    - the center is the first argmin of the geodesic distance over all
+      members, ties to the smallest index, whatever the bound skips:
+      sigma >= L1 to the bit, and a skipped row writes no cache entry that
+      a later query could read in the other orientation, since such a query
+      would have the exit as its target, a data point (the argument is
+      :func:`select_center`'s);
     - a pair whose closed member box meets no obstacle interior has its
       apex in that box (between its sides), so the apex is interior to no
       obstacle.  Every row of the pair has its box inside the member box
@@ -194,17 +225,19 @@ def _emissions(P: np.ndarray, decomposition: Cspd, solver: GeodesicSolver, stats
     weights = np.abs(T - S).sum(axis=1)
 
     def resolve(lo: int, hi: int) -> None:
-        """Rows lo to hi, box-free rows left out, in one distances_from call."""
-        ask = lo + np.nonzero(states[lo:hi] != BOX_FREE)[0]
+        """Weight rows lo to hi, box-free rows left out, in one distances_from call."""
+        ask = lo + np.nonzero((states[lo:hi] != BOX_FREE) & ~selection[lo:hi])[0]
         if len(ask):
             weights[ask] = solver.distances_from(S[ask], T[ask], states=states[ask])
 
     done = 0
-    grid = np.maximum.reduceat(states[selection], first) == GRID_STAGE
-    for q in np.nonzero(grid)[0].tolist():
+    grid = np.nonzero(np.maximum.reduceat(states[selection], first) == GRID_STAGE)[0].tolist()
+    data_points = set(map(tuple, P.tolist())) if grid else set()
+    for q in grid:
         picked = slice(block[q], block[q] + sizes[q])
-        resolve(done, picked.stop)
-        center = _nearest_members(weights[picked], targets[picked], sizes[q:q + 1])[0]
+        resolve(done, picked.start)
+        center = _nearest_center(solver, S[picked], T[picked], targets[picked], weights[picked],
+                                 states[picked], tuple(exits[q].tolist()) in data_points)
         if center != centers[q]:
             remade = slice(picked.stop, block[q + 1])
             rest = targets[picked][targets[picked] != center]
@@ -217,6 +250,31 @@ def _emissions(P: np.ndarray, decomposition: Cspd, solver: GeodesicSolver, stats
     emitted = ~selection
     stats["emissions"] += int(emitted.sum())
     return sources[emitted], targets[emitted], weights[emitted]
+
+
+def _nearest_center(solver: GeodesicSolver, S: np.ndarray, T: np.ndarray, members: np.ndarray,
+                    l1: np.ndarray, states: np.ndarray, scan_all: bool) -> int:
+    """The smallest member at the least geodesic distance among the rows
+    (S[k], T[k]) of one query, S[k] its exit and T[k] member members[k],
+    with l1 their L1 distances and states their classification.
+
+    Only a grid-stage row can lie above its L1, so the best (distance,
+    member) of the other rows is their least (L1, member).  The grid-stage
+    rows are then asked one at a time, in (L1, member) order, and the scan
+    stops at the first row whose (L1, member) is not below the best found:
+    its distance is at least its L1, and so is every later row's.  With
+    scan_all, every grid-stage row is asked.
+    """
+    grid = states == GRID_STAGE
+    best = min(zip(l1[~grid].tolist(), members[~grid].tolist()), default=(np.inf, -1))
+    rows = np.flatnonzero(grid)
+    for k in rows[np.lexsort((members[rows], l1[rows]))].tolist():
+        member = int(members[k])
+        if not scan_all and (float(l1[k]), member) >= best:
+            break
+        d = solver.distances_from(S[k:k + 1], T[k:k + 1], states=states[k:k + 1])[0]
+        best = min(best, (float(d), member))
+    return best[1]
 
 
 def _nearest_members(dist: np.ndarray, members: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -401,6 +401,19 @@ def test_cli_maze_outputs_stay_pinned(tmp_path):
     assert got["detour_passes"] == 1000
 
 
+def test_build_report_counts_grid_stage_runs(tmp_path):
+    """``build --report`` counts the builder's grid-stage runs.  On the maze
+    pin instance center selection asks the grid stage only for members whose
+    L1 can still beat the best distance found, 84 runs; asking it for every
+    grid-stage member took 162 runs, for the same graph."""
+    inst, graph, built = (str(tmp_path / name) for name in
+                          ("inst.json", "graph.json", "build.json"))
+    files.save_instance(inst, random_instance(GenConfig(
+        seed=11, n=32, m=40, placement="mixed", min_side=0.05, max_side=0.3, gap=0.01)))
+    assert main(["build", "--in", inst, "--out", graph, "--report", built]) == 0
+    assert _load_json(built)["grid_stage_runs"] == 84
+
+
 @pytest.mark.parametrize("n,edges", [
     (0, {}),
     (1, {}),

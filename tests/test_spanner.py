@@ -128,9 +128,18 @@ def test_build_is_deterministic(small_instance):
     assert again.edges == g.edges
 
 
-def reference_build(env, solver):
-    """Every pair through candidate_points, select_center and the solver,
-    one pair at a time, adding each edge as it is emitted."""
+def full_scan_center(pair, env, candidate, solver):
+    """select_center without the L1 bound: the solver is asked for every
+    member, and the first argmin wins."""
+    members = sorted(set(pair.a) | set(pair.b))
+    dists = solver.distances_from(candidate, env.point_coords[members])
+    return members[int(dists.argmin())]
+
+
+def reference_build(env, solver, select=select_center):
+    """Every pair through candidate_points, select (select_center unless
+    given) and the solver, one pair at a time, adding each edge as it is
+    emitted."""
     graph = SpannerGraph(n=env.n)
     graph.stats = {"pair_counts": {}, "size_sums": {}, "apex_interior": 0,
                    "apex_free": 0, "emissions": 0}
@@ -152,7 +161,7 @@ def reference_build(env, solver):
                 if cand.as_tuple() in seen:
                     continue
                 seen.add(cand.as_tuple())
-                center = select_center(pair, env, cand, solver)
+                center = select(pair, env, cand, solver)
                 others = [q for q in members if q != center]
                 weights = solver.distances_from(env.points[center],
                                                 [env.points[q] for q in others])
@@ -167,15 +176,16 @@ LATTICE = [Point3(*c) for c in itertools.product((0.0, 1.0, 2.0, 3.0, 4.0), repe
            if sum(c) % 2 == 0]
 
 
-def _faces_instance():
+def _faces_instance(seed=2):
     """Points of a lattice whose planes carry the faces of two boxes: many
     lie on obstacle faces, edges and corners, many apexes are interior to
-    the larger box, and many of their exits are data points."""
+    the larger box, and many of their exits are data points.  The seed
+    picks the 48 points."""
     boxes = [AxisBox(Point3(1.0, 1.0, 1.0), Point3(4.0, 4.0, 4.0)),
              AxisBox(Point3(0.0, 4.5, 0.0), Point3(5.0, 5.0, 2.0))]
     lattice = [Point3(*c) for c in itertools.product(np.arange(6.0).tolist(), repeat=3)
                if not any(box.contains_interior(Point3(*c)) for box in boxes)]
-    pick = np.sort(np.random.default_rng(2).choice(len(lattice), size=48, replace=False))
+    pick = np.sort(np.random.default_rng(seed).choice(len(lattice), size=48, replace=False))
     return Environment(boxes, [lattice[i] for i in pick])
 
 
@@ -226,6 +236,47 @@ def test_build_matches_per_pair_reference(env):
     assert list(got.edges.items()) == list(expected.edges.items())
     assert got.stats == expected.stats
     assert list(solver._cache.items()) == list(reference_solver._cache.items())
+
+
+@_inputs("maze", "faces", "mixed", "lattice-cube")
+def test_select_center_is_the_first_argmin_of_sigma(env):
+    """For every (pair, distinct exit), select_center picks the smallest
+    index among the members at the least sigma, as a fresh solver computes
+    sigma for all members, while its own solver, shared as the builder's
+    is, runs the grid stage for fewer members."""
+    solver, full_runs = GeodesicSolver(env), 0
+    for cone in CONES:
+        for pair in build_cspd(env.points, cone).pairs:
+            members = sorted(pair.a + pair.b)
+            for cand in dict.fromkeys(candidate_points(pair, env)):
+                fresh = GeodesicSolver(env)
+                sigma = fresh.distances_from(cand, env.point_coords[members]).tolist()
+                full_runs += fresh.grid_stage_runs
+                expected = min(i for i, d in zip(members, sigma) if d == min(sigma))
+                assert select_center(pair, env, cand, solver) == expected
+    assert solver.grid_stage_runs < full_runs or not full_runs
+
+
+class _OrientedSolver(GeodesicSolver):
+    """The engine with one ulp added to the grid stage's value whenever s
+    comes after t in coordinate order, so that every cached value shows the
+    orientation it was first asked in."""
+
+    def _sigma(self, s, t):
+        d = super()._sigma(s, t)
+        return float(np.nextafter(d, np.inf)) if s.tolist() > t.tolist() else d
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bounded_selection_keeps_edges_under_planted_orientation(seed):
+    """Under a solver whose values depend on orientation, the builder, which
+    asks only the grid-stage members the L1 bound leaves open except at
+    exits on data points, gives the edges, weights included, of the
+    per-pair build that asks every member."""
+    env = _faces_instance(seed)
+    got = build_spanner(env, _OrientedSolver(env))
+    expected = reference_build(env, _OrientedSolver(env), select=full_scan_center)
+    assert list(got.edges.items()) == list(expected.edges.items())
 
 
 @_inputs("mixed", "faces")

@@ -1,11 +1,14 @@
 """The test suite's own settings: a failure must not stop the session."""
 
+import ast
 import pathlib
+import sys
 import tomllib
 
 pytest_plugins = ["pytester"]
 
-PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_failing_hypothesis_test_does_not_abort_the_session(pytester):
@@ -27,3 +30,24 @@ def test_failing_hypothesis_test_does_not_abort_the_session(pytester):
     """)
     result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
     result.assert_outcomes(failed=1, passed=1)
+
+
+def test_package_imports_only_the_standard_library_numpy_and_scipy():
+    """Every absolute import of the package, function-local ones included,
+    names a standard-library module, numpy or scipy, the only dependencies
+    the package declares; a module that happens to be installed here would
+    pass every other test and still fail where only those are."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy"}
+    imported = {}
+    for path in sorted((ROOT / "src" / "boxspan").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.partition(".")[0], path.name)
+    assert {"numpy", "scipy"} <= set(imported)
+    assert {name: where for name, where in imported.items() if name not in allowed} == {}

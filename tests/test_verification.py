@@ -520,6 +520,40 @@ def test_via_check_on_maze_scales_exactly(seed):
     assert results == [results[0]] * len(results)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_via_distances_of_grid_stage_pairs_scale_exactly(seed):
+    """Every pair of a maze instance whose sigma lies above its L1, the
+    pairs whose value the grid stage's pruning slack can move, taken as
+    (p, q) with a seeded via point o in its box: scaled by 2**k, each of
+    sigma(p, o), sigma(o, q) and sigma(p, q) is exactly the unscaled one
+    times 2**k."""
+    env = random_instance(GenConfig(seed=seed, n=32, m=40, placement="mixed", min_side=0.05,
+                                    max_side=0.3, gap=0.01))
+    pts = env.point_coords
+    i, j = np.triu_indices(env.n, 1)
+    solver = GeodesicSolver(env)
+    sigma = solver.pair_distances(pts[i], pts[j])
+    above = np.flatnonzero(sigma > np.abs(pts[i] - pts[j]).sum(axis=1))
+    assert len(above) >= 10
+    rng = np.random.default_rng(seed)
+    triples = []
+    for p, q in zip(pts[i[above]], pts[j[above]]):
+        o = p
+        for _ in range(64):
+            x = np.clip(p + rng.random(3) * (q - p), np.minimum(p, q), np.maximum(p, q))
+            if not solver.meets_obstacles(x[None], x[None])[0]:
+                o = x
+                break
+        triples.append((p, o))
+    P, O = (np.array(column) for column in zip(*triples))
+    Q = pts[j[above]]
+    S, T = np.concatenate([P, O, P]), np.concatenate([O, Q, Q])
+    unscaled = GeodesicSolver(env).pair_distances(S, T)
+    for k in (-300, -40, 40, 300):
+        got = GeodesicSolver(_scaled(env, k)).pair_distances(np.ldexp(S, k), np.ldexp(T, k))
+        assert got.tolist() == [math.ldexp(d, k) for d in unscaled.tolist()], k
+
+
 def reference_via_detour(env, p, q, o, solver):
     """One via check, validated on Point3 and AxisBox, as a reference:
     (lhs, rhs, holds) of sigma(p,o) + sigma(o,q) <= 4 * sigma(p,q)."""
