@@ -9,12 +9,13 @@ Instance files: ``{"points": [[x,y,z], ...], "obstacles": [{"lo": [...],
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import math
 import os
 import tempfile
 from itertools import repeat
-from typing import Any, Iterator, TextIO
+from typing import Any, Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -43,6 +44,21 @@ def _atomic_open(path: str) -> Iterator[TextIO]:
         raise
 
 
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, and enable it again afterwards only
+    if it was enabled before.  Parsing a graph file makes a few containers
+    per edge, none of them in a cycle, and each full collection that their
+    allocations set off would walk every tracked object of the process."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def write_json_atomic(path: str, payload: Any) -> None:
     with _atomic_open(path) as fh:
         json.dump(payload, fh, indent=2)
@@ -60,13 +76,53 @@ def _triple(value: Any, what: str) -> tuple[float, float, float]:
                           "coordinate too large for a float") from None
 
 
+# Items per block of save_instance and save_graph: each block is one
+# str.join, so the writers hold one block's text at a time, never the whole file.
+_WRITE_BLOCK = 1 << 12
+# A point, and an obstacle, of an instance file as json.dump with indent=2 writes it.
+_POINT_TEXT = "    [\n      {},\n      {},\n      {}\n    ]".format
+_OBSTACLE_TEXT = ('    {{\n      "lo": [\n        {},\n        {},\n        {}\n      ],\n'
+                  '      "hi": [\n        {},\n        {},\n        {}\n      ]\n    }}').format
+
+
+def _write_items(fh: TextIO, values: list, width: int, text: Callable[..., str]) -> None:
+    """Write the JSON list of the items that ``text`` makes of each ``width``
+    consecutive values, a block of items at a time."""
+    if not values:
+        fh.write("[]")
+        return
+    fh.write("[\n")
+    step = width * _WRITE_BLOCK
+    for start in range(0, len(values), step):
+        if start:
+            fh.write(",\n")
+        numbers = [float.__repr__(v) if type(v) is float else json.dumps(v)
+                   for v in values[start:start + step]]
+        fh.write(",\n".join(map(text, *(numbers[a::width] for a in range(width)))))
+    fh.write("\n  ]")
+
+
 def save_instance(path: str, env: Environment) -> None:
-    payload = {
-        "points": [[p.x, p.y, p.z] for p in env.points],
-        "obstacles": [{"lo": [b.lo.x, b.lo.y, b.lo.z], "hi": [b.hi.x, b.hi.y, b.hi.z]}
-                      for b in env.obstacles],
-    }
-    write_json_atomic(path, payload)
+    """Write ``{"points": [[x, y, z], ...], "obstacles": [{"lo": [x, y, z],
+    "hi": [x, y, z]}, ...]}`` byte for byte as ``write_json_atomic`` would.
+
+    json's indenting encoder is pure Python and makes a write call per
+    token, so the text is joined here, a block of items per write.  A
+    coordinate whose type is float is written as ``float.__repr__`` writes
+    it, any other (int, bool, a float subclass) as ``json.dumps`` does; one
+    that json rejects raises TypeError before the file is opened.
+    """
+    points = [v for p in env.points for v in (p.x, p.y, p.z)]
+    corners = [v for b in env.obstacles for c in (b.lo, b.hi) for v in (c.x, c.y, c.z)]
+    for v in points + corners:
+        if type(v) is not float:
+            json.dumps(v)
+    with _atomic_open(path) as fh:
+        fh.write('{\n  "points": ')
+        _write_items(fh, points, 3, _POINT_TEXT)
+        fh.write(',\n  "obstacles": ')
+        _write_items(fh, corners, 6, _OBSTACLE_TEXT)
+        fh.write("\n}\n")
 
 
 def load_instance(path: str) -> Environment:
@@ -89,9 +145,6 @@ def load_instance(path: str) -> Environment:
     return Environment(obstacles, points)
 
 
-# Edges per block of save_graph: each block is one str.join, so the writer
-# holds one block's text at a time, never the whole file.
-_WRITE_BLOCK = 1 << 12
 _EDGE_SEP = "\n    ],\n"
 
 
@@ -137,12 +190,14 @@ def save_graph(path: str, graph: SpannerGraph) -> None:
         fh.write(f'  "metric": {json.dumps(GRAPH_METRIC)}\n}}\n')
 
 
+@_collector_paused()
 def load_graph(path: str) -> SpannerGraph:
     """Read a graph file; raise FormatError unless ``n`` and every endpoint
     are (non-boolean) integers and every weight is a finite positive number.
 
     The checks test ``type(v) is int``, which is exact for ``json.load``
-    output: ``bool`` is a type of its own.
+    output: ``bool`` is a type of its own.  The cyclic collector is paused
+    while the file is parsed and checked.
     """
     with open(path) as fh:
         data = json.load(fh)

@@ -14,6 +14,10 @@ import numpy as np
 from .geometry import AxisBox, Environment, Point3, validate_environment
 
 
+# Rows per block of free-placement point draws in random_instance.
+_DRAW_BLOCK = 1 << 12
+
+
 class CrowdedRegionError(RuntimeError):
     """Raised when rejection sampling cannot place the requested obstacles or points."""
 
@@ -80,37 +84,64 @@ def random_instance(cfg: GenConfig) -> Environment:
         gaps = np.maximum(placed_lo[:k] - hi, lo - placed_hi[:k]).max(axis=1)
         if (gaps >= cfg.gap).all():
             placed_lo[k], placed_hi[k] = lo, hi
-            obstacles.append(AxisBox(Point3(*lo), Point3(*hi)))
+            obstacles.append(AxisBox(Point3(*lo.tolist()), Point3(*hi.tolist())))
 
-    points: list[Point3] = []
-    seen: set[tuple[float, float, float]] = set()
-    tries = 0
-    max_tries = 500 * cfg.n
-    while len(points) < cfg.n:
-        if tries > max_tries:
-            raise CrowdedRegionError("could not place points: region too crowded")
-        tries += 1
-        if cfg.placement == "mixed" and obstacles and rng.random() < 0.3:
-            box = obstacles[int(rng.integers(len(obstacles)))]
-            face = int(rng.integers(6))
-            axis, side = divmod(face, 2)
-            coords = [float(rng.uniform(box.lo.coord(a), box.hi.coord(a))) for a in range(3)]
-            coords[axis] = box.hi.coord(axis) if side == 0 else box.lo.coord(axis)
-            pt = Point3(*coords)
-        else:
-            pt = Point3(*rng.uniform(0.0, scale, size=3))
-        if any(box.contains_interior(pt) for box in obstacles):
-            continue
-        if pt.as_tuple() in seen:
-            continue
-        seen.add(pt.as_tuple())
-        points.append(pt)
-
+    points = _place_points(cfg, rng, obstacles)
     env = Environment(obstacles, points)
     violations = validate_environment(env)
     if violations:
         raise RuntimeError(f"generator produced an invalid instance: {violations}")
     return env
+
+
+def _place_points(cfg: GenConfig, rng: np.random.Generator,
+                  obstacles: list[AxisBox]) -> list[Point3]:
+    """The points of random_instance: each try draws a candidate, which is
+    kept unless it lies in an obstacle interior or repeats a kept point.
+
+    A free candidate is one ``rng.uniform(0.0, extent, size=3)`` draw.  When
+    no coin is drawn (free placement, or mixed without obstacles) nothing
+    else reads the generator, so the candidates still missing are drawn as
+    one (k, 3) block, at most ``_DRAW_BLOCK`` rows and never past the try
+    budget: PCG64 fills a block row by row with the draws that k calls would
+    make.  Mixed placement with obstacles draws one try at a time, because
+    its coin decides which draws follow.
+    """
+    scale = cfg.extent
+    boxes = [b.lo.as_tuple() + b.hi.as_tuple() for b in obstacles]
+    points: list[Point3] = []
+    seen: set[tuple[float, float, float]] = set()
+    budget = 500 * cfg.n + 1  # tries
+
+    def one_try() -> list[list[float]]:
+        if rng.random() < 0.3:
+            box = obstacles[int(rng.integers(len(obstacles)))]
+            face = int(rng.integers(6))
+            axis, side = divmod(face, 2)
+            coords = [float(rng.uniform(box.lo.coord(a), box.hi.coord(a))) for a in range(3)]
+            coords[axis] = box.hi.coord(axis) if side == 0 else box.lo.coord(axis)
+            return [coords]
+        return [rng.uniform(0.0, scale, size=3).tolist()]
+
+    def block() -> list[list[float]]:
+        k = min(cfg.n - len(points), budget, _DRAW_BLOCK)
+        return rng.uniform(0.0, scale, size=(k, 3)).tolist()
+
+    draw = one_try if cfg.placement == "mixed" and obstacles else block
+    while budget:
+        candidates = draw()
+        budget -= len(candidates)
+        for x, y, z in candidates:
+            for ax, ay, az, bx, by, bz in boxes:
+                if ax < x < bx and ay < y < by and az < z < bz:
+                    break
+            else:
+                if (x, y, z) not in seen:
+                    seen.add((x, y, z))
+                    points.append(Point3(x, y, z))
+                    if len(points) == cfg.n:
+                        return points
+    raise CrowdedRegionError("could not place points: region too crowded")
 
 
 def slab_instance(n: int, eps: float, s: float, delta: float) -> Environment:

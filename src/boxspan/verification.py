@@ -297,26 +297,29 @@ def via_triples(env: Environment, count: int,
         return []
     coords = env.point_coords.tolist()
     boxes = np.hstack([env.obstacle_lo, env.obstacle_hi]).tolist()
+    points, integers, random = env.points, rng.integers, rng.random
     triples = []
     for _ in range(count):
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
+        i = int(integers(n))
+        j = int(integers(n - 1))
         if j >= i:
             j += 1
         (px, py, pz), (qx, qy, qz) = coords[i], coords[j]
         lx, ly, lz = min(px, qx), min(py, qy), min(pz, qz)
         hx, hy, hz = max(px, qx), max(py, qy), max(pz, qz)
-        o = env.points[i]
+        o = points[i]
         for _ in range(64):
-            ux, uy, uz = rng.random(3).tolist()
+            ux, uy, uz = random(3).tolist()
             x = min(max(px + ux * (qx - px), lx), hx)
             y = min(max(py + uy * (qy - py), ly), hy)
             z = min(max(pz + uz * (qz - pz), lz), hz)
-            if not any(ax < x < bx and ay < y < by and az < z < bz
-                       for ax, ay, az, bx, by, bz in boxes):
+            for ax, ay, az, bx, by, bz in boxes:
+                if ax < x < bx and ay < y < by and az < z < bz:
+                    break
+            else:
                 o = Point3(x, y, z)
                 break
-        triples.append((env.points[i], env.points[j], o))
+        triples.append((points[i], points[j], o))
     return triples
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -7,7 +8,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxspan import cli, files, generators
@@ -493,6 +494,107 @@ def test_save_graph_rejects_weights_that_are_not_floats(tmp_path):
     files.save_graph(path, SpannerGraph(n=2, edges=edges))
     with open(path, "rb") as fh:
         assert fh.read() == _json_dump_bytes(2, edges)
+
+
+def _instance_json_bytes(env):
+    """What write_json_atomic writes for an instance: json.dump, indent=2, newline."""
+    buf = io.StringIO()
+    json.dump({"points": [[p.x, p.y, p.z] for p in env.points],
+               "obstacles": [{"lo": [b.lo.x, b.lo.y, b.lo.z], "hi": [b.hi.x, b.hi.y, b.hi.z]}
+                             for b in env.obstacles]}, buf, indent=2)
+    buf.write("\n")
+    return buf.getvalue().encode()
+
+
+_COORDINATES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(-2 ** 80, 2 ** 80),
+    st.booleans(),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308, 0.1 + 0.2]),
+)
+
+
+def _box(corners):
+    lo, hi = zip(*(sorted(pair) for pair in zip(corners[:3], corners[3:])))
+    return AxisBox(Point3(*lo), Point3(*hi))
+
+
+@settings(max_examples=80, deadline=None)
+@example(block=1, points=[], boxes=[])
+@example(block=2, points=[(0.0, -0.0, 5e-324)] * 3, boxes=[(0, False, -1e308, 1, True, 1e308)])
+@given(st.sampled_from([1, 2, 3, 7, files._WRITE_BLOCK]),
+       st.lists(st.tuples(_COORDINATES, _COORDINATES, _COORDINATES), max_size=17),
+       st.lists(st.tuples(*[_COORDINATES] * 6), max_size=9))
+def test_save_instance_writes_json_dump_bytes(tmp_path_factory, block, points, boxes):
+    """Points and obstacles, none or a few blocks of them, with float, int,
+    bool and numpy float coordinates, are written as json.dump writes them."""
+    env = Environment([_box(c) for c in boxes], [Point3(*p) for p in points])
+    path = str(tmp_path_factory.mktemp("instance") / "instance.json")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(files, "_WRITE_BLOCK", block)
+        files.save_instance(path, env)
+    with open(path, "rb") as fh:
+        assert fh.read() == _instance_json_bytes(env)
+
+
+def test_save_instance_rejects_what_json_rejects(tmp_path, monkeypatch):
+    """A coordinate json cannot write raises json's TypeError before any file
+    is opened, wherever it sits."""
+    def no_open(path):
+        raise AssertionError("save_instance opened a file")
+
+    path = str(tmp_path / "instance.json")
+    good = [Point3(0.5, 1, True) for _ in range(5)]
+    for env in (Environment([], good + [Point3(0.5, np.int64(2), 0.0)]),
+                Environment([AxisBox(Point3(0.0, 0.0, 0.0), Point3(1.0, 1.0, np.int64(1)))],
+                            good)):
+        with pytest.raises(TypeError):
+            _instance_json_bytes(env)
+        with pytest.raises(TypeError, match="int64"), monkeypatch.context() as mp:
+            mp.setattr(files, "_atomic_open", no_open)
+            files.save_instance(path, env)
+        assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["--n", "50", "--m", "5", "--seed", "7"],
+     "c44c8605ebd8b8a678ab96d510887a186267291a4fac80ba87689b668df02077"),
+    (["--n", "40", "--m", "20", "--seed", "3", "--placement", "mixed"],
+     "f660ba29dcb06d399696bfd077f6e33c795e74e60ee882bc0d2a5ae354e23306"),
+], ids=["readme", "mixed"])
+def test_generate_output_stays_pinned(tmp_path, argv, digest):
+    """The bytes of ``boxspan generate`` for the README example and a
+    mixed-placement instance, as the per-try generator and json.dump wrote them."""
+    out = str(tmp_path / "inst.json")
+    assert main(["generate", "--mode", "random", *argv, "--out", out]) == 0
+    with open(out, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_graph_restores_the_collector(tmp_path, enabled):
+    """load_graph leaves the cyclic collector as it found it: after a normal
+    return, a FormatError and an OSError, when it was enabled and when the
+    caller had disabled it."""
+    path = str(tmp_path / "graph.json")
+    files.save_graph(path, SpannerGraph(n=3, edges={(0, 1): 1.0, (1, 2): 2.5}))
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        fh.write('{"n": 3, "edges": [[0, 1, 1.0], [1, 0, 1.0]]}')
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert files.load_graph(path).edges == {(0, 1): 1.0, (1, 2): 2.5}
+        assert gc.isenabled() is enabled
+        with pytest.raises(files.FormatError):
+            files.load_graph(bad)
+        assert gc.isenabled() is enabled
+        with pytest.raises(OSError):
+            files.load_graph(str(tmp_path / "missing.json"))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def reference_load_graph(path):
