@@ -200,15 +200,19 @@ class GeodesicSolver:
     Results are cached per unordered pair of coordinate tuples, so the
     orientation asked first fixes the value for both.  :meth:`distance` and
     :meth:`pair_distances` cache every pair of distinct points they answer;
-    :meth:`distances_from` caches only targets whose box meets an obstacle,
-    so that the all-pairs stretch scan does not fill the cache with plain L1
-    answers.  ``verify`` warms the cache with one :meth:`pair_distances` call
-    over all via-point pairs, after which each via check reads its three
-    distances from the cache.  Above L1 (step 4) the value depends on that
-    orientation in the last bits: Dijkstra sums the steps of a path in
-    travel order, so sigma(p, q) and sigma(q, p) can differ by an ulp, and
-    two solvers that meet a pair in opposite orientations, such as the
-    builder's and the verifier's, can disagree that much.
+    :meth:`distances_from` caches only its grid-stage answers, the only ones
+    it reads back: a box-free or staircase-clear pair is L1 in both
+    orientations and classifies the same each time, and :meth:`_settle`
+    looks the cache up only for grid-stage pairs.  So a build or a stretch
+    scan on a fresh solver leaves one entry per grid-stage run, and only
+    :meth:`distance` reads an L1 entry.  ``verify`` warms the cache with one
+    :meth:`pair_distances` call over all via-point pairs, after which each
+    via check reads its three distances from the cache.  Above L1 (step 4)
+    the value depends on that orientation in the last bits: Dijkstra sums
+    the steps of a path in travel order, so sigma(p, q) and sigma(q, p) can
+    differ by an ulp, and two solvers that meet a pair in opposite
+    orientations, such as the builder's and the verifier's, can disagree
+    that much.
 
     ``grid_stage_runs`` counts the pairs this solver has sent through the
     grid stage, cache misses only.
@@ -252,9 +256,8 @@ class GeodesicSolver:
 
         Source and targets are points or rows of coordinates.  states, when
         given, is :meth:`classify` of (source, targets), computed earlier.
-        Box-free targets are answered with L1 and not cached, so a scan over
-        all pairs does not fill the cache; the others are settled and cached
-        as :meth:`pair_distances` settles them.
+        Grid-stage targets are settled and cached as :meth:`pair_distances`
+        settles them; the others are answered with L1 and not cached.
 
         One call with a source row per target returns, and leaves in the
         cache, what one call per row in the same order would: :meth:`_settle`
@@ -274,7 +277,7 @@ class GeodesicSolver:
             states = self.classify(S, pts)
         elif len(states) != len(pts):
             raise ValueError(f"{len(states)} states for {len(pts)} targets")
-        ask = np.nonzero(states != BOX_FREE)[0]
+        ask = np.flatnonzero(states == GRID_STAGE)
         if len(ask):
             self._settle(S, pts, out, ask, states[ask])
         return out

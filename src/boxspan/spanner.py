@@ -18,8 +18,8 @@ from itertools import chain
 
 import numpy as np
 
-from .cspd import CONES, Cspd, CspdPair, build_cspd
-from .geodesic import BOX_FREE, GRID_STAGE, GeodesicSolver
+from .cspd import CONES, Cspd, CspdPair, _ranges, build_cspd
+from .geodesic import GRID_STAGE, GeodesicSolver
 from .geometry import Environment, Point3, project_out
 
 
@@ -143,21 +143,22 @@ def _emissions(P: np.ndarray, decomposition: Cspd, solver: GeodesicSolver, stats
     strictly inside the obstacle onto a face.  Any other apex is its own
     single exit, since its six exits coincide.
 
-    Each exit makes one query.  The rows of all queries are made at once,
-    per query its selection rows (exit, member), members in index order,
-    then its weight rows (center, member) for the other members, and one
-    :meth:`GeodesicSolver.classify` call classifies them all.  The center
+    Each exit makes one query, and the queries' rows are made at once in two
+    arrays, each classified by one :meth:`GeodesicSolver.classify` call:
+    the selection rows (exit, member), per query its pair's members in index
+    order, and the weight rows (center, member), per query its other
+    members, query q owning weight rows rows[q] to rows[q + 1].  The center
     is provisional: the first L1-nearest member (:func:`_nearest_members`).
 
-    The solver then resolves the weight rows in order, box-free rows left
-    out, as many rows per :meth:`GeodesicSolver.distances_from` call as
-    possible with a source row per target.  At a query with a grid-stage
-    selection row the run ends before its selection rows, and
-    :func:`_nearest_center` picks the center, asking the solver only for
-    the grid-stage members whose L1 can still beat the best distance found,
-    or for all of them when the exit is a data point; if the center is
-    another member, the query's weight rows are made and classified again.
-    Selection rows never reach the solver otherwise.
+    The solver then resolves the weight rows in order, a whole range per
+    :meth:`GeodesicSolver.distances_from` call with a source row per
+    target.  At a query with a grid-stage selection row the range ends
+    before the query's weight rows, and :func:`_nearest_center` picks the
+    center, asking the solver only for the grid-stage members whose L1 can
+    still beat the best distance found, or for all of them when the exit is
+    a data point; if the center is another member, the query's weight rows
+    are made and classified again.  Selection rows never reach the solver
+    otherwise.
 
     This is exactly what the per-pair loop of :func:`build_spanner` does:
 
@@ -170,8 +171,7 @@ def _emissions(P: np.ndarray, decomposition: Cspd, solver: GeodesicSolver, stats
       asks the solver what it asks here;
     - the solver is asked the same rows, in the same order and orientation,
       so the values, the grid-stage calls and the cache entries, in
-      insertion order, are the loop's.  A box-free row writes no cache
-      entry, so leaving it out changes nothing either;
+      insertion order, are the loop's;
     - the center is the first argmin of the geodesic distance over all
       members, ties to the smallest index, whatever the bound skips:
       sigma >= L1 to the bit, and a skipped row writes no cache entry that
@@ -181,8 +181,8 @@ def _emissions(P: np.ndarray, decomposition: Cspd, solver: GeodesicSolver, stats
     - a pair whose closed member box meets no obstacle interior has its
       apex in that box (between its sides), so the apex is interior to no
       obstacle.  Every row of the pair has its box inside the member box
-      and classifies box-free, so the solver never sees it, and its weight
-      is the float expression distances_from evaluates for such rows.
+      and classifies box-free, so distances_from answers it with L1 and
+      runs no grid stage for it.
     """
     n, apex, obs_lo, obs_hi = len(P), decomposition.apex, solver.obs_lo, solver.obs_hi
     inside = ((obs_lo < apex[:, None]) & (apex[:, None] < obs_hi)).all(axis=2)
@@ -190,66 +190,54 @@ def _emissions(P: np.ndarray, decomposition: Cspd, solver: GeodesicSolver, stats
     interior = box < len(obs_lo)
     stats["apex_interior"] += int(interior.sum())
     stats["apex_free"] += len(apex) - int(interior.sum())
-    exit_counts = np.where(interior, 6, 1)
 
     # Query q asks exit q, side[q] of its pair's exits in x+, x-, ..., z- order.
-    count = int(exit_counts.sum())
-    query_pairs = np.repeat(np.arange(len(apex)), exit_counts)
-    side = np.arange(count) - np.repeat(np.cumsum(exit_counts) - exit_counts, exit_counts)
+    query_pairs, side = _ranges(np.zeros_like(box), np.where(interior, 6, 1))
     exits = apex[query_pairs]
     moved = np.nonzero(interior[query_pairs])[0]
     holder, axis = box[query_pairs[moved]], side[moved] // 2
     exits[moved, axis] = np.where(side[moved] % 2, obs_lo[holder, axis], obs_hi[holder, axis])
-    # Sources index the points and then the exits, exit q at n + q.
-    Q = np.concatenate([P, exits])
 
-    # Selection rows: per query, its pair's members in index order.
-    starts = decomposition.offsets[query_pairs]
-    sizes = decomposition.offsets[query_pairs + 1] - starts
+    # Selection rows (exit, member): per query, its pair's members in index order.
+    owner, at = _ranges(decomposition.offsets[query_pairs], decomposition.offsets[query_pairs + 1])
+    members = np.sort(owner * n + decomposition.members[at]) % n  # (query, member) order
+    sizes = np.diff(decomposition.offsets)[query_pairs]
     first = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(count), sizes)
-    members = decomposition.members[np.arange(len(owner)) + np.repeat(starts - first, sizes)]
-    members = np.sort(owner * n + members) % n  # (query, member) order, one integer sort
-    centers = _nearest_members(np.abs(P[members] - exits[owner]).sum(axis=1), members, sizes)
+    E, M = exits[owner], P[members]
+    l1 = np.abs(M - E).sum(axis=1)
+    picks = solver.classify(E, M)
+    centers = _nearest_members(l1, members, sizes)
 
-    # Query q owns rows block[q] to block[q + 1]: selection rows, then weight rows.
-    block = np.concatenate([[0], np.cumsum(2 * sizes - 1)])
-    row_query = np.repeat(np.arange(count), 2 * sizes - 1)
-    selection = np.arange(block[-1]) - block[row_query] < sizes[row_query]
+    # Weight rows (center, member): query q owns rows[q] to rows[q + 1].
     other = members != centers[owner]
-    sources, targets = np.empty((2, block[-1]), dtype=members.dtype)
-    sources[selection], targets[selection] = n + owner, members
-    sources[~selection], targets[~selection] = centers[owner][other], members[other]
-    S, T = Q[sources], P[targets]
+    sources, targets = centers[owner[other]], members[other]
+    rows = np.concatenate([[0], np.cumsum(sizes - 1)])
+    S, T = P[sources], P[targets]
     states = solver.classify(S, T)
-    weights = np.abs(T - S).sum(axis=1)
+    weights = np.empty(len(targets))
 
     def resolve(lo: int, hi: int) -> None:
-        """Weight rows lo to hi, box-free rows left out, in one distances_from call."""
-        ask = lo + np.nonzero((states[lo:hi] != BOX_FREE) & ~selection[lo:hi])[0]
-        if len(ask):
-            weights[ask] = solver.distances_from(S[ask], T[ask], states=states[ask])
+        """Weight rows lo to hi, in one distances_from call."""
+        weights[lo:hi] = solver.distances_from(S[lo:hi], T[lo:hi], states=states[lo:hi])
 
     done = 0
-    grid = np.nonzero(np.maximum.reduceat(states[selection], first) == GRID_STAGE)[0].tolist()
+    grid = np.nonzero(np.maximum.reduceat(picks, first) == GRID_STAGE)[0].tolist()
     data_points = set(map(tuple, P.tolist())) if grid else set()
     for q in grid:
-        picked = slice(block[q], block[q] + sizes[q])
-        resolve(done, picked.start)
-        center = _nearest_center(solver, S[picked], T[picked], targets[picked], weights[picked],
-                                 states[picked], tuple(exits[q].tolist()) in data_points)
+        resolve(done, rows[q])
+        done = rows[q]
+        picked = slice(first[q], first[q] + sizes[q])
+        center = _nearest_center(solver, E[picked], M[picked], members[picked], l1[picked],
+                                 picks[picked], tuple(exits[q].tolist()) in data_points)
         if center != centers[q]:
-            remade = slice(picked.stop, block[q + 1])
-            rest = targets[picked][targets[picked] != center]
+            remade = slice(rows[q], rows[q + 1])
+            rest = members[picked][members[picked] != center]
             sources[remade], targets[remade] = center, rest
             S[remade], T[remade] = P[center], P[rest]
             states[remade] = solver.classify(S[remade], T[remade])
-            weights[remade] = np.abs(T[remade] - S[remade]).sum(axis=1)
-        done = picked.stop
-    resolve(done, block[-1])
-    emitted = ~selection
-    stats["emissions"] += int(emitted.sum())
-    return sources[emitted], targets[emitted], weights[emitted]
+    resolve(done, len(targets))
+    stats["emissions"] += len(targets)
+    return sources, targets, weights
 
 
 def _nearest_center(solver: GeodesicSolver, S: np.ndarray, T: np.ndarray, members: np.ndarray,

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from .cspd import _ranges
 from .geodesic import GeodesicSolver
 from .geometry import Environment, Point3, points_array
 from .spanner import SpannerGraph, build_spanner
@@ -62,17 +63,14 @@ def _pair_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The pairs (i, j), i < j < n, in row-major order, in blocks of whole
     rows of at most _STRETCH_BLOCK pairs (a longer row is a block of its
     own): per block, the i and the j of its pairs."""
-    # Row i holds the pairs (i, i+1), ..., (i, n-1), at the row-major
-    # positions ends[i] - lengths[i] to ends[i] - 1, so the pair at position
-    # k has j = k - (ends[i] - n).
     lengths = np.arange(n - 1, 0, -1)
     ends = np.cumsum(lengths)
     first = 0
     while first < n - 1:
         done = ends[first] - lengths[first]
         last = max(first + 1, int(np.searchsorted(ends, done + _STRETCH_BLOCK, side="right")))
-        rows = np.repeat(np.arange(first, last), lengths[first:last])
-        cols = np.arange(done, ends[last - 1]) - np.repeat(ends[first:last] - n, lengths[first:last])
+        rows, cols = _ranges(np.arange(first + 1, last + 1), np.full(last - first, n))
+        rows += first
         yield rows, cols
         first = last
 

@@ -51,3 +51,29 @@ def test_package_imports_only_the_standard_library_numpy_and_scipy():
                 imported.setdefault(name.partition(".")[0], path.name)
     assert {"numpy", "scipy"} <= set(imported)
     assert {name: where for name, where in imported.items() if name not in allowed} == {}
+
+
+def test_package_imports_only_names_it_uses():
+    """Every name a module of the package imports is read in that module,
+    and __init__.py imports exactly the names of __all__.  No linter is
+    installed, and an import a simplification leaves behind, such as a
+    constant no longer read, passes every other test."""
+    unused, exported = {}, None
+    for path in sorted((ROOT / "src" / "boxspan").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        if path.name == "__init__.py":
+            exported = next(ast.literal_eval(node.value) for node in tree.body
+                            if isinstance(node, ast.Assign)
+                            and [t.id for t in node.targets] == ["__all__"])
+            assert sorted(imported) == sorted(exported)
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - read:
+            unused[path.name] = sorted(imported - read)
+    assert exported
+    assert unused == {}

@@ -169,6 +169,45 @@ def test_spanning_ratio_checks_vertex_count():
         spanning_ratio(env, SpannerGraph(n=4))
 
 
+@pytest.mark.parametrize("block", [1, 7, 100, verification._STRETCH_BLOCK])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 64, 300])
+def test_pair_blocks_hold_whole_rows_in_row_major_order(n, block, monkeypatch):
+    """The blocks, concatenated, are the pairs i < j < n in row-major order;
+    each holds whole rows, and more than _STRETCH_BLOCK pairs only when it
+    is a single row."""
+    monkeypatch.setattr(verification, "_STRETCH_BLOCK", block)
+    blocks = list(verification._pair_blocks(n))
+    pairs = [pair for rows, cols in blocks for pair in zip(rows.tolist(), cols.tolist())]
+    assert pairs == list(zip(*(k.tolist() for k in np.triu_indices(n, 1))))
+    for rows, cols in blocks:
+        assert rows.dtype.kind == cols.dtype.kind == "i"
+        assert cols[0] == rows[0] + 1 and cols[-1] == n - 1
+        assert len(rows) <= block or rows[0] == rows[-1]
+
+
+_CACHE_INPUTS = {
+    "scatter": lambda: random_instance(GenConfig(seed=11, n=64, m=8)),
+    "maze": lambda: random_instance(_MAZE),
+    "faces": _faces_instance,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CACHE_INPUTS))
+def test_build_and_scan_cache_only_grid_stage_answers(kind):
+    """A build, and a stretch scan, each on a fresh solver, leave in the
+    cache exactly the grid stage's answers: one entry per grid-stage run,
+    each a pair that classifies grid stage.  Their L1 answers are never
+    read back, so none is kept."""
+    env = _CACHE_INPUTS[kind]()
+    built, scanned = GeodesicSolver(env), GeodesicSolver(env)
+    spanning_ratio(env, build_spanner(env, built), scanned)
+    for solver in (built, scanned):
+        assert solver.grid_stage_runs > 0
+        assert len(solver._cache) == solver.grid_stage_runs
+        S, T = (np.array(side) for side in zip(*solver._cache))
+        assert (solver.classify(S, T) == geodesic.GRID_STAGE).all()
+
+
 # -- the certified scan: two-hop bounds, exact rows only where they can matter
 
 def _sigma_graph(env, pairs):
@@ -674,6 +713,26 @@ def test_check_via_triples_validates_without_point_tests(monkeypatch):
     monkeypatch.setattr(AxisBox, "contains_interior", None)
     assert check_via_triples(triples, GeodesicSolver(env))[0] == 50
     assert len(calls) == 3 * 50
+
+
+@pytest.mark.parametrize("kind", ["scatter", "maze"])
+def test_via_distance_calls_all_hit_the_cache(kind, monkeypatch):
+    """check_via_triples classifies once, in its pair_distances warm-up,
+    on a fresh solver and on one a stretch scan has used, as verify's is:
+    the warm-up caches every pair it answers, L1 pairs included, so each
+    distance call of the checks reads the cache, where a miss would
+    classify its pair again."""
+    env = _CACHE_INPUTS[kind]()
+    triples = via_triples(env, 300, np.random.default_rng(5))
+    scanned = GeodesicSolver(env)
+    spanning_ratio(env, build_spanner(env, GeodesicSolver(env)), scanned)
+    for solver in (GeodesicSolver(env), scanned):
+        calls = []
+        classify = solver.classify
+        monkeypatch.setattr(solver, "classify",
+                            lambda S, T: calls.append(len(T)) or classify(S, T))
+        assert check_via_triples(triples, solver)[0] == len(triples)
+        assert len(calls) == 1
 
 
 def reference_via_triples(env, count, rng):
