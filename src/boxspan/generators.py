@@ -156,9 +156,12 @@ def slab_instance(n: int, eps: float, s: float, delta: float) -> Environment:
     """
     if n < 2:
         raise ValueError("need at least 2 points")
+    for name, value in (("eps", eps), ("s", s), ("delta", delta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if eps <= 0 or delta <= 0:
         raise ValueError("eps and delta must be positive")
-    if s <= 2 - eps**2 / 2:
+    if s <= 2 - eps * eps / 2:
         raise ValueError("s must exceed 2 - eps^2/2 for the ratio argument")
     spread = 0.9 * eps
     step = spread / (n - 1)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
 from .geometry import Environment, Point3, points_array
 
@@ -96,37 +96,24 @@ def _grid_links(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
             for axis, c in enumerate(cuts)]
 
 
-def _grid_csr(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
-              links: list[np.ndarray]) -> csr_matrix:
-    """The grid graph: one edge per link, from its lower node (numbered in C
-    order) to the next node along the link's axis, weighted by its length."""
-    return _grid_graph(cuts, links, both_ways=False)
-
-
 def _grid_graph(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
-                links: list[np.ndarray], both_ways: bool) -> csr_matrix:
-    """The graph of :func:`_grid_csr`; with both_ways, also each edge back,
-    so that the graph is symmetric.  Its pattern is :func:`_grid_pattern`'s;
-    each slot's weight is the length of its step."""
+                links: list[np.ndarray]) -> csr_matrix:
+    """The grid graph: per link, one edge each way between its two nodes
+    (numbered in C order), weighted by the link's length.  The graph is
+    symmetric; its pattern is :func:`_grid_pattern`'s."""
     shape = tuple(len(c) for c in cuts)
-    slot, indptr, indices = _grid_pattern(shape, links, both_ways)
-    k = 6 if both_ways else 3
-    up = k - 3
+    slot, indptr, indices = _grid_pattern(shape, links)
     steps = [np.diff(c) for c in cuts]
-    weight = np.zeros(shape + (k,))
-    weight[:, :, :-1, up] = steps[2]
-    weight[:, :-1, :, up + 1] = steps[1][:, None]
-    weight[:-1, :, :, up + 2] = steps[0][:, None, None]
-    if both_ways:
-        weight[1:, :, :, 0] = steps[0][:, None, None]
-        weight[:, 1:, :, 1] = steps[1][:, None]
-        weight[:, :, 1:, 2] = steps[2]
+    weight = np.zeros(shape + (6,))
+    weight[1:, :, :, 0] = weight[:-1, :, :, 5] = steps[0][:, None, None]
+    weight[:, 1:, :, 1] = weight[:, :-1, :, 4] = steps[1][:, None]
+    weight[:, :, 1:, 2] = weight[:, :, :-1, 3] = steps[2]
     n_nodes = len(indptr) - 1
     return csr_matrix((weight.reshape(-1)[slot], indices, indptr), shape=(n_nodes, n_nodes))
 
 
-def _grid_pattern(shape: tuple[int, int, int], links: list[np.ndarray],
-                  both_ways: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grid_pattern(shape: tuple[int, int, int],
+                  links: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The CSR pattern of :func:`_grid_graph` on a grid of the given shape,
     as (slot, indptr, indices): slot holds, per stored edge, its position in
     the (nodes x directions) slot array described below.
@@ -140,24 +127,18 @@ def _grid_pattern(shape: tuple[int, int, int], links: list[np.ndarray],
     """
     nx, ny, nz = shape
     n_nodes = nx * ny * nz
-    k = 6 if both_ways else 3
-    # Slots (-x, -y, -z) when both_ways, then (+z, +y, +x).
-    mask = np.zeros(shape + (k,), dtype=bool)
-    up = k - 3
-    mask[:, :, :-1, up] = links[2]
-    mask[:, :-1, :, up + 1] = links[1]
-    mask[:-1, :, :, up + 2] = links[0]
-    if both_ways:
-        mask[1:, :, :, 0] = links[0]
-        mask[:, 1:, :, 1] = links[1]
-        mask[:, :, 1:, 2] = links[2]
-    index = np.int32 if k * n_nodes < 2 ** 31 else np.int64
-    offsets = np.array([-ny * nz, -nz, -1, 1, nz, ny * nz], dtype=index)[3 - up:]
+    # Slots (-x, -y, -z, +z, +y, +x).
+    mask = np.zeros(shape + (6,), dtype=bool)
+    mask[1:, :, :, 0] = mask[:-1, :, :, 5] = links[0]
+    mask[:, 1:, :, 1] = mask[:, :-1, :, 4] = links[1]
+    mask[:, :, 1:, 2] = mask[:, :, :-1, 3] = links[2]
+    index = np.int32 if 6 * n_nodes < 2 ** 31 else np.int64
+    offsets = np.array([-ny * nz, -nz, -1, 1, nz, ny * nz], dtype=index)
     slot = np.flatnonzero(mask)
-    node = slot // k
+    node = slot // 6
     indptr = np.zeros(n_nodes + 1, dtype=index)
     np.cumsum(np.bincount(node, minlength=n_nodes), out=indptr[1:])
-    return slot, indptr, node.astype(index) + offsets[slot % k]
+    return slot, indptr, node.astype(index) + offsets[slot % 6]
 
 
 class GeodesicSolver:
@@ -186,16 +167,17 @@ class GeodesicSolver:
     2. one of the six three-leg staircases of the pair is free (one numpy
        broadcast, see :meth:`_staircase_clear`): distance is L1;
     3. several obstacles meet that box and a monotone staircase through it
-       exists (a reachability search on the grid cut by the box-overlapping
-       obstacles, see :func:`_monotone_clear`): distance is L1.  With one,
-       step 2 is exact (the one-box lemma in :meth:`_staircase_clear`), so
-       this step is skipped;
-    4. Dijkstra on that same grid, then, if the resulting upper bound cannot
-       rule out every other obstacle, a second run on the grid cut by all
-       obstacles whose cheapest through-detour is within the bound.  The
-       pruning is conservative: an optimal path touching an obstacle
-       certifies a through-detour no longer than the optimum, so every
-       obstacle an optimal path can touch keeps its cut planes.
+       exists (a sweep of the link masks of the grid cut by the
+       box-overlapping obstacles, see :func:`_monotone_clear`; no graph is
+       built): distance is L1.  With one, step 2 is exact (the one-box
+       lemma in :meth:`_staircase_clear`), so this step is skipped;
+    4. Dijkstra on the symmetric graph of that same grid, then, if the
+       resulting upper bound cannot rule out every other obstacle, a second
+       run on the grid cut by all obstacles whose cheapest through-detour is
+       within the bound.  The pruning is conservative: an optimal path
+       touching an obstacle certifies a through-detour no longer than the
+       optimum, so every obstacle an optimal path can touch keeps its cut
+       planes.
 
     Results are cached per unordered pair of coordinate tuples, so the
     orientation asked first fixes the value for both.  :meth:`distance` and
@@ -491,16 +473,17 @@ def _grid_distance(cuts: tuple[np.ndarray, np.ndarray, np.ndarray], links: list[
     an upper bound on the geodesic distance, exact once the grid carries the
     faces of every obstacle an optimal path touches.
 
-    The search runs directed on the symmetric graph, which spares scipy the
-    transpose an undirected search makes on every call.  The value is that
-    of an undirected search on the one-way graph, to the bit: the weights
-    are at least 0 and rounding is monotone, so every left-fold sum along a
-    path is at least that of its prefix, and Dijkstra's value at a node is
-    the least left-fold sum over the paths to it, whatever order it relaxes
-    the edges in.  Both searches see the same paths.
+    The search runs directed on the symmetric graph of :func:`_grid_graph`,
+    which spares scipy the transpose an undirected search makes on every
+    call.  The value is that of an undirected search on a graph with one edge
+    per link, to the bit: the weights are at least 0 and rounding is
+    monotone, so every left-fold sum along a path is at least that of its
+    prefix, and Dijkstra's value at a node is the least left-fold sum over
+    the paths to it, whatever order it relaxes the edges in.  Both searches
+    see the same paths.  The lattice oracle searches its graph the same way.
     """
     source, target = np.ravel_multi_index(ends, tuple(len(c) for c in cuts))
-    dist = dijkstra(_grid_graph(cuts, links, both_ways=True), directed=True, indices=int(source))
+    dist = dijkstra(_grid_graph(cuts, links), directed=True, indices=int(source))
     return float(dist[target])
 
 
@@ -509,13 +492,21 @@ def _monotone_clear(links: list[np.ndarray], ends: np.ndarray) -> bool:
     on the links of the grid :meth:`GeodesicSolver._grid` cuts by the faces of
     the obstacles that overlap the pair's box.
 
-    The test is a breadth-first search on the sub-grid between s and t, each
-    axis reversed where s > t, so that every link points away from s.  The
-    search reads no weights, so the graph is only :func:`_grid_pattern`'s
-    links, with no step lengths.  It is
-    exact because any monotone avoiding path stays in the pair's closed box
-    and can be slid onto the planes of s, t and the overlapping obstacles'
-    faces clipped to that box, and:
+    The test runs on the sub-grid between s and t, each axis reversed where
+    s > t, so that every link points away from s, and it reads only the link
+    masks.  Per axis, the nodes of a line are numbered by runs of
+    consecutive links, from 1 and never decreasing along the line, so that
+    two nodes of a line share a run number iff the links between them are
+    all present (the numbers fit int32, as the grid is under NODE_CAP
+    nodes).  From the s corner, a sweep along an axis reaches every node
+    that some reached node of its run lies at or before: there the running
+    maximum of the reached nodes' run numbers equals the node's own.  The
+    sweeps go round the three axes until t is reached or a full round adds
+    no node.  That fixed point is exactly the set of nodes a path moving
+    away from s on every axis reaches.  The test is exact
+    because any monotone avoiding path stays in the pair's closed box and
+    can be slid onto the planes of s, t and the overlapping obstacles' faces
+    clipped to that box, and:
 
     - the sub-grid holds exactly those cut values;
     - no obstacle outside the overlapping ones has an open interior that
@@ -526,12 +517,20 @@ def _monotone_clear(links: list[np.ndarray], ends: np.ndarray) -> bool:
     flip = tuple(slice(None, None, -1 if i > j else 1) for i, j in ends)
     sub = [links[axis][tuple(slice(lo[a], hi[a] + (a != axis)) for a in range(3))][flip]
            for axis in range(3)]
-    _, indptr, indices = _grid_pattern(tuple(hi - lo + 1), sub, both_ways=False)
-    n_nodes = len(indptr) - 1
-    graph = csr_matrix((np.ones(len(indices)), indices, indptr),
-                       shape=(n_nodes, n_nodes))
-    return n_nodes - 1 in breadth_first_order(graph, 0, directed=True,
-                                              return_predecessors=False)
+    runs = [np.cumsum(np.insert(~link, 0, True, axis=axis), axis=axis, dtype=np.int32)
+            for axis, link in enumerate(sub)]
+    reach = np.zeros(tuple(hi - lo + 1), dtype=bool)
+    reach[0, 0, 0] = True
+    count = 1
+    while True:
+        for axis, run in enumerate(runs):
+            reach = np.maximum.accumulate(np.where(reach, run, 0), axis=axis) == run
+            if reach[-1, -1, -1]:
+                return True
+        grown = np.count_nonzero(reach)
+        if grown == count:
+            return False
+        count = grown
 
 
 def oracle_fine_grid_distance(env: Environment, p: Point3, q: Point3,
@@ -544,10 +543,13 @@ def oracle_fine_grid_distance(env: Environment, p: Point3, q: Point3,
     obstacle interiors are dropped and 6-neighbor links crossing an interior
     are dropped, so every lattice path is feasible and the result is always
     an upper bound on the true geodesic distance; halving the resolution
-    refines the lattice, so the bound is non-increasing.
+    refines the lattice, so the bound is non-increasing.  The lattice, its
+    nodes and its links are the oracle's own; its graph is the engine's
+    symmetric :func:`_grid_graph`, searched directed as
+    :func:`_grid_distance` searches a grid.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0 < resolution < np.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     corners: list[tuple[float, float, float]] = [p.as_tuple(), q.as_tuple()]
     corners += [pt.as_tuple() for pt in env.points]
     for box in env.obstacles:
@@ -601,15 +603,11 @@ def oracle_fine_grid_distance(env: Environment, p: Point3, q: Point3,
         return ok & open_node[tuple(head)] & open_node[tuple(tail)]
 
     links = [link_open(axis) for axis in range(3)]
-    graph = _grid_csr((vx, vy, vz), links)
-    ny, nz = len(vy), len(vz)
-
-    def node_id(pt: Point3) -> int:
-        idx = [int(np.searchsorted(axis_values[axis], pt.coord(axis))) for axis in range(3)]
-        return (idx[0] * ny + idx[1]) * nz + idx[2]
-
-    dist = dijkstra(graph, directed=False, indices=node_id(p))
-    d = float(dist[node_id(q)])
+    ends = [np.searchsorted(vals, (p.coord(axis), q.coord(axis)))
+            for axis, vals in enumerate(axis_values)]
+    source, target = np.ravel_multi_index(ends, (len(vx), len(vy), len(vz)))
+    dist = dijkstra(_grid_graph((vx, vy, vz), links), directed=True, indices=int(source))
+    d = float(dist[target])
     if not np.isfinite(d):
         raise RuntimeError("oracle lattice found no route; increase padding or resolution")
     return d

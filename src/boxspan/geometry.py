@@ -50,12 +50,6 @@ class AxisBox:
         if self.lo.x > self.hi.x or self.lo.y > self.hi.y or self.lo.z > self.hi.z:
             raise ValueError(f"box corners out of order: lo={self.lo}, hi={self.hi}")
 
-    def contains(self, pt: Point3) -> bool:
-        """Closed containment: lo <= pt <= hi componentwise."""
-        return (self.lo.x <= pt.x <= self.hi.x
-                and self.lo.y <= pt.y <= self.hi.y
-                and self.lo.z <= pt.z <= self.hi.z)
-
     def contains_interior(self, pt: Point3) -> bool:
         """Open containment: lo < pt < hi componentwise."""
         return (self.lo.x < pt.x < self.hi.x

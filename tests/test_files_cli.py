@@ -131,6 +131,14 @@ def test_cli_usage_errors(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert main(["generate", "--n", "4", *flags, "--out", str(tmp_path / "x.json")]) == 2
         assert f"{flags[0][2:]} must be finite" in capsys.readouterr().err, flags
+    for flags in (["--eps", "nan"], ["--s", "inf"], ["--delta", "nan"]):
+        capsys.readouterr()
+        assert main(["generate", "--mode", "slabs", "--n", "4", *flags,
+                     "--out", str(tmp_path / "x.json")]) == 2, flags
+        assert f"{flags[0][2:]} must be finite" in capsys.readouterr().err, flags
+    # an eps whose square overflows
+    assert main(["generate", "--mode", "slabs", "--n", "4", "--eps", "1e200",
+                 "--out", str(tmp_path / "x.json")]) == 2
     # missing input file
     assert main(["build", "--in", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "g.json")]) == 2

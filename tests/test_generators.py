@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ from boxspan import generators
 from boxspan.geodesic import GeodesicSolver
 from boxspan.generators import CrowdedRegionError, GenConfig, random_instance, slab_instance
 from boxspan.geometry import AxisBox, Point3, validate_environment
-from test_geometry import separation
+from test_geometry import box_contains, separation
 
 
 def test_same_seed_reproduces_identical_instance():
@@ -34,7 +35,7 @@ def test_mixed_placement_snaps_points_to_faces():
     on_face = 0
     for p in env.points:
         for box in env.obstacles:
-            if box.contains(p) and not box.contains_interior(p):
+            if box_contains(box, p) and not box.contains_interior(p):
                 on_face += 1
                 break
     assert on_face > 0
@@ -250,3 +251,8 @@ def test_slab_instance_rejects_bad_parameters():
         slab_instance(5, -0.1, 2.1, 1e-3)
     with pytest.raises(ValueError):
         slab_instance(5, 0.1, 1.9, 1e-3)
+    for name, args in (("eps", (float("nan"), 2.1, 1e-3)), ("eps", (math.inf, 2.1, 1e-3)),
+                       ("s", (0.1, math.inf, 1e-3)), ("s", (0.1, float("nan"), 1e-3)),
+                       ("delta", (0.1, 2.1, float("nan"))), ("delta", (0.1, 2.1, -math.inf))):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            slab_instance(5, *args)

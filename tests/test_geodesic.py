@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxspan import geodesic
-from boxspan.geodesic import (GeodesicSolver, GridTooLargeError, _grid_csr, _grid_distance,
-                              _grid_links, _monotone_clear, oracle_fine_grid_distance)
+from boxspan.geodesic import (GeodesicSolver, GridTooLargeError, _grid_distance, _grid_links,
+                              _monotone_clear, oracle_fine_grid_distance)
 from boxspan.generators import GenConfig, random_instance
 from boxspan.geometry import AxisBox, Environment, Point3, points_array, validate_environment
 from boxspan.verification import via_triples
@@ -79,8 +79,9 @@ def brute_sigma(env, p, q):
 
 
 def reference_grid_csr(cuts, links):
-    """The grid graph built with a node-id closure and one branch per axis,
-    as a reference for the strided _grid_csr."""
+    """The one-way grid graph, one edge per link from its lower node, built
+    with a node-id closure and one branch per axis; with its transpose, the
+    reference for the strided _grid_graph."""
     cx, cy, cz = cuts
     ny, nz = len(cy), len(cz)
     n_nodes = len(cx) * ny * nz
@@ -487,15 +488,11 @@ def test_classify_matches_per_pair_decisions_and_is_symmetric(instance):
         assert np.array_equal(solver.classify(pts[i], pts[j]), states)
 
 
-def test_grid_csr_matches_reference(monkeypatch):
-    """The strided _grid_csr gives the reference's CSR arrays on the grids of
-    the certificate instances, on the monotone sub-grids whose pattern
-    _monotone_clear searches, on an oracle lattice and on grids with no
-    links or a one-node axis."""
-    grids, patterns = [], []
-    grid_csr, grid_pattern = geodesic._grid_csr, geodesic._grid_pattern
-    monkeypatch.setattr(geodesic, "_grid_pattern", lambda shape, links, both_ways:
-                        patterns.append((shape, links)) or grid_pattern(shape, links, both_ways))
+def test_grid_graph_matches_reference(monkeypatch):
+    """The strided _grid_graph gives the CSR arrays of the reference graph
+    plus its transpose on the grids of the certificate instances, on an
+    oracle lattice and on grids with no links or a one-node axis."""
+    grids = []
     kinds = set()
     for env in _certificate_instances():
         solver = GeodesicSolver(env)
@@ -503,17 +500,14 @@ def test_grid_csr_matches_reference(monkeypatch):
         for s, t in itertools.combinations(pts, 2):
             over = solver._overlapping(np.minimum(s, t), np.maximum(s, t))
             if len(over):
-                cuts, links, ends = solver._grid(s, t, over)
+                cuts, links, _ = solver._grid(s, t, over)
                 grids.append((cuts, links))
-                _monotone_clear(links, ends)
                 kinds.add(len(over) > 1)
     assert kinds == {True, False}
-    assert patterns
-    grids += [(tuple(np.arange(n, dtype=float) for n in shape), links)
-              for shape, links in patterns]
     lattice = len(grids)
-    monkeypatch.setattr(geodesic, "_grid_csr",
-                        lambda cuts, links: grids.append((cuts, links)) or grid_csr(cuts, links))
+    grid_graph = geodesic._grid_graph
+    monkeypatch.setattr(geodesic, "_grid_graph",
+                        lambda cuts, links: grids.append((cuts, links)) or grid_graph(cuts, links))
     env = Environment([UNIT_CUBE], [Point3(-0.5, 0.5, 0.5), Point3(1.5, 0.25, 0.5)])
     oracle_fine_grid_distance(env, *env.points, resolution=1 / 8)
     assert len(grids) == lattice + 1
@@ -523,7 +517,8 @@ def test_grid_csr_matches_reference(monkeypatch):
     grids.append((cuts, [np.ones((1, 3, 1), bool), np.ones((2, 2, 1), bool),
                          np.ones((2, 3, 0), bool)]))
     for cuts, links in grids:
-        got, expected = grid_csr(cuts, links), reference_grid_csr(cuts, links)
+        reference = reference_grid_csr(cuts, links)
+        got, expected = grid_graph(cuts, links), reference + reference.T
         assert got.shape == expected.shape
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(expected, attr)), attr
@@ -542,9 +537,9 @@ def test_grid_distance_matches_the_undirected_reference(monkeypatch):
             if len(over):
                 grids.append(solver._grid(s, t, over))
     lattices = []
-    grid_csr = geodesic._grid_csr
-    monkeypatch.setattr(geodesic, "_grid_csr",
-                        lambda cuts, links: lattices.append((cuts, links)) or grid_csr(cuts, links))
+    grid_graph = geodesic._grid_graph
+    monkeypatch.setattr(geodesic, "_grid_graph", lambda cuts, links:
+                        lattices.append((cuts, links)) or grid_graph(cuts, links))
     env = Environment([UNIT_CUBE], [Point3(-0.5, 0.5, 0.5), Point3(1.5, 0.25, 0.5)])
     oracle_fine_grid_distance(env, *env.points, resolution=1 / 8)
     (cuts, links), = lattices
@@ -552,7 +547,7 @@ def test_grid_distance_matches_the_undirected_reference(monkeypatch):
                                          in zip(cuts, *(pt.as_tuple() for pt in env.points))])))
     for cuts, links, ends in grids:
         reference = reference_grid_csr(cuts, links)
-        both = geodesic._grid_graph(cuts, links, both_ways=True)
+        both = grid_graph(cuts, links)
         assert (both != reference + reference.T).nnz == 0
         source, target = np.ravel_multi_index(ends, tuple(len(c) for c in cuts))
         expected = dijkstra(reference, directed=False, indices=source)
@@ -565,7 +560,7 @@ def test_grid_links_and_monotone_match_reference():
     """The mask-product _grid_links gives the reference's links on every grid
     a blocked pair's grid stage builds, on the certificate instances and a
     maze, also with no obstacle and with cuts on faces; and the
-    breadth-first _monotone_clear on that grid answers as the reference's
+    mask-sweep _monotone_clear on that grid answers as the reference's
     sweep on its own clipped grid, in both orientations."""
     def check_links(cuts, lo, hi):
         links = _grid_links(cuts, lo, hi)
@@ -594,6 +589,64 @@ def test_grid_links_and_monotone_match_reference():
                          ((faces, faces[1:2], faces), np.array([[0, -1, 0], [1, 0.5, 1.5]]),
                           np.array([[0.5, 1, 1], [2, 2, 2]]))]:
         check_links(cuts, lo, hi)
+
+
+def plain_monotone_clear(links, ends):
+    """Forward search from s over the links, one step at a time toward t on
+    each axis: the reference for _monotone_clear on synthetic link masks."""
+    s, t = tuple(int(i) for i in ends[:, 0]), tuple(int(i) for i in ends[:, 1])
+    seen, todo = {s}, [s]
+    while todo:
+        u = todo.pop()
+        for axis in range(3):
+            if u[axis] == t[axis]:
+                continue
+            v = u[:axis] + (u[axis] + (1 if t[axis] > u[axis] else -1),) + u[axis + 1:]
+            # u and v differ on this axis only: the lesser is the link's lower node
+            if links[axis][min(u, v)] and v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return t in seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_monotone_sweep_matches_plain_search_on_random_masks(data):
+    """On random link masks of grids up to 6 x 6 x 6, one-node axes
+    included, _monotone_clear answers as a plain forward search for any two
+    distinct nodes s and t, in both orientations."""
+    shape = data.draw(st.tuples(*[st.integers(1, 6)] * 3))
+    density = data.draw(st.floats(0, 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    links = [rng.random(tuple(n - (a == axis) for a, n in enumerate(shape))) < density
+             for axis in range(3)]
+    s = data.draw(st.tuples(*[st.integers(0, n - 1) for n in shape]))
+    t = data.draw(st.tuples(*[st.integers(0, n - 1) for n in shape]))
+    assume(s != t)
+    ends = np.array([s, t]).T
+    for e in (ends, ends[:, ::-1]):
+        assert _monotone_clear(links, e) == plain_monotone_clear(links, e)
+
+
+def test_monotone_sweep_follows_a_snake_against_the_sweep_order():
+    """A mask whose only monotone path steps z, y, x, z, y, x, ..., the axis
+    order opposite to the sweep's, so that each round of sweeps gains one
+    step: it is clear, and its twin with one link cut is blocked, in both
+    orientations."""
+    n = 6
+    links = [np.zeros(tuple(n - (a == axis) for a in range(3)), dtype=bool)
+             for axis in range(3)]
+    node = [0, 0, 0]
+    for step in range(3 * (n - 1)):
+        axis = 2 - step % 3
+        links[axis][tuple(node)] = True
+        node[axis] += 1
+    ends = np.array([[0, n - 1]] * 3)
+    for e in (ends, ends[:, ::-1]):
+        assert _monotone_clear(links, e) and plain_monotone_clear(links, e)
+    links[1][2, 2, 3] = False
+    for e in (ends, ends[:, ::-1]):
+        assert not _monotone_clear(links, e) and not plain_monotone_clear(links, e)
 
 
 def test_distances_from_is_bitwise_pairwise():
@@ -765,8 +818,9 @@ def test_oracle_monotone_on_random_instances():
 
 def test_oracle_rejects_bad_resolution_and_cap(monkeypatch):
     env = Environment([], [Point3(0, 0, 0), Point3(1, 1, 1)])
-    with pytest.raises(ValueError):
-        oracle_fine_grid_distance(env, *env.points, resolution=0.0)
+    for resolution in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="resolution"):
+            oracle_fine_grid_distance(env, *env.points, resolution=resolution)
     monkeypatch.setattr(geodesic, "NODE_CAP", 10)
     with pytest.raises(GridTooLargeError):
         oracle_fine_grid_distance(env, *env.points, resolution=1 / 64)

@@ -1,9 +1,13 @@
-"""The test suite's own settings: a failure must not stop the session."""
+"""The test suite's own settings, and rules on the package's source that no
+linter here checks."""
 
 import ast
 import pathlib
+import re
 import sys
 import tomllib
+
+import boxspan
 
 pytest_plugins = ["pytester"]
 
@@ -77,3 +81,49 @@ def test_package_imports_only_names_it_uses():
             unused[path.name] = sorted(imported - read)
     assert exported
     assert unused == {}
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    """ids of the docstring nodes of a module and of its classes and functions."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)}
+
+
+def test_every_package_function_is_used_outside_the_tests():
+    """Every function and method defined in the package, dunders aside, is
+    named in src/, perfbench/ or scripts/, test modules aside, outside its
+    own definition (as a name, an attribute or a word of a string other
+    than a docstring), or is exported in boxspan.__all__.  A function only the tests call is a
+    test helper, and belongs in the tests."""
+    uses: dict[str, list[tuple[pathlib.Path, int]]] = {}
+    defined = []
+    for top in ("src", "perfbench", "scripts"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name.startswith("test_"):
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            docs = _docstrings(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    words = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    words = [node.attr]
+                elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and id(node) not in docs):
+                    words = re.findall(r"\w+", node.value)
+                else:
+                    words = []
+                for word in words:
+                    uses.setdefault(word, []).append((path, node.lineno))
+                if top == "src" and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined.append((path, node))
+    unused = [f"{path.name}:{node.lineno} {node.name}" for path, node in defined
+              if not (node.name.startswith("__") and node.name.endswith("__"))
+              and node.name not in boxspan.__all__
+              and not any(where != path or not node.lineno <= line <= node.end_lineno
+                          for where, line in uses.get(node.name, []))]
+    assert unused == []
