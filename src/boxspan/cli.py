@@ -1,14 +1,20 @@
 """Command-line interface: generate, build, verify, bench.
 
 Exit codes: 0 when every asserted bound holds, 1 on a bound violation,
-2 on usage or IO errors.
+2 on usage or IO errors.  :func:`main` maps the errors every command shares
+to 2: an ``OSError``, a ``ValueError`` (a malformed file included) and a
+grid too large for the engine.  A command catches only what means something
+else to it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -40,12 +46,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
             env = random_instance(cfg)
         else:
             env = slab_instance(args.n, args.eps, args.s, args.delta)
-    except (ValueError, RuntimeError) as exc:
+    except RuntimeError as exc:
         return _fail(str(exc))
-    try:
-        files.save_instance(args.out, env)
-    except OSError as exc:
-        return _fail(str(exc))
+    files.save_instance(args.out, env)
     print(f"wrote {args.out}: n={env.n} m={len(env.obstacles)} valid=yes")
     return EXIT_OK
 
@@ -68,34 +71,25 @@ def _load_valid_instance(path: str) -> Environment:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    try:
-        env = _load_valid_instance(args.in_path)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    try:
-        t0 = time.perf_counter()
-        solver = GeodesicSolver(env)
-        graph = build_spanner(env, solver)
-        elapsed = time.perf_counter() - t0
-    except GridTooLargeError as exc:
-        return _fail(f"instance too large for the grid approach: {exc}")
-    try:
-        files.save_graph(args.out, graph)
-        if args.report:
-            files.write_json_atomic(args.report, {
-                "n": graph.n,
-                "m": len(env.obstacles),
-                "edge_count": graph.edge_count,
-                "pair_size_sums": graph.stats["size_sums"],
-                "pair_counts": graph.stats["pair_counts"],
-                "apex_free": graph.stats["apex_free"],
-                "apex_interior": graph.stats["apex_interior"],
-                "emissions": graph.stats["emissions"],
-                "grid_stage_runs": solver.grid_stage_runs,
-                "build_seconds": elapsed,
-            })
-    except OSError as exc:
-        return _fail(str(exc))
+    env = _load_valid_instance(args.in_path)
+    t0 = time.perf_counter()
+    solver = GeodesicSolver(env)
+    graph = build_spanner(env, solver)
+    elapsed = time.perf_counter() - t0
+    files.save_graph(args.out, graph)
+    if args.report:
+        files.write_json_atomic(args.report, {
+            "n": graph.n,
+            "m": len(env.obstacles),
+            "edge_count": graph.edge_count,
+            "pair_size_sums": graph.stats["size_sums"],
+            "pair_counts": graph.stats["pair_counts"],
+            "apex_free": graph.stats["apex_free"],
+            "apex_interior": graph.stats["apex_interior"],
+            "emissions": graph.stats["emissions"],
+            "grid_stage_runs": solver.grid_stage_runs,
+            "build_seconds": elapsed,
+        })
     size_sum = sum(graph.stats["size_sums"].values())
     print(f"wrote {args.out}: n={graph.n} edges={graph.edge_count} "
           f"pair_size_sum={size_sum} seconds={elapsed:.2f}")
@@ -105,20 +99,14 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.detour_samples < 0:
         return _fail("--detour-samples must be nonnegative")
-    try:
-        env = _load_valid_instance(args.instance)
-        graph = files.load_graph(args.graph)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    env = _load_valid_instance(args.instance)
+    graph = files.load_graph(args.graph)
     if graph.n != env.n:
         return _fail(f"instance has {env.n} points but graph has {graph.n} vertices")
-    try:
-        solver = GeodesicSolver(env)
-        report = spanning_ratio(env, graph, solver=solver)
-        triples = via_triples(env, args.detour_samples, np.random.default_rng(args.seed))
-        passes, worst = check_via_triples(triples, solver)
-    except GridTooLargeError as exc:
-        return _fail(f"instance too large for the grid approach: {exc}")
+    solver = GeodesicSolver(env)
+    report = spanning_ratio(env, graph, solver=solver)
+    triples = via_triples(env, args.detour_samples, np.random.default_rng(args.seed))
+    passes, worst = check_via_triples(triples, solver)
     norm_ok = norm_conversion_check(env)
     stretch_ok = report.within_bound()
     if report.understated:
@@ -143,10 +131,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "bounds_hold": bool(stretch_ok and samples_ok and norm_ok),
     }
     if args.report:
-        try:
-            files.write_json_atomic(args.report, payload)
-        except OSError as exc:
-            return _fail(str(exc))
+        files.write_json_atomic(args.report, payload)
     print(f"max L1 stretch {report.max_ratio:.6f} (bound {STRETCH_BOUND_L1}), "
           f"analytic L2 stretch {report.l2_ratio_analytic:.6f}, "
           f"detour samples {passes}/{total}, norm sandwich {'ok' if norm_ok else 'FAIL'}")
@@ -158,29 +143,27 @@ def cmd_bench(args: argparse.Namespace) -> int:
         sizes = [int(v) for v in args.sizes.split(",") if v.strip()]
     except ValueError:
         return _fail(f"could not parse sizes {args.sizes!r}")
+    if args.report:
+        # a report that cannot be written fails here, not after the sweep
+        tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(args.report))).close()
     try:
-        rows = scaling_sweep(sizes, trials=args.trials, seed=args.seed, m=args.m)
+        rows = scaling_sweep(sizes, trials=args.trials, seed=args.seed, m=args.m,
+                             placement=args.placement)
     except (ValueError, CrowdedRegionError, GridTooLargeError) as exc:
         return _fail(str(exc))
     except RuntimeError as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    table = [{"n": r.n, "m": r.m, "trials": r.trials,
-              "median_edges": r.median_edges,
-              "median_size_sum": r.median_size_sum,
-              "max_stretch": r.max_stretch,
-              "normalized_edges": r.normalized_edges} for r in rows]
+    table = [dataclasses.asdict(r) for r in rows]
     if args.report:
-        try:
-            if args.report.endswith(".csv"):
-                with open(args.report, "w", newline="") as fh:
-                    writer = csv.DictWriter(fh, fieldnames=list(table[0].keys()))
-                    writer.writeheader()
-                    writer.writerows(table)
-            else:
-                files.write_json_atomic(args.report, {"rows": table})
-        except OSError as exc:
-            return _fail(str(exc))
+        if args.report.endswith(".csv"):
+            with files._atomic_open(args.report) as fh:
+                writer = csv.DictWriter(fh, fieldnames=[k for k in table[0] if k != "runs"],
+                                        extrasaction="ignore")
+                writer.writeheader()
+                writer.writerows(table)
+        else:
+            files.write_json_atomic(args.report, {"rows": table})
     print(f"{'n':>6} {'edges':>10} {'edges/(n log2(n)^3)':>20} {'max stretch':>12}")
     for r in rows:
         print(f"{r.n:>6} {r.median_edges:>10.0f} {r.normalized_edges:>20.4f} "
@@ -227,6 +210,7 @@ def make_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trials", type=int, default=3)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--m", type=int, default=8)
+    bench.add_argument("--placement", choices=("free", "mixed"), default="free")
     bench.add_argument("--report", default=None)
     bench.set_defaults(func=cmd_bench)
     return parser
@@ -237,12 +221,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "seed", 0) < 0:
         return _fail(f"--seed must be nonnegative, got {args.seed}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except GridTooLargeError as exc:
+        return _fail(f"instance too large for the grid approach: {exc}")
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc))
 
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

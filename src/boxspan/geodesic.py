@@ -517,9 +517,13 @@ def _monotone_clear(links: list[np.ndarray], ends: np.ndarray) -> bool:
     flip = tuple(slice(None, None, -1 if i > j else 1) for i, j in ends)
     sub = [links[axis][tuple(slice(lo[a], hi[a] + (a != axis)) for a in range(3))][flip]
            for axis in range(3)]
-    runs = [np.cumsum(np.insert(~link, 0, True, axis=axis), axis=axis, dtype=np.int32)
-            for axis, link in enumerate(sub)]
-    reach = np.zeros(tuple(hi - lo + 1), dtype=bool)
+    shape = tuple(hi - lo + 1)
+    runs = []
+    for axis, link in enumerate(sub):
+        run = np.ones(shape, dtype=np.int32)
+        run[(slice(None),) * axis + (slice(1, None),)] = ~link
+        runs.append(np.cumsum(run, axis=axis, out=run))
+    reach = np.zeros(shape, dtype=bool)
     reach[0, 0, 0] = True
     count = 1
     while True:

@@ -288,8 +288,10 @@ def via_triples(env: Environment, count: int,
 
     o is uniform in the box of p and q, redrawn up to 64 times while it falls
     in an obstacle interior, and p itself if every draw does.  Draws nothing
-    when there are fewer than two points.
+    when there are fewer than two points; a negative count raises ValueError.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     n = env.n
     if n < 2:
         return []
@@ -424,13 +426,15 @@ class SweepRow:
     runs: list[dict] = field(default_factory=list)
 
 
-def scaling_sweep(sizes: list[int], trials: int, seed: int, m: int = 8) -> list[SweepRow]:
+def scaling_sweep(sizes: list[int], trials: int, seed: int, m: int = 8,
+                  placement: str = "free") -> list[SweepRow]:
     """Generate, build, and verify across sizes; assert the stretch bound.
 
     Each run checks the exact edge budget (edges <= 6 * total pair size) and
     the stretch bound with slack; a violation raises RuntimeError.  Bad
     sizes, trials or generator parameters raise ValueError, and a request
-    the generator cannot place raises its CrowdedRegionError.  Rows carry
+    the generator cannot place raises its CrowdedRegionError.  Instances
+    are drawn with the given ``placement`` ("free" or "mixed").  Rows carry
     medians over the trials plus the per-run data.
     """
     from .generators import GenConfig, random_instance
@@ -447,7 +451,7 @@ def scaling_sweep(sizes: list[int], trials: int, seed: int, m: int = 8) -> list[
         runs = []
         for trial in range(trials):
             child_seed = int(np.random.SeedSequence((seed, n, trial)).generate_state(1)[0])
-            env = random_instance(GenConfig(seed=child_seed, n=n, m=m))
+            env = random_instance(GenConfig(seed=child_seed, n=n, m=m, placement=placement))
             solver = GeodesicSolver(env)
             g = build_spanner(env, solver)
             size_sum = sum(g.stats["size_sums"].values())

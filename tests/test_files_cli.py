@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import gc
 import hashlib
@@ -346,6 +347,90 @@ def test_cli_bench(tmp_path):
 
 def test_cli_bench_rejects_empty_sizes():
     assert main(["bench", "--sizes", " ", "--trials", "1"]) == 2
+
+
+def test_cli_bench_runs_carry_each_instance(tmp_path):
+    """bench's JSON rows carry the sweep's per-run data, and a run's seed
+    rebuilds its instance with the placement the sweep was given."""
+    report = str(tmp_path / "r.json")
+    assert main(["bench", "--sizes", "12", "--trials", "2", "--m", "3",
+                 "--placement", "mixed", "--report", report]) == 0
+    (row,) = _load_json(report)["rows"]
+    assert [run["trial"] for run in row["runs"]] == [0, 1]
+    run = row["runs"][0]
+    graph = build_spanner(random_instance(GenConfig(run["seed"], 12, 3, placement="mixed")))
+    assert run["edges"] == graph.edge_count
+    assert row["max_stretch"] == max(r["max_stretch"] for r in row["runs"])
+
+
+def _write_commands(tmp_path, out):
+    """Each command whose output goes to ``out``, with what it reads made."""
+    inst, graph = str(tmp_path / "inst.json"), str(tmp_path / "graph.json")
+    assert main(["generate", "--n", "6", "--m", "1", "--out", inst]) == 0
+    assert main(["build", "--in", inst, "--out", graph]) == 0
+    return {
+        "generate --out": ["generate", "--n", "6", "--out", out],
+        "build --out": ["build", "--in", inst, "--out", out],
+        "build --report": ["build", "--in", inst, "--out", graph, "--report", out],
+        "verify --report": ["verify", "--instance", inst, "--graph", graph,
+                            "--detour-samples", "10", "--report", out],
+        "bench --report": ["bench", "--sizes", "8", "--trials", "1", "--m", "1",
+                           "--report", out],
+    }
+
+
+@pytest.mark.parametrize("command,suffix", [
+    ("generate --out", ".json"), ("build --out", ".json"), ("build --report", ".json"),
+    ("verify --report", ".json"), ("bench --report", ".json"), ("bench --report", ".csv"),
+])
+def test_cli_write_into_a_missing_directory_exits_2(tmp_path, capsys, command, suffix):
+    argv = _write_commands(tmp_path, str(tmp_path / "missing" / f"out{suffix}"))[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["graph.json", "inst.json"]
+
+
+def test_cli_bench_checks_its_report_before_the_sweep(tmp_path, monkeypatch, capsys):
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "scaling_sweep", sweep)
+    for name in ("x.csv", "x.json"):
+        assert main(["bench", "--sizes", "8", "--trials", "1",
+                     "--report", str(tmp_path / "missing" / name)]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_bench_csv_report_is_replaced_atomically(tmp_path, monkeypatch):
+    """A CSV report is written in full or not at all: a failed write keeps
+    the report that was there."""
+    report = tmp_path / "bench.csv"
+    report.write_bytes(b"n,m\r\n8,0\r\n")
+
+    def full_disk(self, rows):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(csv.DictWriter, "writerows", full_disk)
+    assert main(["bench", "--sizes", "8", "--trials", "1", "--m", "0",
+                 "--report", str(report)]) == 2
+    assert report.read_bytes() == b"n,m\r\n8,0\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["bench.csv"]
+
+
+def test_cli_lets_a_program_fault_raise(tmp_path, monkeypatch):
+    """main maps input and output errors to exit 2, but not a RuntimeError,
+    which means the program is at fault: it keeps its traceback."""
+    inst = str(tmp_path / "inst.json")
+    assert main(["generate", "--n", "6", "--m", "1", "--out", inst]) == 0
+
+    def no_route(*args, **kwargs):
+        raise RuntimeError("geodesic query found no route")
+
+    monkeypatch.setattr(cli, "build_spanner", no_route)
+    with pytest.raises(RuntimeError, match="no route"):
+        main(["build", "--in", inst, "--out", str(tmp_path / "graph.json")])
 
 
 def test_cli_outputs_stay_pinned(tmp_path):

@@ -95,13 +95,13 @@ def _docstrings(tree: ast.AST) -> set[int]:
 
 def test_every_package_function_is_used_outside_the_tests():
     """Every function and method defined in the package, dunders aside, is
-    named in src/, perfbench/ or scripts/, test modules aside, outside its
+    named in src/ or perfbench/, test modules aside, outside its
     own definition (as a name, an attribute or a word of a string other
     than a docstring), or is exported in boxspan.__all__.  A function only the tests call is a
     test helper, and belongs in the tests."""
     uses: dict[str, list[tuple[pathlib.Path, int]]] = {}
     defined = []
-    for top in ("src", "perfbench", "scripts"):
+    for top in ("src", "perfbench"):
         for path in sorted((ROOT / top).rglob("*.py")):
             if path.name.startswith("test_"):
                 continue
@@ -127,3 +127,31 @@ def test_every_package_function_is_used_outside_the_tests():
               and not any(where != path or not node.lineno <= line <= node.end_lineno
                           for where, line in uses.get(node.name, []))]
     assert unused == []
+
+
+def test_only_dunder_main_runs_as_a_script():
+    """``boxspan`` (``cli.entry``) and ``python -m boxspan`` are the ways in:
+    no module of the package but ``__main__.py`` has a ``__main__`` block."""
+    blocks = []
+    for path in sorted((ROOT / "src" / "boxspan").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                    and "__main__" in ast.unparse(node.test)):
+                blocks.append(f"{path.name}:{node.lineno}")
+    assert blocks == []
+
+
+def test_cli_commands_leave_io_errors_to_main():
+    """``cli.main`` maps an OSError to exit 2 for every command, so no
+    ``cmd_*`` function has an ``except`` clause that names OSError."""
+    path = ROOT / "src" / "boxspan" / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 4
+    catching = [f"{command.name}:{handler.lineno}" for command in commands
+                for handler in ast.walk(command)
+                if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+                and "OSError" in {n.id for n in ast.walk(handler.type)
+                                  if isinstance(n, ast.Name)}]
+    assert catching == []

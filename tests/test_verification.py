@@ -499,6 +499,17 @@ def test_via_detour_holds_amid_obstacles():
     assert worst <= VIA_DETOUR_FACTOR
 
 
+def test_via_triples_rejects_a_negative_count():
+    """A negative count is an error named before any draw; zero draws nothing."""
+    env = random_instance(GenConfig(seed=77, n=14, m=6))
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="count must be nonnegative, got -3"):
+        via_triples(env, -3, rng)
+    assert via_triples(env, 0, rng) == []
+    assert rng.bit_generator.state == state
+
+
 class _PlantedSolver(GeodesicSolver):
     """A solver whose distance() answers from a table of planted values,
     keyed by the unordered pair, and as the engine does for other pairs."""
