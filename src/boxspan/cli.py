@@ -38,6 +38,13 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
+def _check_writable(path: str | None) -> None:
+    """Raise the OSError that writing a file at ``path`` would raise, if
+    there is a path: a file that cannot be written fails before the work."""
+    if path:
+        tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
         if args.mode == "random":
@@ -71,6 +78,7 @@ def _load_valid_instance(path: str) -> Environment:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    _check_writable(args.report)
     env = _load_valid_instance(args.in_path)
     t0 = time.perf_counter()
     solver = GeodesicSolver(env)
@@ -99,6 +107,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.detour_samples < 0:
         return _fail("--detour-samples must be nonnegative")
+    _check_writable(args.report)
     env = _load_valid_instance(args.instance)
     graph = files.load_graph(args.graph)
     if graph.n != env.n:
@@ -143,9 +152,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         sizes = [int(v) for v in args.sizes.split(",") if v.strip()]
     except ValueError:
         return _fail(f"could not parse sizes {args.sizes!r}")
-    if args.report:
-        # a report that cannot be written fails here, not after the sweep
-        tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(args.report))).close()
+    _check_writable(args.report)
     try:
         rows = scaling_sweep(sizes, trials=args.trials, seed=args.seed, m=args.m,
                              placement=args.placement)

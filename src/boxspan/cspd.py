@@ -137,7 +137,8 @@ def _median_trees(start: np.ndarray, stop: np.ndarray,
         root = np.concatenate([root, root])
         start, stop = np.concatenate([start, mid]), np.concatenate([mid, stop])
     root, start, stop = (np.concatenate(v) for v in zip(*levels))
-    order = np.lexsort((-stop, start))
+    span = int(stop.max(initial=0)) + 1
+    order = np.argsort(start * span + (span - stop), kind="stable")
     return root[order], start[order], stop[order]
 
 
@@ -161,6 +162,12 @@ def build_cspd(points: Sequence[Point3] | np.ndarray, cone: ConeId) -> Cspd:
     x-nodes split one array holding each x-node's points in signed y order,
     and the z-trees of all crossing sets (the points of a y-node on the same
     side of both splits) split one array holding each set in z order.
+
+    Each integer sort, here and in :func:`_median_trees`, is one stable
+    argsort on a combined key, the permutation np.lexsort gives on its
+    parts; the stable kind is the one save_graph runs too.  A key stays
+    below about (n log^2 n)^2, which passes the int64 bound only at millions
+    of points, far more than the dense n x n stretch scan can hold.
     """
     n = len(points)
     if n < 2:
@@ -190,7 +197,7 @@ def build_cspd(points: Sequence[Point3] | np.ndarray, cone: ConeId) -> Cspd:
     # Y: each x-node's points in y order, x-nodes in preorder.
     owner, pos = _ranges(x_lo, x_hi)
     ys = x_order[pos]
-    sort = np.lexsort((ry[ys], owner))
+    sort = np.argsort(owner * n + ry[ys], kind="stable")
     ys, owner = ys[sort], owner[sort]
     far = np.concatenate([[0], np.cumsum(rx[ys] >= x_pivot[owner])])
     x_of_y, y_lo, y_hi = _median_trees(*_segments(owner, len(x_lo)), far)
@@ -203,7 +210,7 @@ def build_cspd(points: Sequence[Point3] | np.ndarray, cone: ConeId) -> Cspd:
     x_far = rx[us] >= x_pivot[x_of_y[owner]]
     keep = x_far == (ry[us] >= y_pivot[owner])
     us, owner, x_far = us[keep], owner[keep], x_far[keep]
-    sort = np.lexsort((rank[us], owner))
+    sort = np.argsort(owner * n + rank[us], kind="stable")
     us, owner, x_far = us[sort], owner[sort], x_far[sort]
     far = np.concatenate([[0], np.cumsum(x_far)])
     y_of_z, z_lo, z_hi = _median_trees(*_segments(owner, len(y_lo)), far)

@@ -125,9 +125,18 @@ def save_instance(path: str, env: Environment) -> None:
         fh.write("\n}\n")
 
 
-def load_instance(path: str) -> Environment:
+def _read_json(path: str) -> Any:
+    """The JSON value in the file; FormatError, naming the file, if its text
+    is not UTF-8 JSON."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}: {exc}") from None
+
+
+def load_instance(path: str) -> Environment:
+    data = _read_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("points"), list):
         raise FormatError("instance file must be an object with a 'points' list")
     if not isinstance(data.get("obstacles", []), list):
@@ -155,18 +164,20 @@ def save_graph(path: str, graph: SpannerGraph) -> None:
     json's indenting encoder is pure Python and several times slower, so the
     edges are written from their sorted columns, a block at a time: an edge
     is its i line and its j line, both from per-vertex strings, and the repr
-    of its weight.  Weights must be floats (TypeError) and endpoints lie in
-    0..n-1 (ValueError); nothing is written otherwise.
+    of its weight.  Weights must be floats (TypeError; only a dict store can
+    hold anything else) and endpoints lie in 0..n-1 (ValueError); nothing is
+    written otherwise.
     """
     n = graph.n
-    if not all(map(isinstance, graph.edges.values(), repeat(float))):
+    if graph._edges is not None and not all(map(isinstance, graph._edges.values(),
+                                                repeat(float))):
         raise TypeError("edge weights must be floats")
     i, j, w = graph.edge_columns()
     if len(i) and (min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n):
         raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
     # Unique keys, in the order sorted() puts (i, j).  The stable argsort is
-    # the one build_cspd's lexsort already runs: the default quicksort's
-    # code adds about 0.3 MB to the process's peak RSS.
+    # the one build_cspd already runs: the default quicksort's code adds
+    # about 0.3 MB to the process's peak RSS.
     order = np.argsort(i * n + j, kind="stable")
     i_lines = [f"    [\n      {v},\n      " for v in range(n)]
     j_lines = [f"{v},\n      " for v in range(n)]
@@ -197,17 +208,16 @@ def load_graph(path: str) -> SpannerGraph:
 
     The checks test ``type(v) is int``, which is exact for ``json.load``
     output: ``bool`` is a type of its own.  The cyclic collector is paused
-    while the file is parsed and checked.
+    while the file is parsed and checked.  The graph holds the edges as its
+    (i, j, w) columns, in file order.
     """
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict) or type(data.get("n")) is not int:
         raise FormatError("graph file must be an object with an integer 'n'")
     if not isinstance(data.get("edges", []), list):
         raise FormatError("graph 'edges' must be a list")
     n = data["n"]
-    graph = SpannerGraph(n=n)
-    edges = graph.edges
+    seen, ends_i, ends_j, weights = set(), [], [], []
     for entry in data.get("edges", []):
         if type(entry) is not list or len(entry) != 3:
             raise FormatError(f"edge must be [i, j, weight], got {entry!r}")
@@ -225,8 +235,15 @@ def load_graph(path: str) -> SpannerGraph:
                 w = math.inf
         if not 0 < w < math.inf:
             raise FormatError(f"edge ({i},{j}) must have finite positive weight, got {w}")
-        key = (i, j)
-        if key in edges:
+        key = i * n + j
+        if key in seen:
             raise FormatError(f"duplicate edge ({i},{j})")
-        edges[key] = w
-    return graph
+        seen.add(key)
+        ends_i.append(i)
+        ends_j.append(j)
+        weights.append(w)
+    try:
+        ends = np.array(ends_i, dtype=np.int64), np.array(ends_j, dtype=np.int64)
+    except OverflowError:
+        raise FormatError(f"edge endpoints must be below 2**63, got n={n}") from None
+    return SpannerGraph(n, columns=(*ends, np.array(weights)))

@@ -115,15 +115,16 @@ def _grid_graph(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
 def _grid_pattern(shape: tuple[int, int, int],
                   links: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The CSR pattern of :func:`_grid_graph` on a grid of the given shape,
-    as (slot, indptr, indices): slot holds, per stored edge, its position in
-    the (nodes x directions) slot array described below.
+    as (slot, indptr, indices): slot flags the slots, in the flat (nodes x
+    directions) slot array described below, that hold a stored edge.
 
     The CSR arrays are made directly.  A node u's neighbors along the links
     are u - ny*nz, u - nz, u - 1, u + 1, u + nz and u + ny*nz, in increasing
     order (two of them tie only on an axis with one cut, which has no
-    links).  So with one slot per direction in that order, the nonzero
-    slots taken in C order are each row's edges with sorted columns, and
-    indptr is the cumulative count of a node's slots.
+    links).  So with one slot per direction in that order, the flagged
+    slots taken in C order are each row's edges with sorted columns:
+    indices is the neighbor array at those slots, and indptr the cumulative
+    count of a node's flagged slots.
     """
     nx, ny, nz = shape
     n_nodes = nx * ny * nz
@@ -134,11 +135,11 @@ def _grid_pattern(shape: tuple[int, int, int],
     mask[:, :, 1:, 2] = mask[:, :, :-1, 3] = links[2]
     index = np.int32 if 6 * n_nodes < 2 ** 31 else np.int64
     offsets = np.array([-ny * nz, -nz, -1, 1, nz, ny * nz], dtype=index)
-    slot = np.flatnonzero(mask)
-    node = slot // 6
     indptr = np.zeros(n_nodes + 1, dtype=index)
-    np.cumsum(np.bincount(node, minlength=n_nodes), out=indptr[1:])
-    return slot, indptr, node.astype(index) + offsets[slot % 6]
+    np.cumsum(mask.reshape(n_nodes, 6).sum(axis=1, dtype=index), out=indptr[1:])
+    slot = mask.reshape(-1)
+    neighbor = np.arange(n_nodes, dtype=index)[:, None] + offsets
+    return slot, indptr, neighbor.reshape(-1)[slot]
 
 
 class GeodesicSolver:

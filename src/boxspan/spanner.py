@@ -13,7 +13,6 @@ loop over the pairs would ask them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -23,23 +22,55 @@ from .geodesic import GRID_STAGE, GeodesicSolver
 from .geometry import Environment, Point3, project_out
 
 
-@dataclass
 class SpannerGraph:
-    """Weighted graph on point indices; edge weight = L1 geodesic distance."""
+    """Weighted graph on point indices; edge weight = L1 geodesic distance.
 
-    n: int
-    edges: dict[tuple[int, int], float] = field(default_factory=dict)
-    stats: dict = field(default_factory=dict)
+    A graph holds its edges in one of two stores.  The column store is three
+    read-only arrays, int64 i and j and float64 weight, in insertion order;
+    :func:`build_spanner` and :func:`~boxspan.files.load_graph` make graphs
+    with it (``columns=(i, j, w)``), and so does ``SpannerGraph(n)``.  The
+    dict store maps (i, j) to the weight; a graph made with ``edges=`` has
+    it.  Reading :attr:`edges` on a column store builds the dict once, in
+    insertion order, and makes it the store, so every later reader sees a
+    mutation made through it.
+    """
+
+    def __init__(self, n: int, edges: dict[tuple[int, int], float] | None = None,
+                 stats: dict | None = None, *,
+                 columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> None:
+        self.n = n
+        self.stats = {} if stats is None else stats
+        if edges is None and columns is None:
+            columns = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+        if columns is not None:
+            for column in columns:
+                column.flags.writeable = False
+        self._edges, self._columns = edges, columns
+
+    @property
+    def edges(self) -> dict[tuple[int, int], float]:
+        """The edges as a dict (i, j) -> weight, in insertion order."""
+        if self._edges is None:
+            i, j, w = self._columns
+            self._edges, self._columns = dict(zip(zip(i.tolist(), j.tolist()), w.tolist())), None
+        return self._edges
+
+    @edges.setter
+    def edges(self, edges: dict[tuple[int, int], float]) -> None:
+        self._edges, self._columns = edges, None
 
     def edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The edges as (i, j, weight) arrays, in insertion order."""
-        m = len(self.edges)
-        ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64, count=2 * m)
-        return ends[0::2], ends[1::2], np.fromiter(self.edges.values(), dtype=float, count=m)
+        """The edges as (i, j, weight) arrays, in insertion order: the column
+        store itself, or arrays made from the dict store."""
+        if self._columns is not None:
+            return self._columns
+        m = len(self._edges)
+        ends = np.fromiter(chain.from_iterable(self._edges), dtype=np.int64, count=2 * m)
+        return ends[0::2], ends[1::2], np.fromiter(self._edges.values(), dtype=float, count=m)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._edges) if self._columns is None else len(self._columns[0])
 
 
 def candidate_points(pair: CspdPair, env: Environment) -> tuple[Point3, ...]:
@@ -105,11 +136,10 @@ def build_spanner(env: Environment, solver: GeodesicSolver | None = None) -> Spa
     n = env.n
     if n < 1:
         raise ValueError("need at least one point")
-    graph = SpannerGraph(n=n)
-    graph.stats = {"pair_counts": {}, "size_sums": {}, "apex_interior": 0, "apex_free": 0,
-                   "emissions": 0}
+    stats = {"pair_counts": {}, "size_sums": {}, "apex_interior": 0, "apex_free": 0,
+             "emissions": 0}
     if n < 2:
-        return graph
+        return SpannerGraph(n, stats=stats)
     if solver is None:
         solver = GeodesicSolver(env)
     P = env.point_coords
@@ -117,18 +147,17 @@ def build_spanner(env: Environment, solver: GeodesicSolver | None = None) -> Spa
     for cone in CONES:
         decomposition = build_cspd(P, cone)
         code = cone.code()
-        graph.stats["pair_counts"][code] = len(decomposition)
-        graph.stats["size_sums"][code] = decomposition.size_sum
+        stats["pair_counts"][code] = len(decomposition)
+        stats["size_sums"][code] = decomposition.size_sum
         if not len(decomposition):
             continue
-        centers, targets, weights = _emissions(P, decomposition, solver, graph.stats)
+        centers, targets, weights = _emissions(P, decomposition, solver, stats)
         keys.append(np.minimum(centers, targets) * n + np.maximum(centers, targets))
         edge_weights.append(weights)
     key, weight = np.concatenate(keys), np.concatenate(edge_weights)
     first = np.sort(np.unique(key, return_index=True)[1])
     i, j = np.divmod(key[first], n)
-    graph.edges = dict(zip(zip(i.tolist(), j.tolist()), weight[first].tolist()))
-    return graph
+    return SpannerGraph(n, stats=stats, columns=(i, j, weight[first]))
 
 
 def _emissions(P: np.ndarray, decomposition: Cspd, solver: GeodesicSolver, stats: dict):

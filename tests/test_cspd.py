@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxspan.cspd import CONES, ConeId, Cspd, CspdPair, build_cspd, certify_cspd
+from boxspan.generators import GenConfig, random_instance
 from boxspan.geometry import Point3, points_array
 
 # coordinates from a small pool to exercise ties on every axis
@@ -428,3 +430,30 @@ def test_build_is_deterministic():
     pts = _random_points(rng, 40, pool_size=6)
     for cone in CONES:
         assert build_cspd(pts, cone) == build_cspd(pts, cone)
+
+
+def _decomposition_digest(points) -> str:
+    """SHA-256 of (apex, len_a, len_b, members) over the four cones, in a
+    byte layout fixed across platforms."""
+    digest = hashlib.sha256()
+    for cone in CONES:
+        cspd = build_cspd(points, cone)
+        digest.update(np.ascontiguousarray(cspd.apex, dtype="<f8").tobytes())
+        for column in (cspd.len_a, cspd.len_b, cspd.members):
+            digest.update(np.ascontiguousarray(column, dtype="<i8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("points,expected", [
+    (lambda: random_instance(GenConfig(seed=0, n=200, m=6)).point_coords,
+     "f29e5e916bc527805319e2795344db16aba23ab765cda40d9b68389e15c31c13"),
+    (lambda: np.array(list(itertools.product(range(6), repeat=3)), dtype=float),
+     "665a9b68d72304350519294ac784f7f05e8eef32b94c10a5ca80a43794672d52"),
+    (lambda: _random_points(random.Random(77), 300, pool_size=9),
+     "f36dc1e0de052efc579b59ead5671869937f8704298579bc3475aa27d0eea4c3"),
+], ids=["random_instance", "lattice", "shared_coordinates"])
+def test_decompositions_are_pinned(points, expected):
+    """The pairs, apexes and member order of every cone are those of the
+    lexsort-based build, on a random instance, a 6x6x6 lattice (ties on
+    every axis) and a set drawn from nine coordinates per axis."""
+    assert _decomposition_digest(points()) == expected

@@ -433,6 +433,83 @@ def test_cli_lets_a_program_fault_raise(tmp_path, monkeypatch):
         main(["build", "--in", inst, "--out", str(tmp_path / "graph.json")])
 
 
+def test_cli_build_checks_its_report_before_writing_the_graph(tmp_path, capsys):
+    """A build report that cannot be written exits 2 before the build, and
+    the graph already at --out stays as it was."""
+    inst, graph = str(tmp_path / "inst.json"), tmp_path / "g2.json"
+    assert main(["generate", "--n", "6", "--m", "1", "--out", inst]) == 0
+    graph.write_bytes(b"old graph")
+    capsys.readouterr()
+    assert main(["build", "--in", inst, "--out", str(graph),
+                 "--report", str(tmp_path / "missing" / "r.json")]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert graph.read_bytes() == b"old graph"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g2.json", "inst.json"]
+
+
+def test_cli_verify_checks_its_report_before_the_scan(tmp_path, monkeypatch, capsys):
+    inst, graph = str(tmp_path / "inst.json"), str(tmp_path / "graph.json")
+    assert main(["generate", "--n", "6", "--m", "1", "--out", inst]) == 0
+    assert main(["build", "--in", inst, "--out", graph]) == 0
+
+    def scan(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(cli, "spanning_ratio", scan)
+    capsys.readouterr()
+    assert main(["verify", "--instance", inst, "--graph", graph,
+                 "--report", str(tmp_path / "missing" / "r.json")]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"not json", b"\xff"], ids=["not_json", "not_utf8"])
+@pytest.mark.parametrize("command", ["build --in", "verify --instance", "verify --graph"])
+def test_cli_names_a_file_that_is_not_json(tmp_path, capsys, command, content):
+    """A file that is not JSON, or not UTF-8, exits 2 with an error that
+    names it, so verify tells which of its two files failed."""
+    inst, graph = str(tmp_path / "inst.json"), str(tmp_path / "graph.json")
+    assert main(["generate", "--n", "6", "--m", "1", "--out", inst]) == 0
+    assert main(["build", "--in", inst, "--out", graph]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = {
+        "build --in": ["build", "--in", str(bad), "--out", str(tmp_path / "out.json")],
+        "verify --instance": ["verify", "--instance", str(bad), "--graph", graph],
+        "verify --graph": ["verify", "--instance", inst, "--graph", str(bad)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert ("Expecting value" if content == b"not json" else "can't decode byte 0xff") in err
+
+
+@pytest.mark.parametrize("params", [dict(n=64, m=8, placement="free"), dict(n=40, m=0)],
+                         ids=["scatter", "open"])
+def test_cli_build_and_verify_never_make_the_edge_dict(tmp_path, monkeypatch, params):
+    """The builder, save_graph, load_graph and the verifier pass the graph's
+    (i, j, w) columns along: no command reads SpannerGraph.edges."""
+    inst, graph = str(tmp_path / "inst.json"), str(tmp_path / "graph.json")
+    files.save_instance(inst, random_instance(GenConfig(seed=3, **params)))
+
+    def no_dict(self):
+        raise AssertionError("the edge dict was made")
+
+    monkeypatch.setattr(SpannerGraph, "edges", property(no_dict))
+    assert main(["build", "--in", inst, "--out", graph, "--report",
+                 str(tmp_path / "build.json")]) == 0
+    assert main(["verify", "--instance", inst, "--graph", graph, "--detour-samples", "50",
+                 "--report", str(tmp_path / "verify.json")]) == 0
+    assert _load_json(tmp_path / "verify.json")["edge_count"] == len(_load_json(graph)["edges"])
+
+
+def test_load_graph_rejects_endpoints_past_int64(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text('{"n": %d, "edges": [[0, %d, 1.0]]}' % (2 ** 70, 2 ** 64))
+    with pytest.raises(files.FormatError, match="below 2"):
+        files.load_graph(str(path))
+
+
 def test_cli_outputs_stay_pinned(tmp_path):
     """Edge set and verify report of ``generate --n 64 --m 8 --seed 11``.
 

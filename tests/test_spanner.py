@@ -1,10 +1,12 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from boxspan import spanner
+from boxspan import files, spanner
 from boxspan.cspd import CONES, ConeId, Cspd, CspdPair, build_cspd
 from boxspan.geodesic import GeodesicSolver, oracle_fine_grid_distance
 from boxspan.geometry import AxisBox, Environment, Point3, points_array
@@ -361,3 +363,64 @@ def test_maze_build_scales_exactly(seed):
         edges = build_spanner(_scaled(env, k)).edges
         assert list(edges) == list(unscaled.edges), k
         assert list(edges.values()) == [math.ldexp(w, k) for w in unscaled.edges.values()], k
+
+
+@pytest.mark.parametrize("cfg,count,expected", [
+    (GenConfig(seed=5, n=40, m=5, placement="mixed"), 414,
+     "a0591ed19285d40d0afe7ffc3b741b75c25b03fc5bd74f586e97cca2c293776a"),
+    (GenConfig(seed=6, n=50, m=0), 665,
+     "d5ca3e9549a73c95a9f402cc619bd91113ccdd6efd551ad133b2a46c3de34d9f"),
+])
+def test_built_edges_are_pinned(cfg, count, expected):
+    """The dict that edges makes of the builder's columns is the one the
+    builder made when it kept a dict: the same items in the same order."""
+    g = build_spanner(random_instance(cfg))
+    assert g.edge_count == count
+    assert hashlib.sha256(repr(list(g.edges.items())).encode()).hexdigest() == expected
+
+
+def test_built_graph_keeps_read_only_columns():
+    """Until edges is read, the builder's (i, j, w) arrays are the store:
+    edge_columns returns them, uncopied and read-only, with the dtypes of
+    the format, and the dict edges makes holds the same edges in order."""
+    g = build_spanner(random_instance(GenConfig(seed=5, n=30, m=3)))
+    i, j, w = g.edge_columns()
+    assert g.edge_columns()[0] is i
+    assert (i.dtype, j.dtype, w.dtype) == (np.int64, np.int64, np.float64)
+    assert not any(column.flags.writeable for column in (i, j, w))
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    assert g.edge_count == len(i) and (i < j).all()
+    assert list(g.edges.items()) == list(zip(zip(i.tolist(), j.tolist()), w.tolist()))
+
+
+def test_graph_mutated_through_edges_shows_the_mutation(tmp_path):
+    """Reading edges makes the dict the store: a deletion and an insertion
+    through it reach edge_count, edge_columns and the saved file."""
+    g = build_spanner(random_instance(GenConfig(seed=5, n=30, m=3)))
+    removed = list(g.edges)[len(g.edges) // 2]
+    added = next((a, b) for a in range(g.n) for b in range(a + 1, g.n) if (a, b) not in g.edges)
+    count = g.edge_count
+    del g.edges[removed]
+    g.edges[added] = 7.5
+    expected = dict(g.edges)
+    assert g.edge_count == count
+    i, j, w = g.edge_columns()
+    assert list(zip(zip(i.tolist(), j.tolist()), w.tolist())) == list(expected.items())
+    path = str(tmp_path / "graph.json")
+    files.save_graph(path, g)
+    with open(path) as fh:
+        saved = {(a, b): weight for a, b, weight in json.load(fh)["edges"]}
+    assert saved == expected and removed not in saved and saved[added] == 7.5
+    assert files.load_graph(path).edges == dict(sorted(expected.items()))
+
+
+def test_assigning_edges_replaces_the_columns():
+    g = build_spanner(random_instance(GenConfig(seed=5, n=12, m=0)))
+    g.edges = {(0, 3): 2.0}
+    assert g.edge_count == 1
+    assert [c.tolist() for c in g.edge_columns()] == [[0], [3], [2.0]]
+    empty = SpannerGraph(4)
+    assert empty.edge_count == 0 and [len(c) for c in empty.edge_columns()] == [0, 0, 0]
+    empty.edges[(1, 2)] = 0.5
+    assert empty.edge_count == 1 and empty.edge_columns()[2].tolist() == [0.5]
