@@ -39,10 +39,14 @@ def _fail(message: str) -> int:
 
 
 def _check_writable(path: str | None) -> None:
-    """Raise the OSError that writing a file at ``path`` would raise, if
-    there is a path: a file that cannot be written fails before the work."""
+    """Raise the OSError, naming ``path``, that writing a file at ``path``
+    would raise, if there is a path: a file that cannot be written fails
+    before the work."""
     if path:
-        tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
+        try:
+            tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -78,6 +82,7 @@ def _load_valid_instance(path: str) -> Environment:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    _check_writable(args.out)
     _check_writable(args.report)
     env = _load_valid_instance(args.in_path)
     t0 = time.perf_counter()
@@ -156,7 +161,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         rows = scaling_sweep(sizes, trials=args.trials, seed=args.seed, m=args.m,
                              placement=args.placement)
-    except (ValueError, CrowdedRegionError, GridTooLargeError) as exc:
+    except (CrowdedRegionError, GridTooLargeError) as exc:
         return _fail(str(exc))
     except RuntimeError as exc:
         print(f"bound violation: {exc}", file=sys.stderr)

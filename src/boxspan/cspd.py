@@ -71,13 +71,6 @@ class Cspd:
     def __len__(self) -> int:
         return len(self.apex)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Cspd):
-            return NotImplemented
-        return self.cone == other.cone and all(
-            np.array_equal(getattr(self, f), getattr(other, f))
-            for f in ("apex", "len_a", "len_b", "members"))
-
     @property
     def size_sum(self) -> int:
         return len(self.members)

@@ -31,9 +31,12 @@ class FormatError(ValueError):
 
 @contextlib.contextmanager
 def _atomic_open(path: str) -> Iterator[TextIO]:
-    """A text file that replaces ``path`` only once the block completes."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """A text file that replaces ``path`` only once the block completes.  A
+    temporary file that cannot be made raises an OSError naming ``path``."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh

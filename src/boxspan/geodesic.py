@@ -48,10 +48,6 @@ _ORDERS = np.array([[_LEGS.index((0, 1 << a)),
 _BOX_TEST_CHUNK = 1 << 18
 _STAIRCASE_CHUNK = 64
 
-# How GeodesicSolver.classify says a pair is settled: no obstacle interior
-# meets its closed box; a three-leg staircase is free; the grid stage decides.
-BOX_FREE, STAIRCASE_CLEAR, GRID_STAGE = 0, 1, 2
-
 
 def _pair_key(a: tuple, b: tuple) -> tuple:
     """Cache key of the unordered pair of coordinate tuples a != b."""
@@ -149,8 +145,8 @@ class GeodesicSolver:
     and :meth:`distances_from` one source against many targets.  Each is a
     classification followed by a resolution (:meth:`distance` on a cache
     miss is a batch of one).  :meth:`classify` runs steps 1 and 2 below as
-    numpy broadcasts over many pairs at a time and gives each pair a state:
-    box-free, staircase-clear or grid stage.  :meth:`_settle` then resolves
+    numpy broadcasts over many pairs at a time and marks the pairs that
+    neither settles: the grid-stage pairs.  :meth:`_settle` then resolves
     the pairs in order: it reads and writes the cache, and only
     the grid-stage pairs it finds no answer for take the per-pair path, the
     grid stage :meth:`_sigma` (steps 3 and 4).
@@ -184,7 +180,7 @@ class GeodesicSolver:
     orientation asked first fixes the value for both.  :meth:`distance` and
     :meth:`pair_distances` cache every pair of distinct points they answer;
     :meth:`distances_from` caches only its grid-stage answers, the only ones
-    it reads back: a box-free or staircase-clear pair is L1 in both
+    it reads back: a pair that steps 1 or 2 settle is L1 in both
     orientations and classifies the same each time, and :meth:`_settle`
     looks the cache up only for grid-stage pairs.  So a build or a stretch
     scan on a fresh solver leaves one entry per grid-stage run, and only
@@ -225,6 +221,8 @@ class GeodesicSolver:
         """
         S = np.asarray(S, dtype=float).reshape(-1, 3)
         T = np.asarray(T, dtype=float).reshape(-1, 3)
+        if len(S) != len(T):
+            raise ValueError(f"{len(S)} source rows for {len(T)} targets")
         out = np.abs(S - T).sum(axis=1)
         ask = np.nonzero((S != T).any(axis=1))[0]
         if len(ask):
@@ -233,11 +231,11 @@ class GeodesicSolver:
 
     def distances_from(self, source: Point3 | np.ndarray,
                        targets: Sequence[Point3] | np.ndarray,
-                       states: np.ndarray | None = None) -> np.ndarray:
+                       grid: np.ndarray | None = None) -> np.ndarray:
         """Geodesic distances from one source, or one source row per target,
         to many targets.
 
-        Source and targets are points or rows of coordinates.  states, when
+        Source and targets are points or rows of coordinates.  grid, when
         given, is :meth:`classify` of (source, targets), computed earlier.
         Grid-stage targets are settled and cached as :meth:`pair_distances`
         settles them; the others are answered with L1 and not cached.
@@ -256,40 +254,39 @@ class GeodesicSolver:
             raise ValueError(f"{len(s)} source rows for {len(pts)} targets")
         S = np.broadcast_to(s, pts.shape)
         out = np.abs(pts - S).sum(axis=1)
-        if states is None:
-            states = self.classify(S, pts)
-        elif len(states) != len(pts):
-            raise ValueError(f"{len(states)} states for {len(pts)} targets")
-        ask = np.flatnonzero(states == GRID_STAGE)
+        if grid is None:
+            grid = self.classify(S, pts)
+        elif len(grid) != len(pts):
+            raise ValueError(f"{len(grid)} grid flags for {len(pts)} targets")
+        ask = np.flatnonzero(grid)
         if len(ask):
-            self._settle(S, pts, out, ask, states[ask])
+            self._settle(S, pts, out, ask, grid[ask])
         return out
 
     def classify(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """How each pair (S[k], T[k]) is settled: :data:`BOX_FREE`,
-        :data:`STAIRCASE_CLEAR` or :data:`GRID_STAGE`, as an int8 array.
+        """Whether each pair (S[k], T[k]) needs the grid stage, as a bool
+        array: its closed box meets an obstacle interior (step 1) and all six
+        three-leg staircases are blocked (step 2).  Every other pair is L1.
 
         S is one source row for all pairs, broadcast on entry, or one row per
         pair.  The box test runs on all pairs and the staircase broadcast on
         the box-meeting ones, each in chunks that bound its memory.  The
-        state is a pure function of the coordinates and the obstacles,
+        mask is a pure function of the coordinates and the obstacles,
         symmetric in (S, T): both tests compare only coordinates and their
         minima and maxima, and the six staircases from t to s are those from
         s to t walked backwards.  It reads and writes no cache, so classifying early, in
         bulk, changes no answer.
         """
         T = np.asarray(T, dtype=float).reshape(-1, 3)
-        states = np.full(len(T), BOX_FREE, dtype=np.int8)
+        grid = np.zeros(len(T), dtype=bool)
         if len(self.obs_lo) == 0 or len(T) == 0:
-            return states
+            return grid
         S = np.broadcast_to(np.asarray(S, dtype=float), T.shape)
         meets = np.flatnonzero(self.meets_obstacles(np.minimum(S, T), np.maximum(S, T)))
-        states[meets] = GRID_STAGE
         for start in range(0, len(meets), _STAIRCASE_CHUNK):
             rows = meets[start:start + _STAIRCASE_CHUNK]
-            clear = self._staircase_clear(S[rows], T[rows])
-            states[rows[clear]] = STAIRCASE_CLEAR
-        return states
+            grid[rows] = ~self._staircase_clear(S[rows], T[rows])
+        return grid
 
     def meets_obstacles(self, blo: np.ndarray, bhi: np.ndarray) -> np.ndarray:
         """Per closed box [blo[k], bhi[k]], whether some obstacle's open
@@ -317,15 +314,14 @@ class GeodesicSolver:
         return np.nonzero(mask)[0]
 
     def _settle(self, S: np.ndarray, T: np.ndarray, out: np.ndarray, ask: np.ndarray,
-                states: np.ndarray) -> None:
+                grid: np.ndarray) -> None:
         """Answer and cache the pairs ask of (S, T), in order.
 
         S holds one source row per pair, out holds each pair's L1 on entry,
-        and states is :meth:`classify` of the asked pairs.  A box-free or
-        staircase-clear pair is L1 in both orientations, so it is cached as
-        L1 even when cached already: the value is the same.  Any other pair
-        keeps its cached value or goes through the grid stage :meth:`_sigma`,
-        in this orientation.
+        and grid is :meth:`classify` of the asked pairs.  A pair outside the
+        grid stage is L1 in both orientations, so it is cached as L1 even
+        when cached already: the value is the same.  A grid-stage pair keeps
+        its cached value or goes through :meth:`_sigma`, in this orientation.
 
         The pairs are taken _STAIRCASE_CHUNK at a time, which bounds the
         memory of the Python rows made for the keys; a chunk's keys are made
@@ -346,7 +342,7 @@ class GeodesicSolver:
                             [shared.setdefault(b, b) for b in map(tuple, T[rows].tolist())]))
             l1 = out[rows].tolist()
             done = 0
-            for g in np.flatnonzero(states[start:start + _STAIRCASE_CHUNK] == GRID_STAGE).tolist():
+            for g in np.flatnonzero(grid[start:start + _STAIRCASE_CHUNK]).tolist():
                 cache.update(zip(keys[done:g], l1[done:g]))
                 i, done = rows[g], g + 1
                 d = cache.get(keys[g])

@@ -18,34 +18,30 @@ from itertools import chain
 import numpy as np
 
 from .cspd import CONES, Cspd, CspdPair, _ranges, build_cspd
-from .geodesic import GRID_STAGE, GeodesicSolver
+from .geodesic import GeodesicSolver
 from .geometry import Environment, Point3, project_out
 
 
 class SpannerGraph:
     """Weighted graph on point indices; edge weight = L1 geodesic distance.
 
-    A graph holds its edges in one of two stores.  The column store is three
-    read-only arrays, int64 i and j and float64 weight, in insertion order;
-    :func:`build_spanner` and :func:`~boxspan.files.load_graph` make graphs
-    with it (``columns=(i, j, w)``), and so does ``SpannerGraph(n)``.  The
-    dict store maps (i, j) to the weight; a graph made with ``edges=`` has
-    it.  Reading :attr:`edges` on a column store builds the dict once, in
-    insertion order, and makes it the store, so every later reader sees a
-    mutation made through it.
+    A graph is made with its edges as three read-only columns, int64 i and
+    j and float64 weight, in insertion order: :func:`build_spanner` and
+    :func:`~boxspan.files.load_graph` pass ``columns=(i, j, w)``, and
+    ``SpannerGraph(n)`` has no edges.  Reading :attr:`edges` builds the dict
+    (i, j) -> weight once, in insertion order, and makes it the store, so
+    every later reader sees a mutation made through it.
     """
 
-    def __init__(self, n: int, edges: dict[tuple[int, int], float] | None = None,
-                 stats: dict | None = None, *,
+    def __init__(self, n: int, stats: dict | None = None, *,
                  columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> None:
         self.n = n
         self.stats = {} if stats is None else stats
-        if edges is None and columns is None:
+        if columns is None:
             columns = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
-        if columns is not None:
-            for column in columns:
-                column.flags.writeable = False
-        self._edges, self._columns = edges, columns
+        for column in columns:
+            column.flags.writeable = False
+        self._edges, self._columns = None, columns
 
     @property
     def edges(self) -> dict[tuple[int, int], float]:
@@ -54,10 +50,6 @@ class SpannerGraph:
             i, j, w = self._columns
             self._edges, self._columns = dict(zip(zip(i.tolist(), j.tolist()), w.tolist())), None
         return self._edges
-
-    @edges.setter
-    def edges(self, edges: dict[tuple[int, int], float]) -> None:
-        self._edges, self._columns = edges, None
 
     def edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The edges as (i, j, weight) arrays, in insertion order: the column
@@ -80,7 +72,7 @@ def candidate_points(pair: CspdPair, env: Environment) -> tuple[Point3, ...]:
 
 
 def select_center(pair: CspdPair, env: Environment, candidate: Point3,
-                  solver: GeodesicSolver | None = None) -> int:
+                  solver: GeodesicSolver) -> int:
     """Member of A u B geodesically nearest to the candidate point.
 
     Ties break to the smallest point index.  The solver is asked only for
@@ -104,8 +96,6 @@ def select_center(pair: CspdPair, env: Environment, candidate: Point3,
       target is a data point.  Candidates at data points are scanned in
       full, so their entries are the full scan's.
     """
-    if solver is None:
-        solver = GeodesicSolver(env)
     members = np.array(sorted(set(pair.a) | set(pair.b)))
     T = env.point_coords[members]
     S = np.broadcast_to(np.array(candidate.as_tuple()), T.shape)
@@ -194,7 +184,7 @@ def _emissions(P: np.ndarray, decomposition: Cspd, solver: GeodesicSolver, stats
     - classify is pure and symmetric in the pair, so classifying early and
       in bulk changes no state and no answer;
     - when no selection row is grid stage, every selection distance is L1
-      (box-free and staircase-clear pairs are), so :func:`select_center`
+      (every pair outside the grid stage is), so :func:`select_center`
       would pick the provisional center without asking the solver;
       otherwise it calls :func:`_nearest_center` on the same rows, which
       asks the solver what it asks here;
@@ -209,9 +199,9 @@ def _emissions(P: np.ndarray, decomposition: Cspd, solver: GeodesicSolver, stats
       :func:`select_center`'s);
     - a pair whose closed member box meets no obstacle interior has its
       apex in that box (between its sides), so the apex is interior to no
-      obstacle.  Every row of the pair has its box inside the member box
-      and classifies box-free, so distances_from answers it with L1 and
-      runs no grid stage for it.
+      obstacle.  Every row of the pair has its box inside the member box,
+      which meets no obstacle, so the row is not grid stage: distances_from
+      answers it with L1 and runs no grid stage for it.
     """
     n, apex, obs_lo, obs_hi = len(P), decomposition.apex, solver.obs_lo, solver.obs_hi
     inside = ((obs_lo < apex[:, None]) & (apex[:, None] < obs_hi)).all(axis=2)
@@ -242,17 +232,17 @@ def _emissions(P: np.ndarray, decomposition: Cspd, solver: GeodesicSolver, stats
     sources, targets = centers[owner[other]], members[other]
     rows = np.concatenate([[0], np.cumsum(sizes - 1)])
     S, T = P[sources], P[targets]
-    states = solver.classify(S, T)
+    grid = solver.classify(S, T)
     weights = np.empty(len(targets))
 
     def resolve(lo: int, hi: int) -> None:
         """Weight rows lo to hi, in one distances_from call."""
-        weights[lo:hi] = solver.distances_from(S[lo:hi], T[lo:hi], states=states[lo:hi])
+        weights[lo:hi] = solver.distances_from(S[lo:hi], T[lo:hi], grid=grid[lo:hi])
 
     done = 0
-    grid = np.nonzero(np.maximum.reduceat(picks, first) == GRID_STAGE)[0].tolist()
-    data_points = set(map(tuple, P.tolist())) if grid else set()
-    for q in grid:
+    grid_queries = np.flatnonzero(np.logical_or.reduceat(picks, first)).tolist()
+    data_points = set(map(tuple, P.tolist())) if grid_queries else set()
+    for q in grid_queries:
         resolve(done, rows[q])
         done = rows[q]
         picked = slice(first[q], first[q] + sizes[q])
@@ -263,17 +253,17 @@ def _emissions(P: np.ndarray, decomposition: Cspd, solver: GeodesicSolver, stats
             rest = members[picked][members[picked] != center]
             sources[remade], targets[remade] = center, rest
             S[remade], T[remade] = P[center], P[rest]
-            states[remade] = solver.classify(S[remade], T[remade])
+            grid[remade] = solver.classify(S[remade], T[remade])
     resolve(done, len(targets))
     stats["emissions"] += len(targets)
     return sources, targets, weights
 
 
 def _nearest_center(solver: GeodesicSolver, S: np.ndarray, T: np.ndarray, members: np.ndarray,
-                    l1: np.ndarray, states: np.ndarray, scan_all: bool) -> int:
+                    l1: np.ndarray, grid: np.ndarray, scan_all: bool) -> int:
     """The smallest member at the least geodesic distance among the rows
     (S[k], T[k]) of one query, S[k] its exit and T[k] member members[k],
-    with l1 their L1 distances and states their classification.
+    with l1 their L1 distances and grid their classification.
 
     Only a grid-stage row can lie above its L1, so the best (distance,
     member) of the other rows is their least (L1, member).  The grid-stage
@@ -282,14 +272,13 @@ def _nearest_center(solver: GeodesicSolver, S: np.ndarray, T: np.ndarray, member
     its distance is at least its L1, and so is every later row's.  With
     scan_all, every grid-stage row is asked.
     """
-    grid = states == GRID_STAGE
     best = min(zip(l1[~grid].tolist(), members[~grid].tolist()), default=(np.inf, -1))
     rows = np.flatnonzero(grid)
     for k in rows[np.lexsort((members[rows], l1[rows]))].tolist():
         member = int(members[k])
         if not scan_all and (float(l1[k]), member) >= best:
             break
-        d = solver.distances_from(S[k:k + 1], T[k:k + 1], states=states[k:k + 1])[0]
+        d = solver.distances_from(S[k:k + 1], T[k:k + 1], grid=grid[k:k + 1])[0]
         best = min(best, (float(d), member))
     return best[1]
 

@@ -429,7 +429,10 @@ def test_build_is_deterministic():
     rng = random.Random(55)
     pts = _random_points(rng, 40, pool_size=6)
     for cone in CONES:
-        assert build_cspd(pts, cone) == build_cspd(pts, cone)
+        first, again = build_cspd(pts, cone), build_cspd(pts, cone)
+        assert first.cone == again.cone
+        for field in ("apex", "len_a", "len_b", "members"):
+            assert np.array_equal(getattr(first, field), getattr(again, field)), field
 
 
 def _decomposition_digest(points) -> str:

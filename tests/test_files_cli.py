@@ -18,6 +18,7 @@ from boxspan.geodesic import GridTooLargeError
 from boxspan.generators import GenConfig, random_instance
 from boxspan.geometry import AxisBox, Environment, Point3
 from boxspan.spanner import SpannerGraph, build_spanner
+from test_spanner import dict_graph
 
 
 def _load_json(path):
@@ -173,9 +174,12 @@ def test_cli_usage_errors(tmp_path, monkeypatch, capsys):
         assert main([*argv, "--seed", "-1"]) == 2, argv
         assert "--seed must be nonnegative, got -1" in capsys.readouterr().err
     # bench parameters out of range
-    for flags in (["--trials", "0"], ["--sizes", "-3"], ["--m", "-1"]):
-        assert main(["bench", "--sizes", "8", "--trials", "1", *flags]) == 2, flags
     capsys.readouterr()
+    for flags, err in ((["--trials", "0"], "error: trials must be at least 1\n"),
+                       (["--sizes", "-3"], "error: sizes must be at least 1, got -3\n"),
+                       (["--m", "-1"], "error: m must be nonnegative\n")):
+        assert main(["bench", "--sizes", "8", "--trials", "1", *flags]) == 2, flags
+        assert capsys.readouterr().err == err
     assert main(["bench", "--sizes", "8,-3", "--trials", "1"]) == 2
     assert "sizes must be at least 1, got -3" in capsys.readouterr().err
     # a request the generator cannot place is bad input, not a violated bound;
@@ -210,7 +214,7 @@ def test_cli_rejects_overflowing_coordinates(tmp_path, capsys):
     """Coordinates whose spans overflow a float are bad input for both
     commands, not a graph with an infinite weight."""
     inst, graph = str(tmp_path / "inst.json"), str(tmp_path / "graph.json")
-    files.save_graph(graph, SpannerGraph(n=2, edges={(0, 1): 1.0}))
+    files.save_graph(graph, dict_graph(2, {(0, 1): 1.0}))
     # spans that overflow, and an integer coordinate of 401 digits
     for text in ('{"points": [[0, 0, 1e308], [0, 0, -1e308]]}',
                  '{"points": [[0, 0, 1%s], [0, 0, 0]]}' % ("0" * 400)):
@@ -315,9 +319,9 @@ def test_cli_verify_rejects_understated_weights(tmp_path, capsys):
                          ("inst.json", "graph.json", "star.json"))
     assert main(["generate", "--n", "64", "--m", "8", "--seed", "11", "--out", inst]) == 0
     assert main(["build", "--in", inst, "--out", graph]) == 0
-    files.save_graph(star, SpannerGraph(n=64, edges={(0, j): 1e-6 for j in range(1, 64)}))
+    files.save_graph(star, dict_graph(64, {(0, j): 1e-6 for j in range(1, 64)}))
     scaled = files.load_graph(graph)
-    scaled.edges = {e: w * 1e-3 for e, w in scaled.edges.items()}
+    scaled.edges.update({e: w * 1e-3 for e, w in scaled.edges.items()})
     files.save_graph(graph, scaled)
     for path in (star, graph):
         report = str(tmp_path / "report.json")
@@ -383,12 +387,32 @@ def _write_commands(tmp_path, out):
     ("generate --out", ".json"), ("build --out", ".json"), ("build --report", ".json"),
     ("verify --report", ".json"), ("bench --report", ".json"), ("bench --report", ".csv"),
 ])
-def test_cli_write_into_a_missing_directory_exits_2(tmp_path, capsys, command, suffix):
-    argv = _write_commands(tmp_path, str(tmp_path / "missing" / f"out{suffix}"))[command]
+def test_cli_write_into_a_missing_directory_exits_2(tmp_path, monkeypatch, capsys, command,
+                                                    suffix):
+    """The error names the path as given, not a temporary file beside it."""
+    monkeypatch.chdir(tmp_path)
+    out = os.path.join("missing", f"out{suffix}")
+    argv = _write_commands(tmp_path, out)[command]
     capsys.readouterr()
     assert main(argv) == 2
-    assert "No such file or directory" in capsys.readouterr().err
+    assert f"No such file or directory: '{out}'" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["graph.json", "inst.json"]
+
+
+def test_cli_build_checks_its_out_before_the_build(tmp_path, monkeypatch, capsys):
+    """A graph that cannot be written exits 2, naming --out, before the build."""
+    inst = str(tmp_path / "inst.json")
+    assert main(["generate", "--n", "6", "--m", "1", "--out", inst]) == 0
+
+    def build(*args, **kwargs):
+        raise AssertionError("the build ran")
+
+    monkeypatch.setattr(cli, "build_spanner", build)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["build", "--in", inst, "--out", os.path.join("missing", "g.json")]) == 2
+    assert os.path.join("missing", "g.json") in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["inst.json"]
 
 
 def test_cli_bench_checks_its_report_before_the_sweep(tmp_path, monkeypatch, capsys):
@@ -594,7 +618,7 @@ def test_build_report_counts_grid_stage_runs(tmp_path):
 ], ids=["empty", "one-point", "weights"])
 def test_save_graph_writes_json_dump_bytes(tmp_path, n, edges):
     """save_graph streams exactly what json.dump with indent=2 writes."""
-    graph = SpannerGraph(n=n, edges=dict(edges))
+    graph = dict_graph(n, edges)
     expected = str(tmp_path / "expected.json")
     with open(expected, "w") as fh:
         json.dump({"n": n, "edges": [[i, j, w] for (i, j), w in sorted(graph.edges.items())],
@@ -641,7 +665,7 @@ def test_save_graph_blocks_write_json_dump_bytes(tmp_path_factory, data):
     path = str(tmp_path_factory.mktemp("graph") / "graph.json")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(files, "_WRITE_BLOCK", block)
-        files.save_graph(path, SpannerGraph(n=n, edges=edges))
+        files.save_graph(path, dict_graph(n, edges))
     with open(path, "rb") as fh:
         assert fh.read() == _json_dump_bytes(n, edges)
 
@@ -654,14 +678,14 @@ def test_save_graph_rejects_weights_that_are_not_floats(tmp_path):
     path = str(tmp_path / "graph.json")
     for weight in (3, True, np.float32(1.5)):
         with pytest.raises(TypeError):
-            files.save_graph(path, SpannerGraph(n=3, edges={(0, 1): 1.0, (1, 2): weight}))
+            files.save_graph(path, dict_graph(3, {(0, 1): 1.0, (1, 2): weight}))
         assert os.listdir(tmp_path) == []
     for key in ((0, 3), (-1, 2), (3, 4)):
         with pytest.raises(ValueError):
-            files.save_graph(path, SpannerGraph(n=3, edges={(0, 1): 1.0, key: 2.0}))
+            files.save_graph(path, dict_graph(3, {(0, 1): 1.0, key: 2.0}))
         assert os.listdir(tmp_path) == []
     edges = {(0, 1): np.float64(1.5)}  # a float subclass is written as its float
-    files.save_graph(path, SpannerGraph(n=2, edges=edges))
+    files.save_graph(path, dict_graph(2, edges))
     with open(path, "rb") as fh:
         assert fh.read() == _json_dump_bytes(2, edges)
 
@@ -748,7 +772,7 @@ def test_load_graph_restores_the_collector(tmp_path, enabled):
     return, a FormatError and an OSError, when it was enabled and when the
     caller had disabled it."""
     path = str(tmp_path / "graph.json")
-    files.save_graph(path, SpannerGraph(n=3, edges={(0, 1): 1.0, (1, 2): 2.5}))
+    files.save_graph(path, dict_graph(3, {(0, 1): 1.0, (1, 2): 2.5}))
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:
         fh.write('{"n": 3, "edges": [[0, 1, 1.0], [1, 0, 1.0]]}')

@@ -456,10 +456,11 @@ def _tied_instances(draw):
 def test_classify_matches_per_pair_decisions_and_is_symmetric(instance):
     """classify on a batch of ordered pairs, shuffled and repeated so that
     its box-meeting pairs span several staircase chunks, also with small
-    box-test chunks, gives the state that a box test and then
-    _staircase_clear give each pair asked alone, which is the state decided
-    by hand leg by leg; it is symmetric in (S, T), and one source row gives
-    that source's row of states."""
+    box-test chunks, marks as grid stage exactly the pairs that a box test
+    and then _staircase_clear leave open asked alone, whose state (box-free,
+    staircase-clear or grid stage) is the one decided by hand leg by leg; it
+    is symmetric in (S, T), and one source row gives that source's row of
+    the mask."""
     obstacles, points, seed = instance
     env = Environment(obstacles, [Point3(*p) for p in points])
     solver = GeodesicSolver(env)
@@ -473,19 +474,20 @@ def test_classify_matches_per_pair_decisions_and_is_symmetric(instance):
         assert state == reference_state(obstacles, s.tolist(), t.tolist())
         expected.append(state)
     expected = np.array(expected).reshape(n, n)
+    grid = expected == 2
     for k in range(n):
-        assert solver.classify(pts[k], pts).tolist() == expected[k].tolist()
+        assert solver.classify(pts[k], pts).tolist() == grid[k].tolist()
     meeting = int((expected > 0).sum())
     rows = np.tile(np.arange(n * n), 2 * geodesic._STAIRCASE_CHUNK // max(meeting, 1) + 1)
     rows = np.random.default_rng(seed).permutation(rows)
     i, j = np.divmod(rows, n)
-    states = solver.classify(pts[i], pts[j])
-    assert states.dtype == np.int8
-    assert np.array_equal(states, expected[i, j])
-    assert np.array_equal(solver.classify(pts[j], pts[i]), states)
+    mask = solver.classify(pts[i], pts[j])
+    assert mask.dtype == bool
+    assert np.array_equal(mask, grid[i, j])
+    assert np.array_equal(solver.classify(pts[j], pts[i]), mask)
     # five pairs per box-test chunk
     with mock.patch.object(geodesic, "_BOX_TEST_CHUNK", 15 * len(obstacles)):
-        assert np.array_equal(solver.classify(pts[i], pts[j]), states)
+        assert np.array_equal(solver.classify(pts[i], pts[j]), mask)
 
 
 def test_grid_graph_matches_reference(monkeypatch):
@@ -675,14 +677,14 @@ def _recorded(env, ask):
 @given(st.data())
 def test_distances_from_per_row_sources_match_one_call_per_row(data):
     """One distances_from call with a source row per target, with or without
-    states, gives what one call per row in order gives: the same values to
+    the grid mask, gives what one call per row in order gives: the same values to
     the bit, the same _sigma calls and the same cache in insertion order.
     The rows always hold grid-stage pairs, and repeat pairs in both
     orientations."""
     env = data.draw(st.sampled_from(_PER_ROW_ENVS))
     pts = points_array(env.points)
     i, j = np.divmod(np.arange(env.n ** 2), env.n)
-    grid = np.nonzero(GeodesicSolver(env).classify(pts[i], pts[j]) == geodesic.GRID_STAGE)[0]
+    grid = np.flatnonzero(GeodesicSolver(env).classify(pts[i], pts[j]))
     index = st.integers(0, env.n - 1)
     pairs = data.draw(st.lists(st.tuples(index, index), max_size=30))
     pairs += [divmod(k, env.n) for k in data.draw(st.lists(st.sampled_from(grid.tolist()),
@@ -696,7 +698,7 @@ def test_distances_from_per_row_sources_match_one_call_per_row(data):
     assert expected[1]
     assert _recorded(env, lambda solver: solver.distances_from(S, T)) == expected
     assert _recorded(env, lambda solver: solver.distances_from(
-        S, T, states=solver.classify(S, T))) == expected
+        S, T, grid=solver.classify(S, T))) == expected
 
 
 def test_distances_from_rejects_rows_that_miss_a_target():
@@ -706,9 +708,21 @@ def test_distances_from_rejects_rows_that_miss_a_target():
     with pytest.raises(ValueError):
         solver.distances_from(pts[:2], pts[:3])
     with pytest.raises(ValueError):
-        solver.distances_from(pts[0], pts[:3], states=np.zeros(2, dtype=np.int8))
+        solver.distances_from(pts[0], pts[:3], grid=np.zeros(2, dtype=bool))
     with pytest.raises(ValueError):
-        solver.distances_from(pts[:3], pts[:3], states=np.zeros(4, dtype=np.int8))
+        solver.distances_from(pts[:3], pts[:3], grid=np.zeros(4, dtype=bool))
+
+
+def test_pair_distances_rejects_row_counts_that_differ():
+    """pair_distances pairs S[k] with T[k]: rows that differ in number are
+    an error, in either order, raised before any pair is answered."""
+    env = _PER_ROW_ENVS[0]
+    solver = GeodesicSolver(env)
+    pts = points_array(env.points)
+    for S, T in ((pts[:1], pts[:3]), (pts[:3], pts[:1]), (pts[:2], pts[:3])):
+        with pytest.raises(ValueError, match=f"{len(S)} source rows for {len(T)} targets"):
+            solver.pair_distances(S, T)
+    assert solver._cache == {}
 
 
 def _pair_batch(env, count, seed):

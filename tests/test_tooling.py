@@ -2,8 +2,10 @@
 linter here checks."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 import tomllib
 
@@ -155,3 +157,14 @@ def test_cli_commands_leave_io_errors_to_main():
                 and "OSError" in {n.id for n in ast.walk(handler.type)
                                   if isinstance(n, ast.Name)}]
     assert catching == []
+
+
+def test_readme_library_example_runs(tmp_path):
+    """The python block under "## Library example" in README.md runs to a
+    clean exit with src/ on the path, so the names it imports stay exported."""
+    section = (ROOT / "README.md").read_text().split("\n## Library example\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
 
-from boxspan import geodesic, verification
+from boxspan import verification
 from boxspan.geodesic import GeodesicSolver
 from boxspan.geometry import AxisBox, Environment, Point3, points_array
 from boxspan.generators import GenConfig, random_instance, slab_instance
@@ -18,11 +18,11 @@ from boxspan.verification import (STRETCH_BOUND_L1, STRETCH_SLACK, VIA_DETOUR_FA
                                   VIA_SLACK, StretchReport, check_via_triples, norm_conversion_check,
                                   scaling_sweep, spanning_ratio, via_triples)
 from test_geometry import bounding_box, l1_distance, l2_distance
-from test_spanner import _faces_instance, _scaled, _scaled_point
+from test_spanner import _faces_instance, _scaled, _scaled_point, dict_graph
 
 
 def _graph(n, edges):
-    return SpannerGraph(n=n, edges={(i, j): w for i, j, w in edges})
+    return dict_graph(n, {(i, j): w for i, j, w in edges})
 
 
 def test_spanning_ratio_of_complete_geodesic_graph_is_one():
@@ -94,7 +94,7 @@ def _disconnected(env):
     """A path over the first half of the points, the rest isolated."""
     solver = GeodesicSolver(env)
     half = env.n // 2
-    return env, SpannerGraph(n=env.n, edges={
+    return env, dict_graph(env.n, {
         (i, i + 1): solver.distance(env.points[i], env.points[i + 1]) for i in range(half)})
 
 
@@ -158,9 +158,9 @@ def test_spanning_ratio_scan_covers_the_edge_cases():
     assert at[0] == at[1] == at[2] < at[3]
     assert report == StretchReport(max_ratio=3.0, argmax=(4, 5))
     env = random_instance(_MAZE)
-    states = GeodesicSolver(env).classify(*np.broadcast_arrays(
+    grid = GeodesicSolver(env).classify(*np.broadcast_arrays(
         *(points_array(env.points)[k] for k in np.triu_indices(env.n, 1))))
-    assert (states == geodesic.GRID_STAGE).sum() > 100
+    assert grid.sum() > 100
 
 
 def test_spanning_ratio_checks_vertex_count():
@@ -205,7 +205,7 @@ def test_build_and_scan_cache_only_grid_stage_answers(kind):
         assert solver.grid_stage_runs > 0
         assert len(solver._cache) == solver.grid_stage_runs
         S, T = (np.array(side) for side in zip(*solver._cache))
-        assert (solver.classify(S, T) == geodesic.GRID_STAGE).all()
+        assert solver.classify(S, T).all()
 
 
 # -- the certified scan: two-hop bounds, exact rows only where they can matter
@@ -214,7 +214,7 @@ def _sigma_graph(env, pairs):
     """The graph on env's points with the given edges, each weighted by its
     geodesic distance."""
     solver = GeodesicSolver(env)
-    return SpannerGraph(n=env.n, edges={
+    return dict_graph(env.n, {
         (i, j): solver.distance(env.points[i], env.points[j]) for i, j in pairs})
 
 
@@ -268,7 +268,7 @@ def test_certified_scan_matches_the_all_pairs_reference(kind, seed, graph, block
         edges = sorted(g.edges)
         if graph == "thinned":
             drop = data.draw(st.sets(st.sampled_from(edges), max_size=len(edges) // 2))
-            g = SpannerGraph(n=env.n, edges={e: w for e, w in g.edges.items() if e not in drop})
+            g = dict_graph(env.n, {e: w for e, w in g.edges.items() if e not in drop})
         elif graph == "scaled":
             victim = data.draw(st.sampled_from(edges))
             g.edges[victim] *= data.draw(st.sampled_from([0.5, 1 - 2.0 ** -40, 1.5])
@@ -339,7 +339,7 @@ def _missing_edges():
     at most two, so their two-hop bound is inf."""
     env, g = _built(random_instance(GenConfig(seed=11, n=64, m=8)))
     keep = min((e for e in g.edges if 0 in e), key=g.edges.get)
-    return env, SpannerGraph(n=env.n, edges={
+    return env, dict_graph(env.n, {
         e: w for e, w in g.edges.items() if 0 not in e or e == keep})
 
 
@@ -383,8 +383,8 @@ def _scaled_spanner(env, k):
     """env with every coordinate scaled by 2**k, and its spanner built
     unscaled with every weight scaled by 2**k; both are exact."""
     g = build_spanner(env, GeodesicSolver(env))
-    return _scaled(env, k), SpannerGraph(n=env.n, edges={e: math.ldexp(w, k)
-                                                         for e, w in g.edges.items()})
+    return _scaled(env, k), dict_graph(env.n, {e: math.ldexp(w, k)
+                                               for e, w in g.edges.items()})
 
 
 @pytest.mark.parametrize("k", [-300, -126, 0, 300])
@@ -553,7 +553,7 @@ def test_via_check_on_maze_scales_exactly(seed):
                                     max_side=0.3, gap=0.01))
     triples = via_triples(env, 100, np.random.default_rng(seed))
     P, Q = (points_array(column) for column in list(zip(*triples))[:2])
-    grid = GeodesicSolver(env).classify(P, Q) == geodesic.GRID_STAGE
+    grid = GeodesicSolver(env).classify(P, Q)
     bad = next(t for t, g in zip(triples, grid) if g and t[2] not in t[:2])
     results = []
     for k in (-300, -40, 0, 40, 300):
@@ -651,7 +651,7 @@ def _via_pairs():
     whose box holds the unit cube's center."""
     pts = points_array(_VIA_ENV.points)
     i, j = np.triu_indices(len(pts), 1)
-    grid = GeodesicSolver(_VIA_ENV).classify(pts[i], pts[j]) == geodesic.GRID_STAGE
+    grid = GeodesicSolver(_VIA_ENV).classify(pts[i], pts[j])
     around = ((np.minimum(pts[i], pts[j]) < 0.5) & (np.maximum(pts[i], pts[j]) > 0.5)).all(axis=1)
     return [list(zip(i[mask].tolist(), j[mask].tolist())) for mask in (grid, around)]
 
