@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 import time
+from itertools import combinations
 
 import numpy as np
 
@@ -47,6 +48,15 @@ def _check_writable(path: str | None) -> None:
             tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
+
+
+def _check_distinct(outputs: dict[str, str | None], inputs: dict[str, str]) -> None:
+    """Raise ValueError, naming both flags, if an output path names the same
+    file as another path of the command: writing it would replace that file."""
+    paths = {flag: os.path.realpath(path) for flag, path in {**outputs, **inputs}.items() if path}
+    for flag, other in combinations(paths, 2):
+        if flag in outputs and paths[flag] == paths[other]:
+            raise ValueError(f"{flag} and {other} name the same file: {outputs[flag]}")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -82,6 +92,7 @@ def _load_valid_instance(path: str) -> Environment:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    _check_distinct({"--out": args.out, "--report": args.report}, {"--in": args.in_path})
     _check_writable(args.out)
     _check_writable(args.report)
     env = _load_valid_instance(args.in_path)
@@ -112,11 +123,10 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.detour_samples < 0:
         return _fail("--detour-samples must be nonnegative")
+    _check_distinct({"--report": args.report}, {"--instance": args.instance, "--graph": args.graph})
     _check_writable(args.report)
     env = _load_valid_instance(args.instance)
     graph = files.load_graph(args.graph)
-    if graph.n != env.n:
-        return _fail(f"instance has {env.n} points but graph has {graph.n} vertices")
     solver = GeodesicSolver(env)
     report = spanning_ratio(env, graph, solver=solver)
     triples = via_triples(env, args.detour_samples, np.random.default_rng(args.seed))

@@ -207,7 +207,8 @@ def save_graph(path: str, graph: SpannerGraph) -> None:
 @_collector_paused()
 def load_graph(path: str) -> SpannerGraph:
     """Read a graph file; raise FormatError unless ``n`` and every endpoint
-    are (non-boolean) integers and every weight is a finite positive number.
+    are (non-boolean) integers, every weight is a finite positive number, and
+    ``edges`` and ``metric`` (:data:`GRAPH_METRIC`) are present.
 
     The checks test ``type(v) is int``, which is exact for ``json.load``
     output: ``bool`` is a type of its own.  The cyclic collector is paused
@@ -217,11 +218,11 @@ def load_graph(path: str) -> SpannerGraph:
     data = _read_json(path)
     if not isinstance(data, dict) or type(data.get("n")) is not int:
         raise FormatError("graph file must be an object with an integer 'n'")
-    if not isinstance(data.get("edges", []), list):
+    if not isinstance(data.get("edges"), list):
         raise FormatError("graph 'edges' must be a list")
     n = data["n"]
     seen, ends_i, ends_j, weights = set(), [], [], []
-    for entry in data.get("edges", []):
+    for entry in data["edges"]:
         if type(entry) is not list or len(entry) != 3:
             raise FormatError(f"edge must be [i, j, weight], got {entry!r}")
         i, j, w = entry
@@ -249,4 +250,6 @@ def load_graph(path: str) -> SpannerGraph:
         ends = np.array(ends_i, dtype=np.int64), np.array(ends_j, dtype=np.int64)
     except OverflowError:
         raise FormatError(f"edge endpoints must be below 2**63, got n={n}") from None
+    if data.get("metric") != GRAPH_METRIC:
+        raise FormatError(f"graph 'metric' must be {GRAPH_METRIC!r}, got {data.get('metric')!r}")
     return SpannerGraph(n, columns=(*ends, np.array(weights)))

@@ -42,9 +42,9 @@ _ORDERS = np.array([[_LEGS.index((0, 1 << a)),
 
 
 # Chunks of a classification.  The box test of a chunk makes temporaries of
-# (pairs x obstacles x 3) elements, at most _BOX_TEST_CHUNK of them; the
-# staircase broadcast of a chunk of _STAIRCASE_CHUNK pairs makes temporaries
-# of (pairs x obstacles x 36) elements.
+# (boxes x obstacles x 3) elements, at most _BOX_TEST_CHUNK of them; the
+# staircase test of a chunk of _STAIRCASE_CHUNK pairs hands the box test
+# twelve legs per pair.
 _BOX_TEST_CHUNK = 1 << 18
 _STAIRCASE_CHUNK = 64
 
@@ -95,47 +95,35 @@ def _grid_links(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
 def _grid_graph(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
                 links: list[np.ndarray]) -> csr_matrix:
     """The grid graph: per link, one edge each way between its two nodes
-    (numbered in C order), weighted by the link's length.  The graph is
-    symmetric; its pattern is :func:`_grid_pattern`'s."""
-    shape = tuple(len(c) for c in cuts)
-    slot, indptr, indices = _grid_pattern(shape, links)
-    steps = [np.diff(c) for c in cuts]
-    weight = np.zeros(shape + (6,))
-    weight[1:, :, :, 0] = weight[:-1, :, :, 5] = steps[0][:, None, None]
-    weight[:, 1:, :, 1] = weight[:, :-1, :, 4] = steps[1][:, None]
-    weight[:, :, 1:, 2] = weight[:, :, :-1, 3] = steps[2]
-    n_nodes = len(indptr) - 1
-    return csr_matrix((weight.reshape(-1)[slot], indices, indptr), shape=(n_nodes, n_nodes))
-
-
-def _grid_pattern(shape: tuple[int, int, int],
-                  links: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSR pattern of :func:`_grid_graph` on a grid of the given shape,
-    as (slot, indptr, indices): slot flags the slots, in the flat (nodes x
-    directions) slot array described below, that hold a stored edge.
+    (numbered in C order), weighted by the link's length.
 
     The CSR arrays are made directly.  A node u's neighbors along the links
     are u - ny*nz, u - nz, u - 1, u + 1, u + nz and u + ny*nz, in increasing
     order (two of them tie only on an axis with one cut, which has no
-    links).  So with one slot per direction in that order, the flagged
-    slots taken in C order are each row's edges with sorted columns:
-    indices is the neighbor array at those slots, and indptr the cumulative
-    count of a node's flagged slots.
+    links).  So with one slot per direction in that order, the slots that
+    hold a link, taken in C order, are each row's edges with sorted columns:
+    indices is the neighbor array at those slots, data the weight array at
+    those slots, and indptr the cumulative count of a node's link slots.
     """
-    nx, ny, nz = shape
+    nx, ny, nz = shape = tuple(len(c) for c in cuts)
     n_nodes = nx * ny * nz
     # Slots (-x, -y, -z, +z, +y, +x).
     mask = np.zeros(shape + (6,), dtype=bool)
+    weight = np.zeros(shape + (6,))
     mask[1:, :, :, 0] = mask[:-1, :, :, 5] = links[0]
     mask[:, 1:, :, 1] = mask[:, :-1, :, 4] = links[1]
     mask[:, :, 1:, 2] = mask[:, :, :-1, 3] = links[2]
+    weight[1:, :, :, 0] = weight[:-1, :, :, 5] = np.diff(cuts[0])[:, None, None]
+    weight[:, 1:, :, 1] = weight[:, :-1, :, 4] = np.diff(cuts[1])[:, None]
+    weight[:, :, 1:, 2] = weight[:, :, :-1, 3] = np.diff(cuts[2])
     index = np.int32 if 6 * n_nodes < 2 ** 31 else np.int64
     offsets = np.array([-ny * nz, -nz, -1, 1, nz, ny * nz], dtype=index)
     indptr = np.zeros(n_nodes + 1, dtype=index)
     np.cumsum(mask.reshape(n_nodes, 6).sum(axis=1, dtype=index), out=indptr[1:])
     slot = mask.reshape(-1)
     neighbor = np.arange(n_nodes, dtype=index)[:, None] + offsets
-    return slot, indptr, neighbor.reshape(-1)[slot]
+    return csr_matrix((weight.reshape(-1)[slot], neighbor.reshape(-1)[slot], indptr),
+                      shape=(n_nodes, n_nodes))
 
 
 class GeodesicSolver:
@@ -161,8 +149,8 @@ class GeodesicSolver:
     Query strategy, cheapest first:
 
     1. no obstacle interior meets the closed box of the pair: distance is L1;
-    2. one of the six three-leg staircases of the pair is free (one numpy
-       broadcast, see :meth:`_staircase_clear`): distance is L1;
+    2. one of the six three-leg staircases of the pair is free (its legs
+       through the box test, see :meth:`_staircase_clear`): distance is L1;
     3. several obstacles meet that box and a monotone staircase through it
        exists (a sweep of the link masks of the grid cut by the
        box-overlapping obstacles, see :func:`_monotone_clear`; no graph is
@@ -411,8 +399,8 @@ class GeodesicSolver:
         blocked iff some obstacle's open interior meets it, that is, its
         fixed coordinates lie strictly inside the obstacle and its moving
         range overlaps the obstacle's open interval.  All twelve distinct
-        legs of all targets are tested against all obstacles in one
-        broadcast.
+        legs of all targets go through :meth:`meets_obstacles` at once, as
+        degenerate boxes.
 
         Exactness: a free staircase is a feasible path of length exactly L1,
         and no path is shorter, so "clear" proves sigma = L1.  "Not clear"
@@ -434,15 +422,11 @@ class GeodesicSolver:
         staircase misses the box.  So the monotone grid runs only for pairs
         whose box meets several obstacles.
         """
-        # Axis first, so that both reductions run over leading axes:
-        # corners (3, 8, k), legs (3, 12, k), hits (3, obstacles, 12, k).
-        corners = np.where(_CORNER_FROM_TARGET[:, :, None], pts.T[:, None, :],
-                           s.reshape(-1, 3).T[:, None, :])
-        a, b = corners[:, _LEG_START], corners[:, _LEG_END]
-        lo = np.minimum(a, b)[:, None]
-        hi = np.maximum(a, b)[:, None]
-        hit = ((self.obs_lo.T[:, :, None, None] < hi)
-               & (self.obs_hi.T[:, :, None, None] > lo)).all(axis=0).any(axis=0)
+        # Corners (8, k, 3), legs (12, k, 3).
+        corners = np.where(_CORNER_FROM_TARGET.T[:, None, :], pts, s.reshape(-1, 3))
+        a, b = corners[_LEG_START], corners[_LEG_END]
+        hit = self.meets_obstacles(np.minimum(a, b).reshape(-1, 3),
+                                   np.maximum(a, b).reshape(-1, 3)).reshape(len(_LEGS), -1)
         return (~hit)[_ORDERS].all(axis=1).any(axis=0)
 
     def _grid(self, s: np.ndarray, t: np.ndarray, cut_set: np.ndarray) -> tuple:
@@ -477,7 +461,7 @@ def _grid_distance(cuts: tuple[np.ndarray, np.ndarray, np.ndarray], links: list[
     monotone, so every left-fold sum along a path is at least that of its
     prefix, and Dijkstra's value at a node is the least left-fold sum over
     the paths to it, whatever order it relaxes the edges in.  Both searches
-    see the same paths.  The lattice oracle searches its graph the same way.
+    see the same paths.  The lattice oracle searches its lattice here too.
     """
     source, target = np.ravel_multi_index(ends, tuple(len(c) for c in cuts))
     dist = dijkstra(_grid_graph(cuts, links), directed=True, indices=int(source))
@@ -545,9 +529,8 @@ def oracle_fine_grid_distance(env: Environment, p: Point3, q: Point3,
     are dropped, so every lattice path is feasible and the result is always
     an upper bound on the true geodesic distance; halving the resolution
     refines the lattice, so the bound is non-increasing.  The lattice, its
-    nodes and its links are the oracle's own; its graph is the engine's
-    symmetric :func:`_grid_graph`, searched directed as
-    :func:`_grid_distance` searches a grid.
+    nodes and its links are the oracle's own; the search is the engine's
+    :func:`_grid_distance`.
     """
     if not 0 < resolution < np.inf:
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
@@ -604,11 +587,9 @@ def oracle_fine_grid_distance(env: Environment, p: Point3, q: Point3,
         return ok & open_node[tuple(head)] & open_node[tuple(tail)]
 
     links = [link_open(axis) for axis in range(3)]
-    ends = [np.searchsorted(vals, (p.coord(axis), q.coord(axis)))
-            for axis, vals in enumerate(axis_values)]
-    source, target = np.ravel_multi_index(ends, (len(vx), len(vy), len(vz)))
-    dist = dijkstra(_grid_graph((vx, vy, vz), links), directed=True, indices=int(source))
-    d = float(dist[target])
+    ends = np.array([np.searchsorted(vals, (p.coord(axis), q.coord(axis)))
+                     for axis, vals in enumerate(axis_values)])
+    d = _grid_distance((vx, vy, vz), links, ends)
     if not np.isfinite(d):
         raise RuntimeError("oracle lattice found no route; increase padding or resolution")
     return d

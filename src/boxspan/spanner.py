@@ -99,9 +99,8 @@ def select_center(pair: CspdPair, env: Environment, candidate: Point3,
     members = np.array(sorted(set(pair.a) | set(pair.b)))
     T = env.point_coords[members]
     S = np.broadcast_to(np.array(candidate.as_tuple()), T.shape)
-    at_point = bool((env.point_coords == S[0]).all(axis=1).any())
     return _nearest_center(solver, S, T, members, np.abs(T - S).sum(axis=1),
-                           solver.classify(S, T), at_point)
+                           solver.classify(S, T), env.point_coords)
 
 
 def build_spanner(env: Environment, solver: GeodesicSolver | None = None) -> SpannerGraph:
@@ -240,14 +239,12 @@ def _emissions(P: np.ndarray, decomposition: Cspd, solver: GeodesicSolver, stats
         weights[lo:hi] = solver.distances_from(S[lo:hi], T[lo:hi], grid=grid[lo:hi])
 
     done = 0
-    grid_queries = np.flatnonzero(np.logical_or.reduceat(picks, first)).tolist()
-    data_points = set(map(tuple, P.tolist())) if grid_queries else set()
-    for q in grid_queries:
+    for q in np.flatnonzero(np.logical_or.reduceat(picks, first)).tolist():
         resolve(done, rows[q])
         done = rows[q]
         picked = slice(first[q], first[q] + sizes[q])
         center = _nearest_center(solver, E[picked], M[picked], members[picked], l1[picked],
-                                 picks[picked], tuple(exits[q].tolist()) in data_points)
+                                 picks[picked], P)
         if center != centers[q]:
             remade = slice(rows[q], rows[q + 1])
             rest = members[picked][members[picked] != center]
@@ -260,7 +257,7 @@ def _emissions(P: np.ndarray, decomposition: Cspd, solver: GeodesicSolver, stats
 
 
 def _nearest_center(solver: GeodesicSolver, S: np.ndarray, T: np.ndarray, members: np.ndarray,
-                    l1: np.ndarray, grid: np.ndarray, scan_all: bool) -> int:
+                    l1: np.ndarray, grid: np.ndarray, points: np.ndarray) -> int:
     """The smallest member at the least geodesic distance among the rows
     (S[k], T[k]) of one query, S[k] its exit and T[k] member members[k],
     with l1 their L1 distances and grid their classification.
@@ -269,11 +266,12 @@ def _nearest_center(solver: GeodesicSolver, S: np.ndarray, T: np.ndarray, member
     member) of the other rows is their least (L1, member).  The grid-stage
     rows are then asked one at a time, in (L1, member) order, and the scan
     stops at the first row whose (L1, member) is not below the best found:
-    its distance is at least its L1, and so is every later row's.  With
-    scan_all, every grid-stage row is asked.
+    its distance is at least its L1, and so is every later row's.  Every
+    grid-stage row is asked when the exit is one of the rows of points.
     """
     best = min(zip(l1[~grid].tolist(), members[~grid].tolist()), default=(np.inf, -1))
     rows = np.flatnonzero(grid)
+    scan_all = bool((points == S[0]).all(axis=1).any())
     for k in rows[np.lexsort((members[rows], l1[rows]))].tolist():
         member = int(members[k])
         if not scan_all and (float(l1[k]), member) >= best:

@@ -224,7 +224,7 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
     found.
     """
     if g.n != env.n:
-        raise ValueError("graph and environment disagree on the number of points")
+        raise ValueError(f"instance has {env.n} points but graph has {g.n} vertices")
     if solver is None:
         solver = GeodesicSolver(env)
     n = g.n
@@ -232,10 +232,9 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
         return StretchReport(max_ratio=1.0, argmax=None)
     csr = _graph_csr(g)
     P = env.point_coords
-    tails = np.repeat(np.arange(n), np.diff(csr.indptr))
-    above_l1 = bool(np.all(csr.data >= _l1(P, tails, csr.indices)))
-    W, widen = _weight_matrix(n, tails, csr.indices, csr.data)
-    del tails
+    i, j, w = g.edge_columns()
+    above_l1 = bool(np.all(w >= _l1(P, i, j)))
+    W, widen = _weight_matrix(n, i, j, w)
     order = np.argsort(-np.count_nonzero(W < np.inf, axis=1), kind="stable")
     best = 0.0
     arg: tuple[int, int] | None = None

@@ -228,12 +228,66 @@ def test_cli_rejects_overflowing_coordinates(tmp_path, capsys):
         assert not os.path.exists(tmp_path / "out.json")
 
 
-def test_cli_verify_detects_mismatched_n(tmp_path):
+def test_cli_verify_detects_mismatched_n(tmp_path, capsys):
     inst = str(tmp_path / "inst.json")
     graph = str(tmp_path / "graph.json")
     assert main(["generate", "--n", "5", "--seed", "1", "--out", inst]) == 0
     files.save_graph(graph, SpannerGraph(n=4))
+    capsys.readouterr()
     assert main(["verify", "--instance", inst, "--graph", graph]) == 2
+    assert capsys.readouterr() == ("", "error: instance has 5 points but graph has 4 vertices\n")
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("report", "graph 'edges' must be a list"),
+    ("bare", "graph 'metric' must be 'L1-geodesic', got None"),
+    ("l2", "graph 'metric' must be 'L1-geodesic', got 'L2-geodesic'"),
+], ids=["report", "bare", "l2"])
+def test_cli_verify_rejects_files_that_are_not_graphs(tmp_path, capsys, kind, message):
+    """A build report, an object with an integer n and an empty edge list
+    but no metric, and a graph of another metric each exit 2 with an error
+    that says what is wrong, rather than load as a graph."""
+    inst, graph, report = (str(tmp_path / name)
+                           for name in ("inst.json", "graph.json", "build.json"))
+    assert main(["generate", "--n", "3", "--seed", "1", "--out", inst]) == 0
+    assert main(["build", "--in", inst, "--out", graph, "--report", report]) == 0
+    other = _load_json(graph)
+    other["metric"] = "L2-geodesic"
+    (tmp_path / "l2.json").write_text(json.dumps(other))
+    (tmp_path / "bare.json").write_text('{"n": 3, "edges": []}')
+    path = {"report": report, "bare": str(tmp_path / "bare.json"),
+            "l2": str(tmp_path / "l2.json")}[kind]
+    capsys.readouterr()
+    assert main(["verify", "--instance", inst, "--graph", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["build", "--in", "inst.json", "--out", "inst.json"], "--out and --in"),
+    (["build", "--in", "inst.json", "--out", "graph.json", "--report", "graph.json"],
+     "--out and --report"),
+    (["build", "--in", "inst.json", "--out", "new.json", "--report", "./inst.json"],
+     "--report and --in"),
+    (["verify", "--instance", "inst.json", "--graph", "graph.json", "--report", "graph.json"],
+     "--report and --graph"),
+    (["verify", "--instance", "inst.json", "--graph", "graph.json", "--report",
+      "sub/../inst.json"], "--report and --instance"),
+], ids=["build-out-in", "build-out-report", "build-report-in", "verify-report-graph",
+        "verify-report-instance"])
+def test_cli_output_naming_another_path_of_the_command_exits_2(tmp_path, monkeypatch, capsys,
+                                                               argv, flags):
+    """An output path that names the same file as another path of its
+    command exits 2 before any work, naming both flags, and every file is
+    left byte for byte as it was."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--n", "6", "--seed", "1", "--out", "inst.json"]) == 0
+    assert main(["build", "--in", "inst.json", "--out", "graph.json"]) == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {flags} name the same file: ")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_cli_verify_single_point(tmp_path):
@@ -801,11 +855,11 @@ def reference_load_graph(path):
         data = json.load(fh)
     if not isinstance(data, dict) or not is_int(data.get("n")):
         raise files.FormatError("graph file must be an object with an integer 'n'")
-    if not isinstance(data.get("edges", []), list):
+    if not isinstance(data.get("edges"), list):
         raise files.FormatError("graph 'edges' must be a list")
     n = data["n"]
     graph = SpannerGraph(n=n)
-    for entry in data.get("edges", []):
+    for entry in data["edges"]:
         if not isinstance(entry, list) or len(entry) != 3:
             raise files.FormatError(f"edge must be [i, j, weight], got {entry!r}")
         i, j, w = entry
@@ -824,6 +878,8 @@ def reference_load_graph(path):
         if (i, j) in graph.edges:
             raise files.FormatError(f"duplicate edge ({i},{j})")
         graph.edges[(i, j)] = w
+    if data.get("metric") != "L1-geodesic":
+        raise files.FormatError(f"graph 'metric' must be 'L1-geodesic', got {data.get('metric')!r}")
     return graph
 
 
@@ -873,15 +929,16 @@ def test_load_graph_matches_reference_loop_on_valid_files(tmp_path):
     rng = np.random.default_rng(4)
     for count in (0, 1, 25, 300):
         with open(path, "w") as fh:
-            fh.write('{"n": %d, "edges": [%s]}' % (3 + _FILLER_N,
-                                                   ", ".join(_filler_edges(rng, count))))
+            fh.write('{"n": %d, "edges": [%s], "metric": "L1-geodesic"}'
+                     % (3 + _FILLER_N, ", ".join(_filler_edges(rng, count))))
         expected = reference_load_graph(path)
         got = files.load_graph(path)
         assert got.n == expected.n
         assert list(got.edges) == list(expected.edges)
         assert all(type(w) is float for w in got.edges.values())
         assert [w.hex() for w in got.edges.values()] == [w.hex() for w in expected.edges.values()]
-    for text in ('{"n": true, "edges": []}', '{"n": 8, "edges": 5}', '{"n": 2.0}', "[]"):
+    for text in ('{"n": true, "edges": []}', '{"n": 8, "edges": 5}', '{"n": 2.0}', "[]",
+                 '{"n": 3}', '{"n": 3, "edges": []}', '{"n": 3, "edges": [], "metric": "L2"}'):
         with open(path, "w") as fh:
             fh.write(text)
         with pytest.raises(files.FormatError) as expected:

@@ -5,6 +5,7 @@ import ast
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import tomllib
@@ -168,3 +169,17 @@ def test_readme_library_example_runs(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_command_line_block_runs(tmp_path):
+    """Each ``boxspan`` line of the sh block under "## Command line" in
+    README.md, run as ``python -m boxspan`` in one directory with src/ on
+    the path, exits 0."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    lines = re.search(r"```sh\n(.*?)```", section, re.S).group(1).splitlines()
+    assert len(lines) == 5 and all(line.startswith("boxspan ") for line in lines)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for line in lines:
+        result = subprocess.run([sys.executable, "-m", *shlex.split(line)], cwd=tmp_path,
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == 0, (line, result.stderr)

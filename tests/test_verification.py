@@ -165,7 +165,7 @@ def test_spanning_ratio_scan_covers_the_edge_cases():
 
 def test_spanning_ratio_checks_vertex_count():
     env = random_instance(GenConfig(seed=1, n=5, m=0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^instance has 5 points but graph has 4 vertices$"):
         spanning_ratio(env, SpannerGraph(n=4))
 
 
@@ -838,6 +838,35 @@ def test_norm_conversion_check_margin_is_relative(scale, monkeypatch):
     assert norm_conversion_check(env)
     monkeypatch.setattr(verification, "NORM_RATIO", verification.NORM_RATIO * (1 - 1e-9))
     assert not norm_conversion_check(env)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coords=st.lists(st.tuples(*[st.tuples(st.integers(-(2 ** 53 - 1), 2 ** 53 - 1),
+                                             st.integers(-1070, 1000))] * 3),
+                       min_size=2, max_size=12))
+def test_norm_sandwich_holds_across_the_float_range(coords):
+    """Points with coordinates m * 2**e, e from -1070 to 1000, kept where
+    their coordinate spans sum to a finite number, as verify requires of an
+    instance: the norm sandwich holds."""
+    mantissa, exponent = np.moveaxis(np.array(coords), -1, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = np.ldexp(mantissa.astype(float), exponent)
+        assume(np.isfinite((P.max(axis=0) - P.min(axis=0)).sum()))
+    assume(len(np.unique(P, axis=0)) == len(P))
+    assert norm_conversion_check(Environment([], [Point3(*p) for p in P.tolist()]))
+
+
+@pytest.mark.parametrize("exponent", [-1070, 0, 1000])
+@pytest.mark.parametrize("direction", [(1, 0, 0), (0, -1, 0), (0, 0, 1), (1, 1, 1), (-1, 1, -1)])
+def test_norm_ratio_on_axis_and_diagonal_vectors(exponent, direction, monkeypatch):
+    """NORM_RATIO meets the sandwich on an axis vector, where l2 = l1, and
+    on a diagonal one, where l2 = l1 / sqrt(3) and a ratio one part in 1e9
+    smaller fails, from subnormal lengths to lengths near overflow."""
+    v = Point3(*(math.ldexp(c, exponent) for c in direction))
+    env = Environment([], [Point3(0.0, 0.0, 0.0), v])
+    assert norm_conversion_check(env)
+    monkeypatch.setattr(verification, "NORM_RATIO", verification.NORM_RATIO * (1 - 1e-9))
+    assert norm_conversion_check(env) == (sum(map(abs, direction)) == 1)
 
 
 def reference_norm_conversion_check(env):
