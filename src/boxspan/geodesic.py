@@ -42,11 +42,24 @@ _ORDERS = np.array([[_LEGS.index((0, 1 << a)),
 
 
 # Chunks of a classification.  The box test of a chunk makes temporaries of
-# (boxes x obstacles x 3) elements, at most _BOX_TEST_CHUNK of them; the
+# (obstacles x 3 x boxes) elements, at most _BOX_TEST_CHUNK of them; the
 # staircase test of a chunk of _STAIRCASE_CHUNK pairs hands the box test
 # twelve legs per pair.
 _BOX_TEST_CHUNK = 1 << 18
 _STAIRCASE_CHUNK = 64
+
+
+def _l1(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """L1 distances of the rows S and T, (k, 3) arrays or single rows, with
+    |dx|, |dy| and |dz| added in that order, column by column: the bits of
+    np.abs(S - T).sum(axis=-1), which sums a row of three as ((a + b) + c),
+    with |a - b| = |b - a| = max - min exactly.  The package's one L1 of
+    coordinate rows; the grid stage returns it or max(d, it), so sigma >= it
+    to the bit."""
+    out = np.abs(S[..., 0] - T[..., 0])
+    out += np.abs(S[..., 1] - T[..., 1])
+    out += np.abs(S[..., 2] - T[..., 2])
+    return out
 
 
 def _pair_key(a: tuple, b: tuple) -> tuple:
@@ -211,7 +224,7 @@ class GeodesicSolver:
         T = np.asarray(T, dtype=float).reshape(-1, 3)
         if len(S) != len(T):
             raise ValueError(f"{len(S)} source rows for {len(T)} targets")
-        out = np.abs(S - T).sum(axis=1)
+        out = _l1(S, T)
         ask = np.nonzero((S != T).any(axis=1))[0]
         if len(ask):
             self._settle(S, T, out, ask, self.classify(S[ask], T[ask]))
@@ -241,7 +254,7 @@ class GeodesicSolver:
         if s.ndim == 2 and len(s) != len(pts):
             raise ValueError(f"{len(s)} source rows for {len(pts)} targets")
         S = np.broadcast_to(s, pts.shape)
-        out = np.abs(pts - S).sum(axis=1)
+        out = _l1(S, pts)
         if grid is None:
             grid = self.classify(S, pts)
         elif len(grid) != len(pts):
@@ -282,16 +295,16 @@ class GeodesicSolver:
         of the box is plain L1.  For a point, blo = bhi, it says whether the
         point lies strictly inside an obstacle.
 
-        The boxes are tested in chunks whose temporaries hold at most
-        _BOX_TEST_CHUNK (boxes x obstacles x 3) elements.
+        blo and bhi are (k, 3) rows in any layout; each chunk is copied axis
+        first, (3, k), so its temporaries, at most _BOX_TEST_CHUNK (obstacles
+        x 3 x boxes) elements, reduce over the axis of length 3.
         """
         out = np.zeros(len(blo), dtype=bool)
-        step = max(1, _BOX_TEST_CHUNK // (3 * max(len(self.obs_lo), 1)))
+        obs_lo, obs_hi = self.obs_lo[:, :, None], self.obs_hi[:, :, None]
+        step = max(1, _BOX_TEST_CHUNK // (3 * max(len(obs_lo), 1)))
         for start in range(0, len(blo), step):
-            lo, hi = blo[start:start + step], bhi[start:start + step]
-            out[start:start + step] = ((self.obs_lo[:, None, :] < hi[None, :, :])
-                                       & (self.obs_hi[:, None, :] > lo[None, :, :])
-                                       ).all(axis=2).any(axis=0)
+            lo, hi = (np.ascontiguousarray(b[start:start + step].T) for b in (blo, bhi))
+            out[start:start + step] = ((obs_lo < hi) & (obs_hi > lo)).all(axis=1).any(axis=0)
         return out
 
     # -- internals ---------------------------------------------------------
@@ -364,7 +377,7 @@ class GeodesicSolver:
         canonicalizing the pair's orientation would; STRETCH_SLACK and
         VIA_SLACK cover 2 ulps.
         """
-        l1 = float(np.abs(s - t).sum())
+        l1 = float(_l1(s, t))
         over = self._overlapping(np.minimum(s, t), np.maximum(s, t))
         cuts, links, ends = self._grid(s, t, over)
         # With a single overlapping obstacle, the blocked staircases are exact
@@ -384,10 +397,9 @@ class GeodesicSolver:
 
     def _min_detours(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Per obstacle, the least L1 length of any s->t route touching it."""
-        u = np.minimum(s, t)
-        v = np.maximum(s, t)
+        u, v = np.minimum(s, t), np.maximum(s, t)
         pen = 2.0 * np.maximum(0.0, np.maximum(u - self.obs_hi, self.obs_lo - v))
-        return (v - u).sum() + pen.sum(axis=1)
+        return _l1(s, t) + pen.sum(axis=1)
 
     def _staircase_clear(self, s: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Per target, whether a three-leg staircase from s to it is free.
@@ -422,7 +434,6 @@ class GeodesicSolver:
         staircase misses the box.  So the monotone grid runs only for pairs
         whose box meets several obstacles.
         """
-        # Axis first, corners (3, 8, k), legs (3, 12, k): the box test is faster on transposes.
         corners = np.where(_CORNER_FROM_TARGET[:, :, None], pts.T[:, None, :],
                            s.reshape(-1, 3).T[:, None, :])
         a, b = corners[:, _LEG_START], corners[:, _LEG_END]

@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .cspd import CONES, Cspd, CspdPair, _ranges, build_cspd
-from .geodesic import GeodesicSolver
+from .geodesic import GeodesicSolver, _l1
 from .geometry import Environment, Point3, project_out
 
 
@@ -81,13 +81,10 @@ def select_center(pair: CspdPair, env: Environment, candidate: Point3,
     candidate is a data point.  That picks the member a scan of all members
     picks, and leaves the solver's later answers as that scan would:
 
-    - sigma >= L1 to the bit.  The grid stage returns its L1 or max(d, L1),
-      with L1 the float expression distances_from evaluates (the axes
-      summed in order, and |a - b| is symmetric); a cached value is sigma in
-      some orientation, so it is at least that L1 too.  So a member whose
-      (L1, index) is not below the best (sigma, index) found cannot be the
-      first argmin, and neither can any member after it in (L1, index)
-      order.
+    - sigma >= L1 (:func:`~boxspan.geodesic._l1`) to the bit in either
+      orientation, so for a cached value too.  So a member whose (L1,
+      index) is not below the best (sigma, index) found cannot be the first
+      argmin, and neither can any member after it in (L1, index) order.
     - A skipped member leaves no cache entry.  Selection distances never
       become edge weights; a missing entry changes a later answer only
       through the orientation asked first, which fixes a pair's last bits
@@ -99,7 +96,7 @@ def select_center(pair: CspdPair, env: Environment, candidate: Point3,
     members = np.array(sorted(set(pair.a) | set(pair.b)))
     T = env.point_coords[members]
     S = np.broadcast_to(np.array(candidate.as_tuple()), T.shape)
-    return _nearest_center(solver, S, T, members, np.abs(T - S).sum(axis=1),
+    return _nearest_center(solver, S, T, members, _l1(S, T),
                            solver.classify(S, T), env.point_coords)
 
 
@@ -222,7 +219,7 @@ def _emissions(P: np.ndarray, decomposition: Cspd, solver: GeodesicSolver, stats
     sizes = np.diff(decomposition.offsets)[query_pairs]
     first = np.cumsum(sizes) - sizes
     E, M = exits[owner], P[members]
-    l1 = np.abs(M - E).sum(axis=1)
+    l1 = _l1(E, M)
     picks = solver.classify(E, M)
     centers = _nearest_members(l1, members, sizes)
 

@@ -17,7 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .cspd import _ranges
-from .geodesic import GeodesicSolver
+from .geodesic import GeodesicSolver, _l1
 from .geometry import Environment, Point3, points_array
 from .spanner import SpannerGraph, build_spanner
 
@@ -73,15 +73,6 @@ def _pair_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         rows += first
         yield rows, cols
         first = last
-
-
-def _l1(P: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The L1 distances of the points P[i] and P[j], summed x, y, z as the
-    solver sums them, one coordinate array at a time."""
-    out = np.abs(P[j, 0] - P[i, 0])
-    out += np.abs(P[j, 1] - P[i, 1])
-    out += np.abs(P[j, 2] - P[i, 2])
-    return out
 
 
 def _weight_matrix(n: int, tails: np.ndarray, heads: np.ndarray,
@@ -206,7 +197,7 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
     edge weight can sit an ulp off the sigma here; STRETCH_SLACK covers it.
     Until such a pair is found, the rows that might hold one go exact too,
     in the block's first batch.  Let l be the L1 distance of two points,
-    summed x, y, z as sigma's L1 is (:func:`_l1`), and u = 2**-53.  Each l
+    the solver's :func:`~boxspan.geodesic._l1`, and u = 2**-53.  Each l
     is within a factor (1 +- u)**3 of the exact L1: three rounded
     differences, two additions.  When every stored weight is at least the l
     of its ends, a graph distance d, the left-fold sum of the k <= n - 1
@@ -233,14 +224,15 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
     csr = _graph_csr(g)
     P = env.point_coords
     i, j, w = g.edge_columns()
-    above_l1 = bool(np.all(w >= _l1(P, i, j)))
+    above_l1 = bool(np.all(w >= _l1(P[i], P[j])))
     W, widen = _weight_matrix(n, i, j, w)
     order = np.argsort(-np.count_nonzero(W < np.inf, axis=1), kind="stable")
     best = 0.0
     arg: tuple[int, int] | None = None
     understated: tuple[int, int] | None = None
     for rows, cols in _pair_blocks(n):
-        sigma = solver.distances_from(P.take(rows, axis=0), P.take(cols, axis=0))
+        S, T = P.take(rows, axis=0), P.take(cols, axis=0)
+        sigma = solver.distances_from(S, T)
         first, last = int(rows[0]), int(rows[-1]) + 1
         lengths = n - 1 - np.arange(first, last)
         starts = np.cumsum(lengths) - lengths
@@ -252,7 +244,7 @@ def spanning_ratio(env: Environment, g: SpannerGraph,
             batch = np.empty(0, int)
             if solver.meets_obstacles(box.min(axis=0, keepdims=True),
                                       box.max(axis=0, keepdims=True))[0]:
-                wide = sigma > _l1(P, rows, cols) * (1 + STRETCH_SLACK / 2)
+                wide = sigma > _l1(S, T) * (1 + STRETCH_SLACK / 2)
                 batch = np.flatnonzero(np.logical_or.reduceat(wide, starts))
         else:
             batch = np.arange(last - first) if understated is None else np.empty(0, int)

@@ -946,3 +946,56 @@ def test_load_graph_matches_reference_loop_on_valid_files(tmp_path):
         with pytest.raises(files.FormatError) as got:
             files.load_graph(path)
         assert str(got.value) == str(expected.value)
+
+
+_FUZZ_VALUES = [0, -1, 2 ** 63, 1e308, 5e-324, True, None, "x", [], {}, math.nan, math.inf,
+                -math.inf]
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A directory and the JSON of a valid instance and of its graph."""
+    where = tmp_path_factory.mktemp("fuzz")
+    inst, graph = str(where / "inst.json"), str(where / "graph.json")
+    assert main(["generate", "--n", "8", "--m", "3", "--seed", "11", "--out", inst]) == 0
+    assert main(["build", "--in", inst, "--out", graph]) == 0
+    return where, {"instance": _load_json(inst), "graph": _load_json(graph)}
+
+
+def _json_paths(doc, at=()):
+    """The path of every value of a JSON document, the root's () first."""
+    yield at
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _json_paths(value, at + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["instance", "graph"]), st.data())
+def test_cli_exits_0_1_or_2_on_mutated_files(valid_files, which, data):
+    """build and verify --detour-samples 20 on a valid instance and graph,
+    one of them with one to three values replaced by an odd value (huge,
+    tiny, non-finite, of another type) or deleted, exit 0, 1 or 2 and raise
+    nothing."""
+    where, docs = valid_files
+    docs = json.loads(json.dumps(docs))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_json_paths(docs[which]))))
+        value = data.draw(st.sampled_from(_FUZZ_VALUES))
+        if not path:
+            docs[which] = value
+            continue
+        parent = docs[which]
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    inst, graph = str(where / "inst.json"), str(where / "graph.json")
+    for name, path in (("instance", inst), ("graph", graph)):
+        with open(path, "w") as fh:
+            json.dump(docs[name], fh)
+    assert main(["build", "--in", inst, "--out", str(where / "out.json")]) in (0, 1, 2)
+    assert main(["verify", "--instance", inst, "--graph", graph,
+                 "--detour-samples", "20"]) in (0, 1, 2)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from boxspan import geodesic
 from boxspan.geodesic import (GeodesicSolver, GridTooLargeError, _grid_distance, _grid_links,
-                              _monotone_clear, oracle_fine_grid_distance)
+                              _l1, _monotone_clear, oracle_fine_grid_distance)
 from boxspan.generators import GenConfig, random_instance
 from boxspan.geometry import AxisBox, Environment, Point3, points_array, validate_environment
 from boxspan.verification import via_triples
@@ -409,6 +409,74 @@ def test_settle_runs_the_staircase_once_per_chunk(monkeypatch):
         calls.clear()
         GeodesicSolver(env).distances_from(s, targets)
         assert calls == [min(64, len(targets) - k) for k in range(0, len(targets), 64)]
+
+
+def _layouts(X: np.ndarray) -> list[np.ndarray]:
+    """The (k, 3) rows X as C-contiguous rows and as a transposed view of
+    (3, k) columns."""
+    return [np.ascontiguousarray(X), np.ascontiguousarray(X.T).T]
+
+
+def test_l1_is_the_row_sum_on_every_layout():
+    """_l1 gives np.abs(S - T).sum(axis=1) to the bit on rows of signed
+    zeros, subnormals, ordinary values and magnitudes up to 1e308 with
+    finite differences and sums: C-contiguous, transposed and broadcast (stride 0),
+    and on single rows the float of the 1-D sum."""
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 3e-320, 0.1, -1.0, 3.5, 1e308,
+                     6e307, -1e308, -7e307, 2.0 ** 52, -(2.0 ** 52) + 0.5])
+    rng = np.random.default_rng(0)
+    S, T = pool[rng.integers(len(pool), size=(2, 4000, 3))]
+    with np.errstate(over="ignore"):
+        keep = np.isfinite(np.abs(S - T).sum(axis=1))
+    S, T = S[keep], T[keep]
+    assert len(S) > 1000
+
+    def bits(x):
+        return np.asarray(x, dtype=float).tobytes()
+
+    expected = np.abs(S - T).sum(axis=1)
+    for s in _layouts(S):
+        for t in _layouts(T):
+            assert bits(_l1(s, t)) == bits(expected)
+            assert bits(_l1(t, s)) == bits(expected)
+    for row in (0, 1, 17):
+        with np.errstate(over="ignore"):
+            near = T[np.isfinite(np.abs(S[row] - T).sum(axis=1))]
+        wide = np.broadcast_to(S[row], near.shape)
+        assert wide.strides[0] == 0
+        assert bits(_l1(wide, near)) == bits(np.abs(S[row] - near).sum(axis=1))
+    for s, t in zip(S[:200], T[:200]):
+        assert bits(float(_l1(s, t))) == bits(float(np.abs(s - t).sum()))
+
+
+def test_box_test_matches_a_per_box_loop_on_every_layout(monkeypatch):
+    """meets_obstacles agrees with a loop over boxes and obstacles on boxes
+    whose faces meet the obstacles' faces, on points (blo is bhi) and on
+    boxes given as C-contiguous rows, transposed views and broadcast rows,
+    in one chunk and in chunks of five boxes and of one."""
+    env = random_instance(GenConfig(seed=5, n=4, m=8))
+    solver = GeodesicSolver(env)
+    obstacles = list(zip(solver.obs_lo.tolist(), solver.obs_hi.tolist()))
+    rng = np.random.default_rng(1)
+    values = np.concatenate([solver.obs_lo, solver.obs_hi, rng.uniform(0, 1, (8, 3))])
+    A, B = (values[rng.integers(len(values), size=(300, 3)), np.arange(3)] for _ in range(2))
+    blo, bhi = np.minimum(A, B), np.maximum(A, B)
+
+    def loop(lo_rows, hi_rows):
+        return [any(all(olo[a] < hi[a] and ohi[a] > lo[a] for a in range(3))
+                    for olo, ohi in obstacles)
+                for lo, hi in zip(lo_rows.tolist(), hi_rows.tolist())]
+
+    cases = [(lo, hi) for lo in _layouts(blo) for hi in _layouts(bhi)]
+    cases += [(X, X) for X in _layouts(A)]
+    cases += [(np.broadcast_to(blo[3], bhi.shape), bhi), (blo, np.broadcast_to(bhi[4], blo.shape))]
+    expected = [loop(lo, hi) for lo, hi in cases]
+    assert any(map(any, expected)) and not all(map(all, expected))
+    for chunk in (geodesic._BOX_TEST_CHUNK, 15 * len(obstacles), 1):
+        monkeypatch.setattr(geodesic, "_BOX_TEST_CHUNK", chunk)
+        for (lo, hi), want in zip(cases, expected):
+            got = solver.meets_obstacles(lo, hi)
+            assert got.dtype == bool and got.tolist() == want
 
 
 def reference_state(obstacles, s, t):

@@ -132,6 +132,21 @@ def test_every_package_function_is_used_outside_the_tests():
     assert unused == []
 
 
+def test_l1_of_coordinate_rows_is_summed_once():
+    """No code of the package sums an L1 of its own, ``np.abs(a - b).sum(...)``:
+    center selection, the builder and the stretch scan rest on sigma >= L1
+    to the bit, which holds for the one sum, geodesic._l1, and they call it."""
+    sums = []
+    for path in sorted((ROOT / "src" / "boxspan").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "sum" and isinstance(node.func.value, ast.Call)
+                    and ast.unparse(node.func.value.func) == "np.abs"
+                    and any(isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Sub)
+                            for arg in node.func.value.args)):
+                sums.append(f"{path.name}:{node.lineno}")
+    assert sums == []
+
 def test_only_dunder_main_runs_as_a_script():
     """``boxspan`` (``cli.entry``) and ``python -m boxspan`` are the ways in:
     no module of the package but ``__main__.py`` has a ``__main__`` block."""

@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from boxspan import verification
 from boxspan.geodesic import GeodesicSolver
-from boxspan.geometry import AxisBox, Environment, Point3, points_array
+from boxspan.geometry import AxisBox, Environment, Point3, points_array, validate_environment
 from boxspan.generators import GenConfig, random_instance, slab_instance
 from boxspan.spanner import SpannerGraph, build_spanner
 from boxspan.verification import (STRETCH_BOUND_L1, STRETCH_SLACK, VIA_DETOUR_FACTOR,
@@ -602,6 +602,39 @@ def test_via_distances_of_grid_stage_pairs_scale_exactly(seed):
     for k in (-300, -40, 40, 300):
         got = GeodesicSolver(_scaled(env, k)).pair_distances(np.ldexp(S, k), np.ldexp(T, k))
         assert got.tolist() == [math.ldexp(d, k) for d in unscaled.tolist()], k
+
+
+def _shifted(env, offset):
+    """env with every coordinate multiplied by 4096, floored and moved by
+    the integer vector offset: an integer instance."""
+    def move(p):
+        return Point3(*(math.floor(4096 * c) + int(d) for c, d in zip(p.as_tuple(), offset)))
+
+    return Environment([AxisBox(move(box.lo), move(box.hi)) for box in env.obstacles],
+                       [move(p) for p in env.points])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_translation_changes_nothing(seed):
+    """A maze instance on integer coordinates, translated by integer vectors
+    of up to 2**40, keeps every coordinate an integer below 2**53, so every
+    difference and every sum of path steps is exact: the build gives the same
+    edge columns to the bit with the same grid-stage runs, and the stretch
+    scan the same report with the same runs."""
+    maze = random_instance(GenConfig(seed=seed, n=32, m=40, placement="mixed", min_side=0.05,
+                                     max_side=0.3, gap=0.01))
+    rng = np.random.default_rng(seed)
+    results = []
+    for offset in ((0, 0, 0), rng.integers(-2 ** 40, 2 ** 40, 3), (2 ** 40, -2 ** 40, 2 ** 40)):
+        env = _shifted(maze, offset)
+        assert validate_environment(env) == []
+        build, scan = GeodesicSolver(env), GeodesicSolver(env)
+        i, j, w = build_spanner(env, build).edge_columns()
+        report = spanning_ratio(env, SpannerGraph(env.n, columns=(i, j, w)), scan)
+        results.append((i.tobytes(), j.tobytes(), w.tobytes(), build.grid_stage_runs,
+                        report, scan.grid_stage_runs))
+    assert results[0][3] > 0
+    assert results == [results[0]] * len(results)
 
 
 def reference_via_detour(env, p, q, o, solver):
