@@ -46,7 +46,7 @@ _ORDERS = np.array([[_LEGS.index((0, 1 << a)),
 # staircase test of a chunk of _STAIRCASE_CHUNK pairs hands the box test
 # twelve legs per pair.
 _BOX_TEST_CHUNK = 1 << 18
-_STAIRCASE_CHUNK = 64
+_STAIRCASE_CHUNK = 256
 
 
 def _l1(S: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -105,10 +105,11 @@ def _grid_links(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
             for axis, c in enumerate(cuts)]
 
 
-def _grid_graph(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
-                links: list[np.ndarray]) -> csr_matrix:
-    """The grid graph: per link, one edge each way between its two nodes
-    (numbered in C order), weighted by the link's length.
+def _grid_graph(grids: list[tuple]) -> csr_matrix:
+    """The block-diagonal graph of the grids (cuts, links): per link, one
+    edge each way between its two nodes, weighted by the link's length.  A
+    grid's nodes are numbered in C order after the nodes of the grids
+    before it, so no edge joins two grids.
 
     The CSR arrays are made directly.  A node u's neighbors along the links
     are u - ny*nz, u - nz, u - 1, u + 1, u + nz and u + ny*nz, in increasing
@@ -118,24 +119,33 @@ def _grid_graph(cuts: tuple[np.ndarray, np.ndarray, np.ndarray],
     indices is the neighbor array at those slots, data the weight array at
     those slots, and indptr the cumulative count of a node's link slots.
     """
-    nx, ny, nz = shape = tuple(len(c) for c in cuts)
-    n_nodes = nx * ny * nz
-    # Slots (-x, -y, -z, +z, +y, +x).
-    mask = np.zeros(shape + (6,), dtype=bool)
-    weight = np.zeros(shape + (6,))
-    mask[1:, :, :, 0] = mask[:-1, :, :, 5] = links[0]
-    mask[:, 1:, :, 1] = mask[:, :-1, :, 4] = links[1]
-    mask[:, :, 1:, 2] = mask[:, :, :-1, 3] = links[2]
-    weight[1:, :, :, 0] = weight[:-1, :, :, 5] = np.diff(cuts[0])[:, None, None]
-    weight[:, 1:, :, 1] = weight[:, :-1, :, 4] = np.diff(cuts[1])[:, None]
-    weight[:, :, 1:, 2] = weight[:, :, :-1, 3] = np.diff(cuts[2])
+    shapes = [tuple(len(c) for c in cuts) for cuts, _ in grids]
+    n_nodes = sum(nx * ny * nz for nx, ny, nz in shapes)
     index = np.int32 if 6 * n_nodes < 2 ** 31 else np.int64
-    offsets = np.array([-ny * nz, -nz, -1, 1, nz, ny * nz], dtype=index)
+    data, indices, degrees = [], [], []
+    first = 0
+    for (cuts, links), shape in zip(grids, shapes):
+        nx, ny, nz = shape
+        size = nx * ny * nz
+        # Slots (-x, -y, -z, +z, +y, +x).
+        mask = np.zeros(shape + (6,), dtype=bool)
+        weight = np.zeros(shape + (6,))
+        mask[1:, :, :, 0] = mask[:-1, :, :, 5] = links[0]
+        mask[:, 1:, :, 1] = mask[:, :-1, :, 4] = links[1]
+        mask[:, :, 1:, 2] = mask[:, :, :-1, 3] = links[2]
+        weight[1:, :, :, 0] = weight[:-1, :, :, 5] = np.diff(cuts[0])[:, None, None]
+        weight[:, 1:, :, 1] = weight[:, :-1, :, 4] = np.diff(cuts[1])[:, None]
+        weight[:, :, 1:, 2] = weight[:, :, :-1, 3] = np.diff(cuts[2])
+        offsets = np.array([-ny * nz, -nz, -1, 1, nz, ny * nz], dtype=index)
+        slot = mask.reshape(-1)
+        neighbor = np.arange(first, first + size, dtype=index)[:, None] + offsets
+        data.append(weight.reshape(-1)[slot])
+        indices.append(neighbor.reshape(-1)[slot])
+        degrees.append(mask.reshape(size, 6).sum(axis=1, dtype=index))
+        first += size
     indptr = np.zeros(n_nodes + 1, dtype=index)
-    np.cumsum(mask.reshape(n_nodes, 6).sum(axis=1, dtype=index), out=indptr[1:])
-    slot = mask.reshape(-1)
-    neighbor = np.arange(n_nodes, dtype=index)[:, None] + offsets
-    return csr_matrix((weight.reshape(-1)[slot], neighbor.reshape(-1)[slot], indptr),
+    np.cumsum(np.concatenate(degrees), out=indptr[1:])
+    return csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
                       shape=(n_nodes, n_nodes))
 
 
@@ -148,9 +158,13 @@ class GeodesicSolver:
     miss is a batch of one).  :meth:`classify` runs steps 1 and 2 below as
     numpy broadcasts over many pairs at a time and marks the pairs that
     neither settles: the grid-stage pairs.  :meth:`_settle` then resolves
-    the pairs in order: it reads and writes the cache, and only
-    the grid-stage pairs it finds no answer for take the per-pair path, the
-    grid stage :meth:`_sigma` (steps 3 and 4).
+    the pairs in order and reads and writes the cache.  The grid-stage
+    pairs of a call that it finds no answer for, in the cache or earlier in
+    the call, are its misses, and one grid stage :meth:`_sigma` (steps 3
+    and 4) resolves them all: the Dijkstra runs of all misses go to one
+    search of the block-diagonal graph of their grids, split only where
+    the node total would pass NODE_CAP, and each value is that of searching
+    its grid alone, to the bit (:func:`_grid_distance`).
 
     The classification may run early and in bulk: it is a pure function of
     the coordinates and the obstacles, symmetric in the pair, and it reads
@@ -195,7 +209,8 @@ class GeodesicSolver:
     that much.
 
     ``grid_stage_runs`` counts the pairs this solver has sent through the
-    grid stage, cache misses only.
+    grid stage, cache misses only: a pair met twice in one call counts
+    once, as it would asked twice in a row.
     """
 
     def __init__(self, env: Environment):
@@ -322,40 +337,59 @@ class GeodesicSolver:
         and grid is :meth:`classify` of the asked pairs.  A pair outside the
         grid stage is L1 in both orientations, so it is cached as L1 even
         when cached already: the value is the same.  A grid-stage pair keeps
-        its cached value or goes through :meth:`_sigma`, in this orientation.
+        its cached value or takes the grid stage's, in its orientation.
 
-        The pairs are taken _STAIRCASE_CHUNK at a time, which bounds the
-        memory of the Python rows made for the keys; a chunk's keys are made
-        in one pass.  Each run of L1 pairs between two grid-stage pairs is
-        written with one ``dict.update``, which writes its keys in the run's
-        order, as one assignment per pair would, and every grid-stage pair
-        is resolved after the run before it is written and before the run
-        after it.  So the values and the cache, entry for entry and in
-        insertion order, are those of resolving the pairs one at a time.
+        The keys are made _STAIRCASE_CHUNK pairs at a time, which bounds the
+        memory of the Python rows they are made from.  A first walk over the
+        grid-stage pairs collects the misses: the pairs whose key is neither
+        cached nor met earlier in the call, each in its own orientation.
+        One :meth:`_sigma` call resolves them all, and no key is written
+        before it returns, so a call whose grid stage raises leaves the
+        cache as it found it.  A second walk then writes each run of L1
+        pairs between two grid-stage pairs with one ``dict.update``, which
+        writes its keys in the run's order, and each grid-stage pair after
+        the run before it.  A pair's L1, key and classification do not
+        depend on the other pairs, and no key is both L1 and grid stage, so
+        the values, the grid-stage runs and the cache, entry for entry and
+        in insertion order, are those of resolving the pairs one at a time.
         """
         cache = self._cache
         # The keys share one tuple per distinct point.
         shared: dict[tuple, tuple] = {}
+        keys: list[tuple] = []
         for start in range(0, len(ask), _STAIRCASE_CHUNK):
             rows = ask[start:start + _STAIRCASE_CHUNK]
-            keys = list(map(_pair_key,
-                            [shared.setdefault(a, a) for a in map(tuple, S[rows].tolist())],
-                            [shared.setdefault(b, b) for b in map(tuple, T[rows].tolist())]))
-            l1 = out[rows].tolist()
-            done = 0
-            for g in np.flatnonzero(grid[start:start + _STAIRCASE_CHUNK]).tolist():
-                cache.update(zip(keys[done:g], l1[done:g]))
-                i, done = rows[g], g + 1
-                d = cache.get(keys[g])
-                if d is None:
-                    d = cache[keys[g]] = self._sigma(S[i], T[i])
-                    self.grid_stage_runs += 1
-                out[i] = d
-            cache.update(zip(keys[done:], l1[done:]))
+            keys += map(_pair_key,
+                        [shared.setdefault(a, a) for a in map(tuple, S[rows].tolist())],
+                        [shared.setdefault(b, b) for b in map(tuple, T[rows].tolist())])
+        where, rows = np.flatnonzero(grid).tolist(), ask.tolist()
+        misses: dict[tuple, int] = {}
+        for g in where:
+            if keys[g] not in cache:
+                misses.setdefault(keys[g], rows[g])
+        first = list(misses.values())
+        sigma = dict(zip(misses, self._sigma(S[first], T[first]).tolist())) if first else {}
+        l1 = out[ask].tolist()
+        done = 0
+        for g in where:
+            cache.update(zip(keys[done:g], l1[done:g]))
+            d = cache.get(keys[g])
+            if d is None:
+                d = cache[keys[g]] = sigma[keys[g]]
+                self.grid_stage_runs += 1
+            out[rows[g]], done = d, g + 1
+        cache.update(zip(keys[done:], l1[done:]))
 
-    def _sigma(self, s: np.ndarray, t: np.ndarray) -> float:
-        """Grid stage (steps 3 and 4) of one pair that :meth:`_settle` left
-        open: its box meets an obstacle and all six staircases are blocked.
+    def _sigma(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """Grid stage (steps 3 and 4) of the pairs (S[k], T[k]) that
+        :meth:`_settle` left open: each pair's box meets an obstacle and all
+        six staircases are blocked.
+
+        The overlap, the first grid and the monotone test run pair by pair.
+        The first grids of the pairs the test leaves blocked are then
+        searched together in one :func:`_grid_distance` call, and so are
+        the second grids, which few pairs need.  Each value is the one a
+        search of that grid alone gives, to the bit (see :func:`_grid_distance`).
 
         The second grid keeps every obstacle whose computed through-detour
         is at most d1 * (1 + 1e-12).  In exact arithmetic the test would be
@@ -377,23 +411,30 @@ class GeodesicSolver:
         canonicalizing the pair's orientation would; STRETCH_SLACK and
         VIA_SLACK cover 2 ulps.
         """
-        l1 = float(_l1(s, t))
-        over = self._overlapping(np.minimum(s, t), np.maximum(s, t))
-        cuts, links, ends = self._grid(s, t, over)
-        # With a single overlapping obstacle, the blocked staircases are exact
-        # by the one-box lemma (see _staircase_clear): no monotone path exists.
-        if len(over) > 1 and _monotone_clear(links, ends):
-            return l1
-        d1 = _grid_distance(cuts, links, ends)
-        detours = self._min_detours(s, t)
-        kept = detours <= d1 * (1 + 1e-12)
-        if np.count_nonzero(kept) == np.count_nonzero(kept[over]):
-            return max(d1, l1)  # every kept obstacle already cuts the first grid
-        d2 = _grid_distance(*self._grid(s, t, np.flatnonzero(kept)))
-        if not np.isfinite(d2):
+        out = _l1(S, T)
+        l1 = out.tolist()
+        blocked = []
+        for k, (s, t) in enumerate(zip(S, T)):
+            over = self._overlapping(np.minimum(s, t), np.maximum(s, t))
+            cuts, links, ends = self._grid(s, t, over)
+            # With a single overlapping obstacle, the blocked staircases are exact
+            # by the one-box lemma (see _staircase_clear): no monotone path exists.
+            if len(over) < 2 or not _monotone_clear(links, ends):
+                blocked.append((k, over, (cuts, links, ends)))
+        second = []
+        for (k, over, _), d1 in zip(blocked, _grid_distance([g for _, _, g in blocked]).tolist()):
+            kept = self._min_detours(S[k], T[k]) <= d1 * (1 + 1e-12)
+            if np.count_nonzero(kept) == np.count_nonzero(kept[over]):
+                out[k] = max(d1, l1[k])  # every kept obstacle already cuts the first grid
+            else:
+                second.append((k, self._grid(S[k], T[k], np.flatnonzero(kept))))
+        d2 = _grid_distance([g for _, g in second])
+        if not np.isfinite(d2).all():
             raise RuntimeError("geodesic query found no route; free space "
                                "amid disjoint bounded boxes is connected")
-        return max(d2, l1)
+        for (k, _), d in zip(second, d2.tolist()):
+            out[k] = max(d, l1[k])
+        return out
 
     def _min_detours(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Per obstacle, the least L1 length of any s->t route touching it."""
@@ -460,24 +501,44 @@ class GeodesicSolver:
         return cuts, links, ends
 
 
-def _grid_distance(cuts: tuple[np.ndarray, np.ndarray, np.ndarray], links: list[np.ndarray],
-                   ends: np.ndarray) -> float:
-    """Dijkstra distance from s to t on a grid of :meth:`GeodesicSolver._grid`:
-    an upper bound on the geodesic distance, exact once the grid carries the
-    faces of every obstacle an optimal path touches.
+def _grid_distance(grids: list[tuple]) -> np.ndarray:
+    """Per grid (cuts, links, ends) of :meth:`GeodesicSolver._grid`, the
+    Dijkstra distance from s to t on it: an upper bound on the geodesic
+    distance, exact once the grid carries the faces of every obstacle an
+    optimal path touches.
 
-    The search runs directed on the symmetric graph of :func:`_grid_graph`,
-    which spares scipy the transpose an undirected search makes on every
-    call.  The value is that of an undirected search on a graph with one edge
-    per link, to the bit: the weights are at least 0 and rounding is
-    monotone, so every left-fold sum along a path is at least that of its
-    prefix, and Dijkstra's value at a node is the least left-fold sum over
-    the paths to it, whatever order it relaxes the edges in.  Both searches
-    see the same paths.  The lattice oracle searches its lattice here too.
+    The grids are searched together: one ``dijkstra(..., indices=sources,
+    min_only=True)`` call on the block-diagonal graph of :func:`_grid_graph`
+    per batch of grids, a batch ending before its node total would pass
+    NODE_CAP (read at call time; each grid is under it).  No edge joins two
+    blocks, so each target is reached only from its own grid's source.
+
+    The search runs directed on the symmetric graph, which spares scipy the
+    transpose an undirected search makes.  The value is that of an
+    undirected single-source search on the grid's graph with one edge per
+    link, to the bit: the weights are at least 0 and rounding is monotone,
+    so every left-fold sum along a path is at least that of its prefix, and
+    Dijkstra's value at a node is the least left-fold sum over the paths to
+    it, whatever order it relaxes the edges in or the other sources it
+    starts from.  Both searches see the same paths.  The lattice oracle
+    searches its lattice here too, as a list of one.
     """
-    source, target = np.ravel_multi_index(ends, tuple(len(c) for c in cuts))
-    dist = dijkstra(_grid_graph(cuts, links), directed=True, indices=int(source))
-    return float(dist[target])
+    out = np.empty(len(grids))
+    sizes = [len(cuts[0]) * len(cuts[1]) * len(cuts[2]) for cuts, _, _ in grids]
+    start = 0
+    while start < len(grids):
+        stop, total = start + 1, sizes[start]
+        while stop < len(grids) and total + sizes[stop] <= NODE_CAP:
+            total += sizes[stop]
+            stop += 1
+        batch = grids[start:stop]
+        ends = np.array([np.ravel_multi_index(e, tuple(len(c) for c in cuts))
+                         for cuts, _, e in batch]) + np.cumsum([0] + sizes[start:stop - 1])[:, None]
+        dist = dijkstra(_grid_graph([(cuts, links) for cuts, links, _ in batch]),
+                        directed=True, indices=ends[:, 0], min_only=True)
+        out[start:stop] = dist[ends[:, 1]]
+        start = stop
+    return out
 
 
 def _monotone_clear(links: list[np.ndarray], ends: np.ndarray) -> bool:
@@ -601,7 +662,7 @@ def oracle_fine_grid_distance(env: Environment, p: Point3, q: Point3,
     links = [link_open(axis) for axis in range(3)]
     ends = np.array([np.searchsorted(vals, (p.coord(axis), q.coord(axis)))
                      for axis, vals in enumerate(axis_values)])
-    d = _grid_distance((vx, vy, vz), links, ends)
+    d = _grid_distance([((vx, vy, vz), links, ends)])[0]
     if not np.isfinite(d):
         raise RuntimeError("oracle lattice found no route; increase padding or resolution")
     return d

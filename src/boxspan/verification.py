@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .cspd import _ranges
 from .geodesic import GeodesicSolver, _l1
-from .geometry import Environment, Point3, points_array
+from .geometry import Environment, Point3
 from .spanner import SpannerGraph, build_spanner
 
 STRETCH_BOUND_L1 = 8.0
@@ -296,14 +296,20 @@ def via_triples(env: Environment, count: int,
         if j >= i:
             j += 1
         (px, py, pz), (qx, qy, qz) = coords[i], coords[j]
-        lx, ly, lz = min(px, qx), min(py, qy), min(pz, qz)
-        hx, hy, hz = max(px, qx), max(py, qy), max(pz, qz)
+        # Clamped to the box of p and q by comparisons: min(max(v, lo), hi),
+        # with lo and hi the least and the greatest of the two coordinates.
+        lx, hx = (qx, px) if qx < px else (px, qx)
+        ly, hy = (qy, py) if qy < py else (py, qy)
+        lz, hz = (qz, pz) if qz < pz else (pz, qz)
         o = points[i]
         for _ in range(64):
             ux, uy, uz = random(3).tolist()
-            x = min(max(px + ux * (qx - px), lx), hx)
-            y = min(max(py + uy * (qy - py), ly), hy)
-            z = min(max(pz + uz * (qz - pz), lz), hz)
+            x = px + ux * (qx - px)
+            x = lx if x < lx else hx if x > hx else x
+            y = py + uy * (qy - py)
+            y = ly if y < ly else hy if y > hy else y
+            z = pz + uz * (qz - pz)
+            z = lz if z < lz else hz if z > hz else z
             for ax, ay, az, bx, by, bz in boxes:
                 if ax < x < bx and ay < y < by and az < z < bz:
                     break
@@ -314,14 +320,15 @@ def via_triples(env: Environment, count: int,
     return triples
 
 
-def _check_via_points(solver: GeodesicSolver, P: np.ndarray, Q: np.ndarray,
-                      O: np.ndarray) -> None:
-    """Raise ValueError at the first triple (P[k], Q[k], O[k]) whose via
-    point lies outside the closed box of p and q, or with a point strictly
-    inside an obstacle; the message says which, the box test first."""
+def _check_via_points(solver: GeodesicSolver, X: np.ndarray) -> None:
+    """Raise ValueError at the first triple (p, q, o) = X[k], a (k, 3, 3)
+    array, whose via point lies outside the closed box of p and q, or with a
+    point strictly inside an obstacle; the message says which, the box test
+    first."""
+    P, Q, O = X[:, 0], X[:, 1], X[:, 2]
     outside = ~((np.minimum(P, Q) <= O) & (O <= np.maximum(P, Q))).all(axis=1)
-    X = np.stack([P, Q, O], axis=1).reshape(-1, 3)
-    inside = solver.meets_obstacles(X, X).reshape(-1, 3).any(axis=1)
+    points = X.reshape(-1, 3)
+    inside = solver.meets_obstacles(points, points).reshape(-1, 3).any(axis=1)
     bad = np.flatnonzero(outside | inside)
     if len(bad):
         if outside[bad[0]]:
@@ -357,10 +364,11 @@ def check_via_triples(triples: list[tuple[Point3, Point3, Point3]],
     """
     if not triples:
         return 0, 0.0
-    P, Q, O = (points_array(column) for column in zip(*triples))
-    _check_via_points(solver, P, Q, O)
-    solver.pair_distances(np.stack([P, O, P], axis=1).reshape(-1, 3),
-                          np.stack([O, Q, Q], axis=1).reshape(-1, 3))
+    # The nine coordinates of each triple, packed in one pass.
+    X = np.array([(p.x, p.y, p.z, q.x, q.y, q.z, o.x, o.y, o.z) for p, q, o in triples],
+                 dtype=float).reshape(-1, 3, 3)
+    _check_via_points(solver, X)
+    solver.pair_distances(X[:, [0, 2, 0]].reshape(-1, 3), X[:, [2, 1, 1]].reshape(-1, 3))
     passes, worst = 0, 0.0
     for p, q, o in triples:
         lhs = solver.distance(p, o) + solver.distance(o, q)

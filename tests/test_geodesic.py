@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import block_diag, csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -385,8 +385,9 @@ def test_grid_stage_pruning_keeps_a_tied_detour_at_every_scale(monkeypatch):
 
 def test_settle_runs_the_staircase_once_per_chunk(monkeypatch):
     """distances_from on targets that are all staircase-blocked runs the
-    staircase broadcast once per chunk of 64 targets, and the grid stage never
-    runs it again for a pair."""
+    staircase broadcast once per chunk of _STAIRCASE_CHUNK targets, over
+    more than two chunks, and the grid stage never runs it again for a pair."""
+    chunk = geodesic._STAIRCASE_CHUNK
     runs = []
     for env in _certificate_instances():
         solver = GeodesicSolver(env)
@@ -395,7 +396,8 @@ def test_settle_runs_the_staircase_once_per_chunk(monkeypatch):
             blocked = pts[solver.meets_obstacles(np.minimum(pts, s), np.maximum(pts, s))
                           & ~solver._staircase_clear(s, pts)]
             if len(blocked):
-                runs.append((env, s, np.concatenate([blocked] * (130 // len(blocked) + 1))))
+                runs.append((env, s, np.concatenate([blocked] * ((2 * chunk + 2) // len(blocked)
+                                                                 + 1))))
     assert runs
     staircase_clear = GeodesicSolver._staircase_clear
     calls = []
@@ -408,7 +410,8 @@ def test_settle_runs_the_staircase_once_per_chunk(monkeypatch):
     for env, s, targets in runs:
         calls.clear()
         GeodesicSolver(env).distances_from(s, targets)
-        assert calls == [min(64, len(targets) - k) for k in range(0, len(targets), 64)]
+        assert len(calls) > 2
+        assert calls == [min(chunk, len(targets) - k) for k in range(0, len(targets), chunk)]
 
 
 def _layouts(X: np.ndarray) -> list[np.ndarray]:
@@ -577,7 +580,7 @@ def test_grid_graph_matches_reference(monkeypatch):
     lattice = len(grids)
     grid_graph = geodesic._grid_graph
     monkeypatch.setattr(geodesic, "_grid_graph",
-                        lambda cuts, links: grids.append((cuts, links)) or grid_graph(cuts, links))
+                        lambda searched: grids.extend(searched) or grid_graph(searched))
     env = Environment([UNIT_CUBE], [Point3(-0.5, 0.5, 0.5), Point3(1.5, 0.25, 0.5)])
     oracle_fine_grid_distance(env, *env.points, resolution=1 / 8)
     assert len(grids) == lattice + 1
@@ -588,7 +591,7 @@ def test_grid_graph_matches_reference(monkeypatch):
                          np.ones((2, 3, 0), bool)]))
     for cuts, links in grids:
         reference = reference_grid_csr(cuts, links)
-        got, expected = grid_graph(cuts, links), reference + reference.T
+        got, expected = grid_graph([(cuts, links)]), reference + reference.T
         assert got.shape == expected.shape
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(expected, attr)), attr
@@ -608,8 +611,8 @@ def test_grid_distance_matches_the_undirected_reference(monkeypatch):
                 grids.append(solver._grid(s, t, over))
     lattices = []
     grid_graph = geodesic._grid_graph
-    monkeypatch.setattr(geodesic, "_grid_graph", lambda cuts, links:
-                        lattices.append((cuts, links)) or grid_graph(cuts, links))
+    monkeypatch.setattr(geodesic, "_grid_graph", lambda searched:
+                        lattices.extend(searched) or grid_graph(searched))
     env = Environment([UNIT_CUBE], [Point3(-0.5, 0.5, 0.5), Point3(1.5, 0.25, 0.5)])
     oracle_fine_grid_distance(env, *env.points, resolution=1 / 8)
     (cuts, links), = lattices
@@ -617,13 +620,69 @@ def test_grid_distance_matches_the_undirected_reference(monkeypatch):
                                          in zip(cuts, *(pt.as_tuple() for pt in env.points))])))
     for cuts, links, ends in grids:
         reference = reference_grid_csr(cuts, links)
-        both = grid_graph(cuts, links)
+        both = grid_graph([(cuts, links)])
         assert (both != reference + reference.T).nnz == 0
         source, target = np.ravel_multi_index(ends, tuple(len(c) for c in cuts))
         expected = dijkstra(reference, directed=False, indices=source)
         assert np.array_equal(dijkstra(both, directed=True, indices=source), expected)
-        assert _grid_distance(cuts, links, ends) == expected[target]
+        assert _grid_distance([(cuts, links, ends)]).tolist() == [expected[target]]
     assert len(grids) > 1000
+
+
+def test_grid_distance_of_a_list_is_one_search_per_grid(monkeypatch):
+    """Searching a list of grids gives, bit for bit, one undirected search
+    of each grid's reference graph, on the graph that is the block diagonal
+    of the grids' graphs: on first and second grids of the certificate
+    instances and a maze (the second cut by the obstacles of the shorter
+    half of the detours), a grid whose target cannot be reached (inf) and
+    a grid with one cut on an axis.  With a small NODE_CAP, which the first
+    batch fills exactly, the list is split into batches, each ending before
+    its node total would pass the cap, and the values stay the same."""
+    grids = []
+    maze = random_instance(GenConfig(seed=0, n=16, m=40, placement="mixed",
+                                     min_side=0.05, max_side=0.3, gap=0.01))
+    for env in [*_certificate_instances(), maze]:
+        solver = GeodesicSolver(env)
+        for s, t in itertools.combinations(points_array(env.points), 2):
+            over = solver._overlapping(np.minimum(s, t), np.maximum(s, t))
+            if len(over):
+                grids.append(solver._grid(s, t, over))
+                detours = solver._min_detours(s, t)
+                grids.append(solver._grid(s, t, np.flatnonzero(detours <= np.median(detours))))
+    grids = grids[::5]
+    cuts = (np.array([0.0, 1.0]), np.array([0.0, 0.5, 2.0]), np.array([3.0]))
+    walled = [np.ones((1, 3, 1), bool), np.ones((2, 2, 1), bool), np.ones((2, 3, 0), bool)]
+    walled[0][0, 1, 0] = walled[0][0, 2, 0] = False
+    walled[1][1, :, 0] = False
+    grids[3:3] = [(cuts, walled, np.array([[0, 1], [0, 2], [0, 0]])),
+                  (cuts, walled, np.array([[0, 0], [0, 2], [0, 0]]))]
+    expected = []
+    for cuts, links, ends in grids:
+        source, target = np.ravel_multi_index(ends, tuple(len(c) for c in cuts))
+        expected.append(dijkstra(reference_grid_csr(cuts, links), directed=False,
+                                 indices=source)[target])
+    assert np.isinf(expected[3]) and np.isfinite(expected[4])
+    assert np.array(expected).tobytes() == _grid_distance(grids).tobytes()
+    blocks = [reference_grid_csr(cuts, links) for cuts, links, _ in grids]
+    both = geodesic._grid_graph([(cuts, links) for cuts, links, _ in grids])
+    assert (both != block_diag([b + b.T for b in blocks])).nnz == 0
+
+    sizes = [len(cuts[0]) * len(cuts[1]) * len(cuts[2]) for cuts, _, _ in grids]
+    # the first batch fills the cap exactly
+    cap = next(total for total in np.cumsum(sizes).tolist() if total >= max(sizes))
+    batches = []
+    search = geodesic.dijkstra
+    monkeypatch.setattr(geodesic, "NODE_CAP", cap)
+    monkeypatch.setattr(geodesic, "dijkstra", lambda graph, **kwargs: batches.append(
+        (graph.shape[0], len(kwargs["indices"]))) or search(graph, **kwargs))
+    assert np.array(expected).tobytes() == _grid_distance(grids).tobytes()
+    assert len(batches) > 2 and batches[0][0] == cap
+    assert sum(count for _, count in batches) == len(grids)
+    first = 0
+    for total, count in batches:
+        assert total == sum(sizes[first:first + count]) <= cap
+        first += count
+        assert first == len(grids) or total + sizes[first] > cap
 
 
 def test_grid_links_and_monotone_match_reference():
@@ -733,12 +792,12 @@ _PER_ROW_ENVS = [random_instance(GenConfig(seed=5, n=24, m=8, placement="mixed",
 
 
 def _recorded(env, ask):
-    """ask(solver) on a fresh solver, the _sigma calls it made and the cache
-    it left, in insertion order."""
+    """ask(solver) on a fresh solver, the pairs it sent through _sigma in
+    order, its grid_stage_runs and the cache it left, in insertion order."""
     solver, calls = GeodesicSolver(env), []
     sigma = solver._sigma
-    solver._sigma = lambda s, t: calls.append((s.tolist(), t.tolist())) or sigma(s, t)
-    return ask(solver).tobytes(), calls, list(solver._cache.items())
+    solver._sigma = lambda S, T: calls.extend(zip(S.tolist(), T.tolist())) or sigma(S, T)
+    return ask(solver).tobytes(), calls, solver.grid_stage_runs, list(solver._cache.items())
 
 
 @settings(max_examples=25, deadline=None)
@@ -746,27 +805,48 @@ def _recorded(env, ask):
 def test_distances_from_per_row_sources_match_one_call_per_row(data):
     """One distances_from call with a source row per target, with or without
     the grid mask, gives what one call per row in order gives: the same values to
-    the bit, the same _sigma calls and the same cache in insertion order.
-    The rows always hold grid-stage pairs, and repeat pairs in both
-    orientations."""
+    the bit, the same pairs through _sigma in order, the same grid_stage_runs
+    and the same cache in insertion order; and so does one pair_distances
+    call against one pair_distances call per row.  The rows always hold
+    grid-stage pairs in both orientations and repeat other pairs in both,
+    and an earlier call of the same kind has cached some of them, in either
+    orientation."""
     env = data.draw(st.sampled_from(_PER_ROW_ENVS))
     pts = points_array(env.points)
     i, j = np.divmod(np.arange(env.n ** 2), env.n)
     grid = np.flatnonzero(GeodesicSolver(env).classify(pts[i], pts[j]))
     index = st.integers(0, env.n - 1)
     pairs = data.draw(st.lists(st.tuples(index, index), max_size=30))
-    pairs += [divmod(k, env.n) for k in data.draw(st.lists(st.sampled_from(grid.tolist()),
-                                                           min_size=1, max_size=8))]
+    blocked = [divmod(k, env.n) for k in data.draw(st.lists(st.sampled_from(grid.tolist()),
+                                                            min_size=1, max_size=8))]
+    pairs += blocked + [(b, a) for a, b in blocked]
     again = data.draw(st.lists(st.sampled_from(pairs), max_size=20))
     pairs += [(b, a) for a, b in again] + again
     rows = np.array(data.draw(st.permutations(pairs)))
-    S, T = pts[rows[:, 0]], pts[rows[:, 1]]
-    expected = _recorded(env, lambda solver: np.array(
-        [solver.distances_from(s, t[None])[0] for s, t in zip(S, T)]))
+    earlier = np.array([pair[::-1] if flip else pair for pair, flip in data.draw(
+        st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), min_size=1, max_size=10))])
+    calls = [(pts[r[:, 0]], pts[r[:, 1]]) for r in (earlier, rows)]
+    each = [(s[None], t[None]) for S, T in calls for s, t in zip(S, T)]
+
+    def asked(query, batches):
+        return lambda solver: np.concatenate([query(solver, S, T) for S, T in batches])
+
+    def distances_from(solver, S, T):
+        return solver.distances_from(S, T)
+
+    def with_grid(solver, S, T):
+        return solver.distances_from(S, T, grid=solver.classify(S, T))
+
+    def pair_distances(solver, S, T):
+        return solver.pair_distances(S, T)
+
+    expected = _recorded(env, asked(distances_from, each))
     assert expected[1]
-    assert _recorded(env, lambda solver: solver.distances_from(S, T)) == expected
-    assert _recorded(env, lambda solver: solver.distances_from(
-        S, T, grid=solver.classify(S, T))) == expected
+    assert _recorded(env, asked(distances_from, calls)) == expected
+    assert _recorded(env, asked(with_grid, calls)) == expected
+    expected = _recorded(env, asked(pair_distances, each))
+    assert expected[1]
+    assert _recorded(env, asked(pair_distances, calls)) == expected
 
 
 def test_distances_from_rejects_rows_that_miss_a_target():

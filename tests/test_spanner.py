@@ -272,9 +272,10 @@ class _OrientedSolver(GeodesicSolver):
     comes after t in coordinate order, so that every cached value shows the
     orientation it was first asked in."""
 
-    def _sigma(self, s, t):
-        d = super()._sigma(s, t)
-        return float(np.nextafter(d, np.inf)) if s.tolist() > t.tolist() else d
+    def _sigma(self, S, T):
+        d = super()._sigma(S, T)
+        after = [s > t for s, t in zip(S.tolist(), T.tolist())]
+        return np.where(after, np.nextafter(d, np.inf), d)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -147,6 +147,18 @@ def test_l1_of_coordinate_rows_is_summed_once():
                 sums.append(f"{path.name}:{node.lineno}")
     assert sums == []
 
+
+def test_grid_searches_go_through_one_batched_call():
+    """geodesic.py makes one CSR graph and one Dijkstra call, both in the
+    batched grid search (_grid_graph and _grid_distance), so no search of
+    one grid at a time can come back beside it."""
+    path = ROOT / "src" / "boxspan" / "geodesic.py"
+    calls = [ast.unparse(node.func) for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)]
+    assert calls.count("dijkstra") == 1
+    assert calls.count("csr_matrix") == 1
+
+
 def test_only_dunder_main_runs_as_a_script():
     """``boxspan`` (``cli.entry``) and ``python -m boxspan`` are the ways in:
     no module of the package but ``__main__.py`` has a ``__main__`` block."""

@@ -779,8 +779,10 @@ def test_via_distance_calls_all_hit_the_cache(kind, monkeypatch):
         assert len(calls) == 1
 
 
-def reference_via_triples(env, count, rng):
-    """The sampler's loop on Point3 and AxisBox objects, as a reference."""
+def reference_via_triples(env, count, rng, clamped=None):
+    """The sampler's loop on Point3 and AxisBox objects, as a reference;
+    clamped, a list when given, gets one entry per draw that p + u * (q - p)
+    puts outside the box of p and q."""
     n = env.n
     if n < 2:
         return []
@@ -795,6 +797,9 @@ def reference_via_triples(env, count, rng):
         o = p
         for _ in range(64):
             u = rng.random(3)
+            raw = p.x + u[0] * (q.x - p.x), p.y + u[1] * (q.y - p.y), p.z + u[2] * (q.z - p.z)
+            if clamped is not None and not box.lo.as_tuple() <= raw <= box.hi.as_tuple():
+                clamped.append(raw)
             cand = Point3(
                 min(max(p.x + u[0] * (q.x - p.x), box.lo.x), box.hi.x),
                 min(max(p.y + u[1] * (q.y - p.y), box.lo.y), box.hi.y),
@@ -831,6 +836,44 @@ def test_via_triples_match_reference_draws(env):
         assert _reprs(got) == _reprs(expected)
     if env.n == 2 and env.obstacles:
         assert all(o == p for p, _, o in got)
+
+
+class _EdgeDraws:
+    """A generator whose random draws are, at random, its own, 1.0, the
+    next float above 1 or minus the least float step below 1.  No real
+    generator draws these, but they put p + u * (q - p) outside the box of
+    p and q, where the clamp decides."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def integers(self, n):
+        return self._rng.integers(n)
+
+    def random(self, size):
+        u, edge = self._rng.random(size), self._rng.integers(4, size=size)
+        return np.choose(edge, [u, 1.0, 1 + 2.0 ** -52, -(2.0 ** -53)])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_via_triples_match_a_reference_loop(seed):
+    """via_triples draws, bit for bit, what a plain loop with min/max clamps
+    draws from the same integers, integers, random(3), ... sequence: on a
+    maze instance scaled by 2**k, from a generator and from one whose draws
+    put p + u * (q - p) outside the box of p and q."""
+    env = random_instance(GenConfig(seed=seed, n=32, m=40, placement="mixed", min_side=0.05,
+                                    max_side=0.3, gap=0.01))
+
+    def bits(triples):
+        return np.array([[x.as_tuple() for x in t] for t in triples]).tobytes()
+
+    clamped = []
+    for k in (-300, -40, 0, 3, 40, 300):
+        scaled = _scaled(env, k)
+        for draws in (np.random.default_rng, _EdgeDraws):
+            got = via_triples(scaled, 200, draws(seed))
+            assert bits(got) == bits(reference_via_triples(scaled, 200, draws(seed), clamped)), k
+    assert clamped
 
 
 def test_norm_conversion_check():
